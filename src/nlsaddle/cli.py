@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,6 +89,7 @@ def parse_config(path) -> RunConfig:
     if not Path(path).exists():
         raise ConfigError([f"config file not found: {path}"])
     cp = configparser.ConfigParser()
+    cp.optionxform = str  # keys such as R, R_out, Lambda and S_list are case-sensitive
     cp.read(path)
     cfg = RunConfig(
         kernel=dict(cp.items("kernel")) if cp.has_section("kernel") else {},
@@ -214,8 +214,14 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
             n_ref = min(grid.n_nodes, int(cfg.experiment.get("zoc_nodes", 200)))
             rng = np.random.default_rng(seed)
             ref_idx = np.sort(rng.choice(grid.n_nodes, size=n_ref, replace=False))
-            zoc = np.array([dr.zero_order_coefficient(kern, (grid.s[i], grid.t[i]),
-                                                      grid.R_out) for i in ref_idx])
+            # the table's zero-order column comes from the same integrator at
+            # its default settings; the reference refines n_phi, n_rho and,
+            # for m >= 2, the J rule
+            s_ref, t_ref = grid.s[ref_idx], grid.t[ref_idx]
+            zoc = (dr.zero_order_integral(kern, s_ref, t_ref, grid.R_out,
+                                          rule=dr.gauss_jacobi_rule(64, kern.m),
+                                          n_phi=320, n_rho=48)
+                   + 0.5 * dr.exterior_tail_coefficient(kern, s_ref, t_ref, grid.R_out))
             rows = op.row_sums()
             max_err = float(np.max(np.abs(rows[ref_idx] - 2 * zoc) / (2 * zoc)))
             rep = dop.check_max_principle_structure(
@@ -327,10 +333,6 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", default=None,
                         help="profile CSV for energy-scan / competitor")
     args = parser.parse_args(argv)
-
-    if "NLSADDLE_THREADS" in os.environ:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, os.environ["NLSADDLE_THREADS"])
 
     try:
         cfg = parse_config(args.config)

@@ -24,6 +24,9 @@ REGION_OUTER = "outer"
 REGION_CONE = "cone"
 REGION_INNER = "inner"
 
+# orbits per block of the vectorized zero-order integral
+_ZERO_ORDER_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class DoublyRadialPoint:
@@ -445,69 +448,85 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float,
     return out if a.ndim else float(out)
 
 
-def zero_order_coefficient(kernel: RadialKernel, p, R_out: float,
-                           rule: QuadratureRule | None = None,
-                           n_phi: int = 160, phi_order: int = 4,
-                           n_rho: int = 24) -> float:
-    """The coefficient int_O kbar(x, y*) dy of the odd-sector operator.
+def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
+                        rule: QuadratureRule | None = None,
+                        n_phi: int = 160, phi_order: int = 4,
+                        n_rho: int = 24) -> np.ndarray:
+    """int_{O, |y| <= R_out} kbar(x, y*) dy per orbit (s, t), vectorized.
 
     Integrates J(s,t,b,a) a^(m-1) b^(m-1) over the truncated outer octant
-    {0 <= b < a, a^2 + b^2 <= R_out^2} in polar coordinates centered at the
-    reflected orbit (t, s) (the only singularity of the integrand, which
-    lies outside the region, at distance cone_distance * sqrt(2) ... from
-    its boundary), then adds half the analytic exterior tail.  Comparable
-    to cone_distance(p)^(-2 gamma) from both sides.
+    {0 <= b < a, a^2 + b^2 <= R_out^2} in polar coordinates (rho, phi)
+    centered at the reflected orbit (t, s), the only singularity of the
+    integrand, which lies outside the region at distance sqrt(2) times the
+    cone distance of x.  phi runs over the half-plane arc that can see the
+    region in n_phi Gauss-Legendre panels of phi_order nodes; along each ray
+    the region is entered at the cone and left at b = 0 or at the rim, and
+    log(rho) is integrated with n_rho Gauss-Legendre nodes.  Nodes are
+    processed _ZERO_ORDER_CHUNK at a time, and only the (node, phi) rays
+    that cross the region are evaluated.
     """
-    s, t = _coords(p)
-    if not s > t >= 0.0:
-        raise DomainError("zero_order_coefficient requires p strictly outside the cone")
-    r_p = math.hypot(s, t)
-    if R_out <= r_p:
+    s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
+    if not np.all((s > t) & (t >= 0.0)):
+        raise DomainError("the zero-order integral requires orbits strictly outside the cone")
+    if np.any(np.hypot(s, t) >= R_out):
         raise PreconditionError("need |p| < R_out")
     m = kernel.m
     if rule is None:
         rule = gauss_jacobi_rule(32, m)
 
-    delta = (s - t) / math.sqrt(2.0)
-    # panels in phi over the half-plane arc that can see the region
     edges = np.linspace(-3.0 * math.pi / 4.0, math.pi / 4.0, n_phi + 1)
     gl, wgl = np.polynomial.legendre.leggauss(phi_order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     phi = (mid[:, None] + half[:, None] * gl[None, :]).reshape(-1)
     wphi = (half[:, None] * wgl[None, :]).reshape(-1)
-
+    cosp, sinp = np.cos(phi), np.sin(phi)
     cosd = np.cos(phi + math.pi / 4.0)
-    with np.errstate(divide="ignore"):
-        rho_in = np.where(cosd > 0.0, delta / np.maximum(cosd, 1e-300), np.inf)
-    # exit through b >= 0
-    sinp = np.sin(phi)
-    rho_b = np.where(sinp < 0.0, s / np.maximum(-sinp, 1e-300), np.inf)
-    # exit through the disk a^2 + b^2 = R_out^2  (center offset p* = (t, s))
-    pe = t * np.cos(phi) + s * sinp
-    disc = pe ** 2 + R_out ** 2 - r_p ** 2
-    rho_disk = -pe + np.sqrt(disc)
-    rho_out = np.minimum(rho_b, rho_disk)
+    xgl, xw = np.polynomial.legendre.leggauss(n_rho)
 
-    live = rho_in < rho_out * (1.0 - 1e-14)
-    if not live.any():
-        trunc = 0.0
-    else:
-        phi_l = phi[live]
-        wphi_l = wphi[live]
-        xi_lo = np.log(rho_in[live])
-        xi_hi = np.log(rho_out[live])
-        xgl, xw = np.polynomial.legendre.leggauss(n_rho)
-        xi = 0.5 * (xi_hi + xi_lo)[:, None] + 0.5 * (xi_hi - xi_lo)[:, None] * xgl[None, :]
-        wxi = 0.5 * (xi_hi - xi_lo)[:, None] * xw[None, :]
+    flat_s, flat_t = s.reshape(-1), t.reshape(-1)
+    out = np.zeros(flat_s.size)
+    for lo in range(0, flat_s.size, _ZERO_ORDER_CHUNK):
+        hi = min(flat_s.size, lo + _ZERO_ORDER_CHUNK)
+        S, T = flat_s[lo:hi, None], flat_t[lo:hi, None]
+        delta = (S - T) / math.sqrt(2.0)
+        with np.errstate(divide="ignore"):
+            # enter through the cone, exit through b = 0 or the disk
+            # a^2 + b^2 = R_out^2 (center offset p* = (t, s))
+            rho_in = np.where(cosd > 0.0, delta / np.maximum(cosd, 1e-300), np.inf)
+            rho_b = np.where(sinp < 0.0, S / np.maximum(-sinp, 1e-300), np.inf)
+        pe = T * cosp + S * sinp
+        rho_disk = -pe + np.sqrt(pe ** 2 + R_out ** 2 - np.hypot(S, T) ** 2)
+        rho_out = np.minimum(rho_b, rho_disk)
+        live = rho_in < rho_out * (1.0 - 1e-14)
+        node, k = np.nonzero(live)
+        xi_lo = np.log(rho_in[live])[:, None]
+        xi_hi = np.log(rho_out[live])[:, None]
+        xi = 0.5 * (xi_hi + xi_lo) + 0.5 * (xi_hi - xi_lo) * xgl[None, :]
+        wxi = 0.5 * (xi_hi - xi_lo) * xw[None, :]
         rho = np.exp(xi)
-        aa = t + rho * np.cos(phi_l)[:, None]
-        bb = s + rho * np.sin(phi_l)[:, None]
-        vals = j_values(kernel, s, t, bb, aa, rule)
+        aa = T[node] + rho * cosp[k][:, None]
+        bb = S[node] + rho * sinp[k][:, None]
+        vals = j_values(kernel, S[node], T[node], bb, aa, rule)
         if m > 1:
             vals = vals * aa ** (m - 1) * bb ** (m - 1)
         # measure rho drho dphi, with drho = rho dxi
-        trunc = float(((vals * rho ** 2 * wxi).sum(axis=1) * wphi_l).sum())
+        ray = (vals * rho ** 2 * wxi).sum(axis=1) * wphi[k]
+        out[lo:hi] = np.bincount(node, weights=ray, minlength=hi - lo)
+    return out.reshape(s.shape)
 
+
+def zero_order_coefficient(kernel: RadialKernel, p, R_out: float,
+                           rule: QuadratureRule | None = None,
+                           n_phi: int = 160, phi_order: int = 4,
+                           n_rho: int = 24) -> float:
+    """The coefficient int_O kbar(x, y*) dy of the odd-sector operator.
+
+    `zero_order_integral` over the octant truncated at R_out, plus half the
+    analytic exterior tail.  Comparable to cone_distance(p)^(-2 gamma) from
+    both sides.
+    """
+    s, t = _coords(p)
+    trunc = float(zero_order_integral(kernel, s, t, R_out, rule, n_phi, phi_order, n_rho))
     tail = 0.5 * float(exterior_tail_coefficient(kernel, s, t, R_out))
     return trunc + tail

@@ -14,14 +14,17 @@ kbar*_ij = kbar(x_i, x_j^star).  Cells are midpoint squares in (s, t); the
 self-cell part of the quadratic term (the only sub-h pairs on the lattice)
 is reinstated by a per-node correction ~ |grad w|^2 h^(2-2 gamma) whose
 constant is integrated exactly, and interactions beyond R_out are added
-through the analytic power-law tail.
+through the analytic power-law tail.  The zero-order mass of a node,
+int kbar(x_i, y*) dy over the octant inside R_out, is not a midpoint sum:
+it comes from the polar integral around the reflected corner that also
+defines `zero_order_coefficient` (`doubly_radial.zero_order_integral`).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +33,8 @@ import scipy.sparse as sp
 from .errors import DomainError, PreconditionError, TableError
 from .kernels import RadialKernel, check_sqrt_convexity
 from .doubly_radial import (QuadratureRule, exterior_tail_coefficient,
-                            gauss_jacobi_rule, j_values, omega_sphere)
+                            gauss_jacobi_rule, j_values, omega_sphere,
+                            zero_order_integral)
 
 _ROW_CHUNK = 512
 
@@ -214,9 +218,10 @@ class KernelTable:
 
     D[i,j]   kbar(x_i, x_j) - kbar(x_i, x_j*)   (0 on the diagonal)
     P[i,j]   kbar(x_i, x_j*)                     (finite for all pairs)
-    zcol[i]  cell-integrated column sum of kbar(x_i, y*) over the grid,
-             i.e. sum_j P_ij mu_j plus Gauss-Legendre corrections on the
-             cells near the singular reflected corner (t_i, s_i)
+    zcol[i]  int kbar(x_i, y*) dy over the outer octant truncated at
+             R_out, integrated in polar coordinates around the singular
+             reflected corner (t_i, s_i) by `zero_order_integral`, the
+             integrator of `zero_order_coefficient`
     ztail[i] analytic zero-order tail, (1/2) int_{|y|>R_out} K_env(|x_i-y|) dy
     cs, ct   self-cell correction coefficients: the omitted quadratic-term
              mass is cs_i (dw_s)^2 + ct_i (dw_t)^2 with one-sided dw
@@ -234,7 +239,6 @@ class KernelTable:
     ct: np.ndarray
     es: np.ndarray
     et: np.ndarray
-    r_near_cells: int
 
     @property
     def zero_order(self) -> np.ndarray:
@@ -253,219 +257,6 @@ class KernelTable:
         if i == j:
             raise TableError("diagonal difference entries are not stored")
         return float(self.D[i, j])
-
-
-def _gl_cell(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * x, 0.5 * w  # scaled to a unit cell
-
-
-def _zcol_corrections(grid: Grid, kernel: RadialKernel, rule: QuadratureRule,
-                      P: np.ndarray, r_near_cells: int) -> np.ndarray:
-    """Upgrades of the midpoint zero-order column sums, per row.
-
-    Two pieces, both integrals of J(s,t,b,a) a^(m-1) b^(m-1) (the omega^2 of
-    kbar cancels against the orbit measure):
-
-    - cells near the row's singular reflected corner (t_i, s_i) are
-      re-integrated with tensor Gauss-Legendre and the midpoint value
-      replaced;
-    - the diagonal half-cells {q h <= b < a <= (q+1) h}, which belong to no
-      node, are integrated and added (for rows far from the cone this strip
-      is where the zero-order mass concentrates).
-    """
-    h = grid.h
-    m = grid.m
-    n = grid.n_nodes
-    corr = np.zeros(n)
-    r_near = r_near_cells * h
-    tiers = ((3.0 * h, 24), (8.0 * h, 16), (r_near, 12))
-
-    cand = np.where(grid.cone_dist * math.sqrt(2.0) <= r_near + 2.0 * h)[0]
-    for irow in cand:
-        s_i, t_i = grid.s[irow], grid.t[irow]
-        dist = np.hypot(grid.s - t_i, grid.t - s_i)
-        prev = 0.0
-        for radius, order in tiers:
-            sel = np.where((dist > prev) & (dist <= radius))[0]
-            prev = radius
-            if sel.size == 0:
-                continue
-            gx, gw = _gl_cell(order)
-            aa = grid.s[sel][:, None, None] + h * gx[None, :, None]
-            bb = grid.t[sel][:, None, None] + h * gx[None, None, :]
-            vals = j_values(kernel, s_i, t_i, bb, aa, rule)
-            if m > 1:
-                vals = vals * aa ** (m - 1) * bb ** (m - 1)
-            ww = gw[:, None] * gw[None, :]
-            cell = (vals * ww).sum(axis=(1, 2)) * h * h
-            corr[irow] += float(cell.sum() - (P[irow, sel] * grid.weights[sel]).sum())
-
-    # diagonal half-cell triangles (the wedge along the cone belongs to no
-    # node cell), clipped exactly at the rim, plus disk/staircase slivers
-    corr += _wedge_integrals(grid, kernel, rule, rows=None, order=10)
-    corr += _rim_fragment_integrals(grid, kernel, rule)
-    # refinement pass near the cone, where the reflected corner sits close
-    # to the wedge
-    near_rows = np.where(grid.cone_dist <= 8.0 * h)[0]
-    for irow in near_rows:
-        rowarr = np.array([irow])
-        coarse = _wedge_integrals(grid, kernel, rule, rows=rowarr, order=10,
-                                  only_near=8.0 * h)
-        fine = _wedge_integrals(grid, kernel, rule, rows=rowarr, order=10,
-                                only_near=8.0 * h, n_panels=4)
-        corr[irow] += float(fine[irow] - coarse[irow])
-    return corr
-
-
-def _wedge_quad_points(grid: Grid, q: float, order: int, n_panels: int):
-    """Quadrature points/weights for the half-cell triangle above q h,
-    truncated by the disk |y| = R_out, via the collapsed map
-    (a, b) = (q h + h xi, q h + h xi eta) with eta rescaled under the rim.
-
-    Returns (a, b, w) with w carrying the jacobian h^2 xi eta_max(xi) and
-    the a^(m-1) b^(m-1) orbit factor left to the caller.
-    """
-    h = grid.h
-    Rq = grid.R_out
-    xi_cap = min(1.0, (math.sqrt(max(Rq * Rq - q * q, 0.0)) - q) / h) if q < Rq else 0.0
-    if xi_cap <= 0.0:
-        return (np.empty(0),) * 3
-    crit = (Rq / math.sqrt(2.0) - q) / h  # eta_max reaches 1 here
-    xi_star = min(max(crit, 0.0), xi_cap)
-    gx, gw = _gl_unit(order)
-    pts_a, pts_b, pts_w = [], [], []
-    for lo_all, hi_all, clipped in ((0.0, xi_star, False), (xi_star, xi_cap, True)):
-        if hi_all - lo_all <= 1e-15:
-            continue
-        step = (hi_all - lo_all) / n_panels
-        for p in range(n_panels):
-            lo = lo_all + p * step
-            xi = lo + step * gx
-            wxi = step * gw
-            a = q + h * xi
-            if clipped:
-                eta_max = np.clip((np.sqrt(np.maximum(Rq * Rq - a * a, 0.0)) - q)
-                                  / (h * xi), 0.0, 1.0)
-            else:
-                eta_max = np.ones_like(xi)
-            for pp in range(n_panels):
-                e_lo = pp / n_panels
-                e_step = 1.0 / n_panels
-                eta_t = e_lo + e_step * gx
-                b = q + h * xi[:, None] * (eta_max[:, None] * eta_t[None, :])
-                w = (h * h * xi * eta_max * wxi)[:, None] * (e_step * gw)[None, :]
-                pts_a.append(np.broadcast_to(a[:, None], b.shape).ravel())
-                pts_b.append(b.ravel())
-                pts_w.append(w.ravel())
-    return (np.concatenate(pts_a), np.concatenate(pts_b), np.concatenate(pts_w))
-
-
-def _wedge_integrals(grid: Grid, kernel: RadialKernel, rule: QuadratureRule,
-                     rows: np.ndarray | None, order: int = 10,
-                     n_panels: int = 1, only_near: float | None = None) -> np.ndarray:
-    """Integrals of J(s,t,b,a) a^(m-1) b^(m-1) over the diagonal wedge
-    triangles (rim-clipped), summed per requested row."""
-    h = grid.h
-    m = grid.m
-    out = np.zeros(grid.n_nodes)
-    if rows is None:
-        rows = np.arange(grid.n_nodes)
-    n_tri = int(math.ceil(grid.R_out / h))
-    pts = []
-    for qi in range(n_tri):
-        q = qi * h
-        if only_near is not None:
-            centroid = q + 2.0 / 3.0 * h
-            d = math.hypot(centroid - grid.t[rows[0]], centroid - grid.s[rows[0]])
-            if d > only_near:
-                continue
-        pts.append(_wedge_quad_points(grid, q, order, n_panels))
-    if not pts:
-        return out
-    aa = np.concatenate([p[0] for p in pts])
-    bb = np.concatenate([p[1] for p in pts])
-    ww = np.concatenate([p[2] for p in pts])
-    if m > 1:
-        ww = ww * aa ** (m - 1) * bb ** (m - 1)
-    chunk = max(1, 2 ** 21 // max(1, aa.size))
-    for lo in range(0, rows.size, chunk):
-        sel = rows[lo:lo + chunk]
-        vals = j_values(kernel, grid.s[sel][:, None], grid.t[sel][:, None],
-                        bb[None, :], aa[None, :], rule)
-        out[sel] = vals @ ww
-    return out
-
-
-def _gl_unit(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _rim_fragment_geometry(grid: Grid, n_sub: int = 6, n_ind: int = 8):
-    """Signed sub-cell fragments reconciling the cell/strip tiling with the
-    exact disk truncation at |y| = R_out.
-
-    Full squares of center-inside cells overhang the disk (their outside
-    sliver is also counted by the tail): negative fragments.  Squares with
-    center outside but a corner inside, and diagonal squares whose wedge is
-    cut by the rim, contribute uncovered interior mass: positive fragments.
-    Returns centroid coordinates (a, b) and signed areas, row-independent.
-    """
-    h = grid.h
-    n_max = int(math.ceil(grid.R_out / h)) + 1
-    fa, fb, farea = [], [], []
-    for i in range(n_max):
-        for j in range(i):
-            a0, b0 = i * h, j * h
-            rmin = math.hypot(a0, b0)
-            rmax = math.hypot(a0 + h, b0 + h)
-            if rmax <= grid.R_out or rmin >= grid.R_out:
-                continue
-            center_in = math.hypot(a0 + 0.5 * h, b0 + 0.5 * h) <= grid.R_out
-            # center-inside cells carry a full square in the column sums but
-            # overhang the disk (sliver also counted by the tail): subtract;
-            # center-outside squares have uncovered inside mass: add
-            inside_sign = -1.0 if center_in else +1.0
-            # near-diagonal rim squares can sit close to a row's singular
-            # reflected corner; resolve them finer
-            ns = 4 * n_sub if (i - j) <= 4 else n_sub
-            sub = h / ns
-            pts = (np.arange(n_ind) + 0.5) / n_ind * sub
-            for si in range(ns):
-                for sj in range(ns):
-                    aa = a0 + si * sub + pts
-                    bb = b0 + sj * sub + pts
-                    A, B = np.meshgrid(aa, bb, indexing="ij")
-                    disk = A ** 2 + B ** 2 <= grid.R_out ** 2
-                    want = disk if inside_sign > 0 else ~disk
-                    cnt = int(want.sum())
-                    if cnt == 0:
-                        continue
-                    area = cnt / (n_ind * n_ind) * sub * sub
-                    fa.append(float(A[want].mean()))
-                    fb.append(float(B[want].mean()))
-                    farea.append(inside_sign * area)
-    return (np.asarray(fa), np.asarray(fb), np.asarray(farea))
-
-
-def _rim_fragment_integrals(grid: Grid, kernel: RadialKernel,
-                            rule: QuadratureRule) -> np.ndarray:
-    fa, fb, farea = _rim_fragment_geometry(grid)
-    out = np.zeros(grid.n_nodes)
-    if fa.size == 0:
-        return out
-    m = grid.m
-    meas = farea.copy()
-    if m > 1:
-        meas = meas * fa ** (m - 1) * fb ** (m - 1)
-    frag_rule = rule if m == 1 else gauss_jacobi_rule(min(rule.order, 16), m)
-    for lo in range(0, grid.n_nodes, _ROW_CHUNK):
-        hi = min(grid.n_nodes, lo + _ROW_CHUNK)
-        vals = j_values(kernel, grid.s[lo:hi][:, None], grid.t[lo:hi][:, None],
-                        fb[None, :], fa[None, :], frag_rule)
-        out[lo:hi] = vals @ meas
-    return out
 
 
 def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRule,
@@ -533,8 +324,7 @@ def _one_sided_neighbors(grid: Grid):
 def build_kernel_table(grid: Grid, kernel: RadialKernel,
                        rule: QuadratureRule | None = None,
                        assume_positive: bool = False,
-                       mem_cap_gb: float = 6.0,
-                       r_near_cells: int = 16) -> KernelTable:
+                       mem_cap_gb: float = 6.0) -> KernelTable:
     """Cache kbar, kbar-star and their difference over all node pairs.
 
     Refuses kernels that fail the sqrt-convexity check unless
@@ -570,14 +360,13 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
         direct[diag - lo, diag] = swapped[diag - lo, diag]  # zero difference on the diagonal
         D[lo:hi] = (direct - swapped) / om2
 
-    zcol = P @ grid.weights
-    zcol += _zcol_corrections(grid, kernel, rule, P, r_near_cells)
+    zcol = zero_order_integral(kernel, grid.s, grid.t, grid.R_out, rule)
     ztail = 0.5 * exterior_tail_coefficient(kernel, grid.s, grid.t, grid.R_out)
     cs, ct = _self_cell_coefficients(grid, kernel, rule)
     es, et = _one_sided_neighbors(grid)
     return KernelTable(grid=grid, kernel=kernel, rule=rule, D=D, P=P,
                        zcol=zcol, ztail=np.asarray(ztail), cs=cs, ct=ct,
-                       es=es, et=et, r_near_cells=r_near_cells)
+                       es=es, et=et)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nlsaddle.errors import ConvergenceError, DomainError, SingularityError
+from nlsaddle.errors import (ConvergenceError, DomainError, PreconditionError,
+                             SingularityError)
 from nlsaddle.kernels import fractional_kernel, tabulated_kernel
 from nlsaddle.doubly_radial import (DoublyRadialPoint, appell_f2, appell_prefactor,
                                     cone_distance, exterior_tail_coefficient,
@@ -13,7 +14,8 @@ from nlsaddle.doubly_radial import (DoublyRadialPoint, appell_f2, appell_prefact
                                     kbar, kernel_difference, omega_sphere,
                                     sample_outer_orbits, star,
                                     verify_kernel_inequality, weight_integral,
-                                    zero_order_coefficient)
+                                    zero_order_coefficient, zero_order_integral)
+from nlsaddle.energy import build_grid
 
 K1 = fractional_kernel(0.5, 1)
 RULE1 = gauss_jacobi_rule(2, 1)
@@ -313,6 +315,26 @@ def test_zero_order_domain_errors():
         zero_order_coefficient(K1, (2, 2), R_out=50.0)
     with pytest.raises(DomainError):
         zero_order_coefficient(K1, (1, 2), R_out=50.0)
+
+
+def test_zero_order_integral_matches_scalar_calls(small_grid):
+    # one array call against per-node calls; at m=2 a low J order keeps the
+    # scalar loop cheap (the two paths share the rule either way)
+    m2_grid = build_grid(R=1.5, h=0.5, m=2, R_out=2.25)
+    for grid, kernel, rule in ((small_grid, K1, RULE1),
+                               (m2_grid, fractional_kernel(0.5, 2), gauss_jacobi_rule(8, 2))):
+        tail = 0.5 * exterior_tail_coefficient(kernel, grid.s, grid.t, grid.R_out)
+        arr = zero_order_integral(kernel, grid.s, grid.t, grid.R_out, rule) + tail
+        one = np.array([zero_order_coefficient(kernel, (s, t), grid.R_out, rule)
+                        for s, t in zip(grid.s, grid.t)])
+        assert np.allclose(arr, one, rtol=1e-13, atol=0.0)
+
+
+def test_zero_order_integral_domain_errors():
+    with pytest.raises(DomainError):
+        zero_order_integral(K1, np.array([3.0, 2.0, 1.5]), np.array([1.0, 2.0, 0.5]), 50.0)
+    with pytest.raises(PreconditionError):
+        zero_order_integral(K1, np.array([3.0, 40.0]), np.array([1.0, 30.0]), 50.0)
 
 
 def test_exterior_tail_closed_form_at_origin():

@@ -5,7 +5,7 @@ import pytest
 
 from nlsaddle.errors import DomainError, PreconditionError, TableError
 from nlsaddle.kernels import counterexample_kernel, fractional_kernel
-from nlsaddle.doubly_radial import gauss_jacobi_rule, j_values
+from nlsaddle.doubly_radial import gauss_jacobi_rule, j_values, zero_order_coefficient
 from nlsaddle.energy import (EnergyModel, Grid, OddProfile, allen_cahn, build_grid,
                              build_kernel_table, interaction, load_profile,
                              save_profile, total_energy, truncate_profile,
@@ -127,6 +127,33 @@ def test_table_positivity_gate(small_grid):
 
 def test_zero_order_positive(small_table):
     assert small_table.zero_order.min() > 0.0
+
+
+def test_table_zero_order_is_zero_order_coefficient(small_grid, small_table):
+    zoc = np.array([zero_order_coefficient(K1, (s, t), small_grid.R_out)
+                    for s, t in zip(small_grid.s, small_grid.t)])
+    assert np.allclose(small_table.zcol + small_table.ztail, zoc, rtol=1e-12, atol=0.0)
+
+
+def _refined_zero_order(table, idx):
+    # n_phi and n_rho doubled, and the J order for m >= 2
+    g = table.grid
+    rule = gauss_jacobi_rule(64, g.m)
+    return np.array([zero_order_coefficient(table.kernel, (g.s[i], g.t[i]), g.R_out,
+                                            rule=rule, n_phi=320, n_rho=48) for i in idx])
+
+
+def test_table_zero_order_matches_refined_integral_m1(medium_table):
+    ref = _refined_zero_order(medium_table, range(medium_table.grid.n_nodes))
+    assert np.max(np.abs(medium_table.zero_order - ref) / ref) <= 2e-5
+
+
+def test_table_zero_order_matches_refined_integral_m2():
+    grid = build_grid(R=1.5, h=0.5, m=2, R_out=2.25)
+    table = build_kernel_table(grid, fractional_kernel(0.5, 2))
+    idx = [0, grid.n_nodes - 1]  # (0.75, 0.25) by the origin, (1.75, 1.25) by the cone
+    ref = _refined_zero_order(table, idx)
+    assert np.max(np.abs(table.zero_order[idx] - ref) / ref) <= 2e-5
 
 
 # --- interaction -------------------------------------------------------------------
