@@ -1,26 +1,27 @@
 """Dense assembly of the odd-sector operator and its structure checks.
 
-The operator on grid node values is
+The operator on grid node values is the L of `energy`'s one quadratic form,
 
-    (L u)_k = sum_{j != k} (u_k - u_j) D_kj mu_j + 2 u_k Z_k + (local part),
+    (L u)_k = sum_{j != k} (u_k - u_j) D_kj mu_j + 2 u_k Z_k + (C u)_k / (2 mu_k),
 
 with D the tabulated kernel difference, Z the zero-order coefficient
-(column sums + tail) and the local part the gradient of the self-cell
-correction divided by 2 mu.  Row sums equal 2 Z_k exactly (the difference
-and local parts annihilate constants), all off-diagonal entries are
-nonpositive when the kernel difference is nonnegative, and the matrix is
-then a strictly diagonally dominant Z-matrix, hence monotone.
+(polar integral + tail) and C = `self_cell_matrix` over every node cell.
+Row sums equal 2 Z_k exactly (the difference and self-cell parts
+annihilate constants), all off-diagonal entries are nonpositive when the
+kernel difference is nonnegative, and the matrix is then a strictly
+diagonally dominant Z-matrix, hence monotone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .energy import Grid, KernelTable, OddProfile, Potential
+from .energy import (Grid, KernelTable, OddProfile, Potential, operator_diagonal,
+                     self_cell_matrix)
 
 _OFFDIAG_TOL = 1e-12
 
@@ -40,25 +41,23 @@ class DiscreteOperator:
 
 
 def assemble(grid: Grid, table: KernelTable) -> DiscreteOperator:
-    """Dense operator over all grid nodes (band rows included)."""
-    n = grid.n_nodes
+    """Dense operator over all grid nodes (band rows included).
+
+    Its rows at the nodes inside B_R are the solver's L (grad E / (2 mu) =
+    L u - f(u) from `EnergyModel`) except where a self-cell edge owned by a
+    band node reaches into B_R.  Band neighbors step outward unless the
+    outer node is missing: at the rim |x| ~ R_out, and on the cone row
+    j = i - 1, whose t-neighbor is (i, j - 1).  With R_out - R over a cell,
+    only cone-row rows within a cell of |x| = R differ (on the small test
+    grid, node (6, 4) by 4 % of sup |L u - f(u)|); the nodes of
+    `probe_nodes` are never such rows.
+    """
     mu = grid.weights
     M = -table.D * mu[None, :]
-    dmass = table.D @ mu
-    Z = table.zero_order
-    idx = np.arange(n)
-    M[idx, idx] = dmass + 2.0 * Z
-    # self-cell correction: graph-Laplacian form, rows scaled by 1/(2 mu);
-    # np.add.at accumulates the repeated target indices
-    for nb, cf in ((table.es, table.cs), (table.et, table.ct)):
-        have = np.where((nb >= 0) & (cf > 0.0))[0]
-        o = nb[have]
-        c = cf[have]
-        np.add.at(M, (have, have), c / mu[have])
-        np.add.at(M, (o, o), c / mu[o])
-        np.add.at(M, (have, o), -c / mu[have])
-        np.add.at(M, (o, have), -c / mu[o])
-    return DiscreteOperator(grid=grid, matrix=M, zero_order=Z.copy())
+    np.fill_diagonal(M, operator_diagonal(table))
+    C = self_cell_matrix(table, np.arange(grid.n_nodes)).tocoo()
+    M[C.row, C.col] += C.data / (2.0 * mu[C.row])
+    return DiscreteOperator(grid=grid, matrix=M, zero_order=table.zero_order.copy())
 
 
 def apply_operator(op: DiscreteOperator, profile) -> np.ndarray:

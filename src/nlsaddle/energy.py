@@ -10,14 +10,20 @@ with the interaction
     I(A, B) = 2 sum |w_i - w_j|^2 (kbar_ij - kbar*_ij) mu_i mu_j
             + 4 sum (w_i^2 + w_j^2) kbar*_ij mu_i mu_j,
 
-kbar*_ij = kbar(x_i, x_j^star).  Cells are midpoint squares in (s, t); the
-self-cell part of the quadratic term (the only sub-h pairs on the lattice)
-is reinstated by a per-node correction ~ |grad w|^2 h^(2-2 gamma) whose
-constant is integrated exactly, and interactions beyond R_out are added
-through the analytic power-law tail.  The zero-order mass of a node,
-int kbar(x_i, y*) dy over the octant inside R_out, is not a midpoint sum:
-it comes from the polar integral around the reflected corner that also
-defines `zero_order_coefficient` (`doubly_radial.zero_order_integral`).
+kbar*_ij = kbar(x_i, x_j^star).  Cells are midpoint squares in (s, t), and
+`total_energy` adds two corrections to the I sums.  2 sum_in w^2 mu (Z - P mu)
+swaps the midpoint zero-order mass (P mu)_i of a node for Z_i: the polar
+integral around the reflected corner that defines `zero_order_coefficient`
+(`doubly_radial.zero_order_integral`) inside R_out, plus the analytic
+power-law tail beyond it.  (1/2) w^T C w, C from `self_cell_matrix`,
+reinstates the self-cell part of the quadratic term (the only sub-h pairs
+on the lattice), ~ |grad w|^2 h^(2-2 gamma) per node with constants
+integrated exactly.  At S = R this one form is E = mu . (u o L u) + 2 mu . G(u),
+
+    L u = (D mu + 2 Z) u - D (mu u) + C u / (2 mu),
+
+so grad E = 2 mu (L u - f(u)): `EnergyModel` evaluates L on the nodes in
+B_R and `discrete_operator.assemble` over every node.
 """
 
 from __future__ import annotations
@@ -388,8 +394,8 @@ def _as_index(grid: Grid, sel) -> np.ndarray:
 def interaction(profile: OddProfile, A, B, table: KernelTable) -> float:
     """Discrete I(A, B): pairwise over A x B with the tabulated kernels.
 
-    The quadratic term skips the diagonal (self pairs are handled by the
-    table's self-cell coefficients at the energy level); the squared term
+    The quadratic term skips the diagonal (self pairs are the form of
+    `self_cell_matrix`, added by `total_energy`); the squared term
     includes it.
     """
     ia = _as_index(profile.grid, A)
@@ -403,28 +409,42 @@ def interaction(profile: OddProfile, A, B, table: KernelTable) -> float:
         hi = min(ia.size, lo + _ROW_CHUNK)
         sub = np.ix_(ia[lo:hi], ib)
         dw2 = (wa[lo:hi, None] - wb[None, :]) ** 2
-        sq = wa[lo:hi, None] ** 2 + wb[None, :] ** 2
-        mm = ma[lo:hi, None] * mb[None, :]
-        total += float((2.0 * dw2 * table.D[sub] * mm).sum()
-                       + (4.0 * sq * table.P[sub] * mm).sum())
+        Psub = table.P[sub]
+        total += 2.0 * float(ma[lo:hi] @ (dw2 * table.D[sub]) @ mb)
+        total += 4.0 * float((wa[lo:hi] ** 2 * ma[lo:hi]) @ Psub @ mb
+                             + ma[lo:hi] @ Psub @ (wb ** 2 * mb))
     return total
 
 
-def _self_cell_energy(table: KernelTable, w_full: np.ndarray, rows: np.ndarray) -> float:
-    # one-sided quadratic form; nodes without an in-octant neighbor on an
-    # axis simply drop that axis' correction
-    val = 0.0
-    for nb, c in ((table.es, table.cs), (table.et, table.ct)):
-        have = rows[nb[rows] >= 0]
-        wn = w_full[nb[have]]
-        val += float((c[have] * (wn - w_full[have]) ** 2).sum())
-    return val
+def self_cell_matrix(table: KernelTable, owners) -> sp.csr_matrix:
+    """Sparse symmetric C over all nodes with
+
+        (1/2) w^T C w = sum_k cs_k (w_es(k) - w_k)^2 + ct_k (w_et(k) - w_k)^2
+
+    over the owner nodes k (an index array or a mask).  The form is
+    one-sided: a node without an in-octant neighbor on an axis drops that
+    axis' term.
+    """
+    k = _as_index(table.grid, owners)
+    nb = np.concatenate([table.es[k], table.et[k]])
+    c = np.concatenate([table.cs[k], table.ct[k]])
+    k = np.concatenate([k, k])
+    keep = (nb >= 0) & (c > 0.0)
+    k, nb, c = k[keep], nb[keep], 2.0 * c[keep]
+    ij = (np.concatenate([k, nb, k, nb]), np.concatenate([k, nb, nb, k]))
+    return sp.csr_matrix((np.concatenate([c, c, -c, -c]), ij), shape=(table.grid.n_nodes,) * 2)
+
+
+def operator_diagonal(table: KernelTable) -> np.ndarray:
+    """Diagonal D mu + 2 Z of L without its self-cell part, over all nodes."""
+    return table.D @ table.grid.weights + 2.0 * table.zero_order
 
 
 def total_energy(profile: OddProfile, S: float, table: KernelTable,
                  potential: Potential | None = None) -> EnergyBreakdown:
-    """Energy over B_S per the odd-sector rewriting, with tail and self-cell
-    corrections; the exterior band carries the profile's implicit zeros."""
+    """E(w, B_S) of the module docstring: (1/4) I(in, in) plus the self-cell
+    form of the nodes in B_S, and (1/2) I(in, out) plus the zero-order
+    correction; the exterior band carries the profile's implicit zeros."""
     if potential is None:
         potential = allen_cahn()
     grid = profile.grid
@@ -433,40 +453,12 @@ def total_energy(profile: OddProfile, S: float, table: KernelTable,
     w = profile.values
     mu = grid.weights
     inside = grid.inside(S)
-    iin = np.where(inside)[0]
-    iout = np.where(~inside)[0]
-
-    quad_ii = 0.0
-    quad_io = 0.0
-    zin_cols = np.zeros(iin.size)
-    for lo in range(0, iin.size, _ROW_CHUNK):
-        hi = min(iin.size, lo + _ROW_CHUNK)
-        rows = iin[lo:hi]
-        dii = table.D[np.ix_(rows, iin)]
-        dw = w[rows][:, None] - w[iin][None, :]
-        mm = mu[rows][:, None] * mu[iin][None, :]
-        quad_ii += 0.5 * float((dw ** 2 * dii * mm).sum())
-        if iout.size:
-            dio = table.D[np.ix_(rows, iout)]
-            dwo = w[rows][:, None] - w[iout][None, :]
-            mmo = mu[rows][:, None] * mu[iout][None, :]
-            quad_io += float((dwo ** 2 * dio * mmo).sum())
-        zin_cols[lo:hi] = table.P[np.ix_(rows, iin)] @ mu[iin]
-
-    w2mu_in = w[iin] ** 2 * mu[iin]
-    zero_in_in = 2.0 * float((w2mu_in * zin_cols).sum())
-    zero_in_out = 2.0 * float((w2mu_in * (table.zcol[iin] - zin_cols)).sum())
-    tail_in = 2.0 * float((w2mu_in * table.ztail[iin]).sum())
-    zero_out = 0.0
-    if iout.size:
-        part = table.P[np.ix_(iout, iin)] @ mu[iin]
-        zero_out = 2.0 * float((w[iout] ** 2 * mu[iout] * part).sum())
-
-    lc = _self_cell_energy(table, w, iin)
-    pot = 2.0 * float((np.asarray(potential.G(w[iin])) * mu[iin]).sum())
+    zero = 2.0 * float((w ** 2 * mu * (table.zero_order - table.P @ mu))[inside].sum())
+    self_cell = 0.5 * float(w @ (self_cell_matrix(table, inside) @ w))
+    pot = 2.0 * float((np.asarray(potential.G(w[inside])) * mu[inside]).sum())
     return EnergyBreakdown(
-        kinetic_in_in=quad_ii + lc + zero_in_in,
-        kinetic_in_out=quad_io + zero_in_out + tail_in + zero_out,
+        kinetic_in_in=0.25 * interaction(profile, inside, inside, table) + self_cell,
+        kinetic_in_out=0.5 * interaction(profile, inside, ~inside, table) + zero,
         potential=pot,
         S=float(S), h=grid.h, R=grid.R)
 
@@ -478,76 +470,31 @@ def total_energy(profile: OddProfile, S: float, table: KernelTable,
 class EnergyModel:
     """E(u) = E(w_u, B_R) for u living on the nodes inside B_R.
 
-    Precomputes the in-block of the difference kernel, the full-row kernel
-    masses, the zero-order coefficients (column sums + tail) and the sparse
-    self-cell quadratic form, so that one dense matvec per point yields both
-    the value and the exact gradient.  The Euler-Lagrange identity
-    grad E = 2 mu (L u - f(u)) ties the gradient to the assembled operator.
+    Holds the free block of the operator L of the module docstring: its
+    diagonal D mu + 2 Z, the in-block of D and the self-cell form C of the
+    nodes in B_R scaled by 1/(2 mu).  One dense matvec per point gives
+    L u, hence both E = mu . (u o L u) + 2 mu . G(u) and its exact gradient
+    2 mu (L u - f(u)).
     """
 
     def __init__(self, table: KernelTable, potential: Potential):
-        grid = table.grid
-        self.table = table
-        self.grid = grid
+        self.grid = grid = table.grid
         self.potential = potential
         self.iin = np.where(grid.inside(grid.R))[0]
         self.mu = grid.weights[self.iin]
         self.D_in = np.ascontiguousarray(table.D[np.ix_(self.iin, self.iin)])
-        self.dmass_full = table.D[self.iin, :] @ grid.weights
-        self.Z = table.zero_order[self.iin]
-        self.lc = self._lc_matrix()
-
-    def _lc_matrix(self) -> sp.csr_matrix:
-        grid = self.grid
-        pos = np.full(grid.n_nodes, -1, dtype=np.int64)
-        pos[self.iin] = np.arange(self.iin.size)
-        rows, cols, vals = [], [], []
-
-        def add(i, j, v):
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-
-        for nb, cf in ((self.table.es, self.table.cs), (self.table.et, self.table.ct)):
-            for local, k in enumerate(self.iin):
-                other = nb[k]
-                c = cf[k]
-                if other < 0 or c == 0.0:
-                    continue
-                lo = pos[other]
-                add(local, local, 2.0 * c)
-                if lo >= 0:
-                    add(lo, lo, 2.0 * c)
-                    add(local, lo, -2.0 * c)
-                    add(lo, local, -2.0 * c)
-        n = self.iin.size
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    def value(self, u: np.ndarray) -> float:
-        mu = self.mu
-        umu = u * mu
-        Dv = self.D_in @ umu
-        quad = float((u * umu * self.dmass_full).sum() - umu @ Dv)
-        zero = 2.0 * float((u * umu * self.Z).sum())
-        lc = 0.5 * float(u @ (self.lc @ u))
-        pot = 2.0 * float((np.asarray(self.potential.G(u)) * mu).sum())
-        return quad + zero + lc + pot
+        self.diag = operator_diagonal(table)[self.iin]
+        C = self_cell_matrix(table, self.iin)[self.iin][:, self.iin]
+        self.C = sp.diags(0.5 / self.mu) @ C
 
     def value_and_grad(self, u: np.ndarray):
         mu = self.mu
-        umu = u * mu
-        Dv = self.D_in @ umu
-        lcu = self.lc @ u
-        quad = float((u * umu * self.dmass_full).sum() - umu @ Dv)
-        zero = 2.0 * float((u * umu * self.Z).sum())
-        lc = 0.5 * float(u @ lcu)
-        pot = 2.0 * float((np.asarray(self.potential.G(u)) * mu).sum())
-        gprime = -np.asarray(self.potential.f(u))
-        grad = 2.0 * mu * (u * self.dmass_full - Dv + 2.0 * u * self.Z + gprime) + lcu
-        return quad + zero + lc + pot, grad
+        lu = self.diag * u - self.D_in @ (mu * u) + self.C @ u
+        E = float(mu @ (u * lu)) + 2.0 * float(mu @ np.asarray(self.potential.G(u)))
+        return E, 2.0 * mu * (lu - np.asarray(self.potential.f(u)))
 
-    def grad(self, u: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(u)[1]
+    def value(self, u: np.ndarray) -> float:
+        return self.value_and_grad(u)[0]
 
     def embed(self, u: np.ndarray) -> OddProfile:
         vals = np.zeros(self.grid.n_nodes)

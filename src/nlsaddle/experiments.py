@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .doubly_radial import cone_distance, omega_sphere
-from .energy import (EnergyBreakdown, Grid, KernelTable, OddProfile, Potential,
-                     allen_cahn, total_energy)
+from .doubly_radial import omega_sphere
+from .energy import Grid, KernelTable, OddProfile, Potential, allen_cahn, total_energy
 
 
 def radial_ramp(radius, S: float):
@@ -248,15 +247,17 @@ def theoretical_growth(gamma: float, m: int) -> tuple[float, str]:
 def energy_scan(profile: OddProfile, S_list, table: KernelTable,
                 potential: Potential | None = None,
                 exclude_smallest: int = 2) -> ScalingReport:
-    """Energies over B_S and the log-log growth fit (the two smallest S are
-    excluded from the fit to suppress near-core transients)."""
+    """Energies over B_S and the log-log growth fit (the exclude_smallest
+    smallest S are left out of the fit to suppress near-core transients, and
+    at least two radii must remain for it)."""
     if potential is None:
         potential = allen_cahn()
     S_list = sorted(float(S) for S in S_list)
-    if len(S_list) < 3:
-        raise DomainError("need at least 3 evaluation radii")
-    if max(S_list) > profile.grid.R - 4.0:
+    if max(S_list, default=0.0) > profile.grid.R - 4.0:
         raise PreconditionError("max S must satisfy S <= R - 4")
+    if len(S_list) < exclude_smallest + 2:
+        raise DomainError(f"need at least {exclude_smallest + 2} evaluation radii "
+                          f"({exclude_smallest} are left out of the fit)")
     breakdowns = [total_energy(profile, S, table, potential) for S in S_list]
     totals = [b.total for b in breakdowns]
     kin = [b.kinetic_in_in + b.kinetic_in_out for b in breakdowns]

@@ -10,7 +10,7 @@ energy trace is non-increasing by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,10 +78,18 @@ def _project(u: np.ndarray) -> np.ndarray:
     return np.clip(u, 0.0, 1.0)
 
 
+def _residual(u: np.ndarray, g: np.ndarray, model: EnergyModel) -> float:
+    """Projected sup |L u - f(u)|: the equation's residual, g / (2 mu)."""
+    return float(np.abs(u - _project(u - g / (2.0 * model.mu))).max())
+
+
 def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | None = None,
              init: OddProfile | None = None, table: KernelTable | None = None) -> SolveResult:
     """Run the projected descent; the energy trace is strictly non-increasing.
 
+    Converges when the projected residual sup |u - proj(u - (L u - f(u)))|
+    (trace.pg_norms; the gradient over 2 mu, so the orbit weight does not
+    scale it) falls to grad_tol times its initial value.
     Aborts with ConvergenceError on NaN or if backtracking cannot produce a
     non-increasing step.
     """
@@ -100,18 +108,13 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
 
     trace = SolveTrace()
     E, g = model.value_and_grad(u)
-    pg0 = float(np.abs(u - _project(u - g)).max())
-    tol = max(config.grad_tol * pg0, 1e-300)
+    tol = max(config.grad_tol * _residual(u, g, model), 1e-300)
     trace.energies.append(E)
-    trace.pg_norms.append(pg0)
     alpha = 1.0 / max(1e-12, float(np.abs(g).max()))
-    s_prev = None
-    y_prev = None
 
     for it in range(config.max_iters):
-        pg = float(np.abs(u - _project(u - g)).max())
-        if it > 0:
-            trace.pg_norms.append(pg)
+        pg = _residual(u, g, model)
+        trace.pg_norms.append(pg)
         if pg <= tol:
             trace.converged = True
             break
@@ -155,7 +158,9 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
         else:
             alpha *= 2.0
         alpha = min(max(alpha, config.step_min), config.step_max)
-        s_prev, y_prev = s, y
+    if len(trace.pg_norms) < len(trace.energies):
+        # stopped right after a step (max_iters, or a flat final step)
+        trace.pg_norms.append(_residual(u, g, model))
     trace.n_iters = len(trace.energies) - 1
 
     profile = model.embed(u)
@@ -205,16 +210,12 @@ def continuation(config: SolverConfig, kernel: RadialKernel,
     stages = []
     result = None
     for R in schedule:
-        from dataclasses import replace
-        cfg = replace(config, R=R, R_out=None if config.R_out is None else config.R_out,
-                      R_schedule=())
+        cfg = replace(config, R=R, R_schedule=())
         grid = build_grid(cfg.R, cfg.h, cfg.m, cfg.R_out)
         init = None
         if prev_profile is not None:
             init = _transfer(prev_profile, grid)
-        rule = gauss_jacobi_rule(cfg.quad_order, cfg.m)
-        table = build_kernel_table(grid, kernel, rule, assume_positive=cfg.assume_positive)
-        result = minimize(cfg, kernel, potential, init=init, table=table)
+        result = minimize(cfg, kernel, potential, init=init)
         sup_diff = float("nan")
         flagged = False
         if prev_profile is not None:

@@ -25,3 +25,13 @@ def medium_grid():
 def medium_table(medium_grid):
     kernel = fractional_kernel(0.5, 1, c_norm=standard_c_norm(0.5, 1))
     return build_kernel_table(medium_grid, kernel)
+
+
+@pytest.fixture(scope="session")
+def m2_grid():
+    return build_grid(R=3.0, h=0.5, m=2, R_out=4.5)
+
+
+@pytest.fixture(scope="session")
+def m2_table(m2_grid):
+    return build_kernel_table(m2_grid, fractional_kernel(0.5, 2))

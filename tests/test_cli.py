@@ -9,8 +9,9 @@ from nlsaddle import cli
 
 SCHEMAS = Path(cli.__file__).with_name("schemas")
 
-# R = 6 would be too small for two subcommands: energy-scan needs three radii
-# S in [2, R - 4], and competitor (at its default S = 2) needs S + 4 < R
+# R = 6 would be too small for two subcommands: energy-scan needs four radii
+# S in [2, R - 4] (its fit leaves out the two smallest and needs two more), and
+# competitor (at its default S = 2) needs S + 4 < R
 INI = """\
 [kernel]
 family = fractional
@@ -24,7 +25,7 @@ h = 0.5
 R_out = 10.5
 
 [experiment]
-S_list = 2, 2.5, 3
+S_list = 2, 2.5, 2.75, 3
 mp_trials = 20
 """
 
@@ -40,7 +41,7 @@ def test_parse_config_keeps_key_case(tmp_path):
     cfg = cli.parse_config(ini)
     assert cfg.grid["R"] == "7" and cfg.grid["R_out"] == "10.5"
     assert cfg.kernel["lambda"] == "0.5" and cfg.kernel["Lambda"] == "2.0"
-    assert cfg.s_list() == [2.0, 2.5, 3.0]
+    assert cfg.s_list() == [2.0, 2.5, 2.75, 3.0]
 
 
 def test_subcommands_run_from_ini(tmp_path):

@@ -286,6 +286,30 @@ def test_refinement_consistency():
     assert abs(vals[1] - vals[0]) / vals[1] < 0.05
 
 
+# kinetic_in_in, kinetic_in_out and potential of a uniform(0, 1) profile
+# (default_rng(11)) at S = R/3, R/2 and R, computed by the chunked sums
+# that total_energy used before it was written through interaction
+PINNED_BREAKDOWNS = {
+    "small": [(0.8906887397010335, 2.8250033935570453, 0.34017680033013675),
+              (3.938168229892497, 7.014384358704649, 0.8651474722119264),
+              (29.33493137876974, 23.926682965058873, 2.945076397774623)],
+    "m2": [(0.07699253555313658, 2.630317771456188, 0.8949380899465832),
+           (4.335617572643012, 43.18856984629301, 3.6483720687239654),
+           (77.42221399312908, 496.7422530832455, 38.53561548832912)],
+}
+
+
+@pytest.mark.parametrize("name", ["small", "m2"])
+def test_total_energy_breakdown_pinned(name, request):
+    table = request.getfixturevalue(f"{name}_table")
+    g = table.grid
+    p = OddProfile(g, np.random.default_rng(11).uniform(0, 1, g.n_nodes))
+    for S, expected in zip((g.R / 3, g.R / 2, g.R), PINNED_BREAKDOWNS[name]):
+        bd = total_energy(p, S, table)
+        got = (bd.kinetic_in_in, bd.kinetic_in_out, bd.potential)
+        assert got == pytest.approx(expected, rel=1e-12), S
+
+
 # --- solver-facing model ----------------------------------------------------------
 
 def test_model_matches_total_energy(small_grid, small_table):

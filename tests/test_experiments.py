@@ -159,3 +159,11 @@ def test_scan_validation(saddle_run, medium_table):
         energy_scan(saddle_run.profile, [2.0, 3.0], medium_table)
     with pytest.raises(PreconditionError):
         energy_scan(saddle_run.profile, [2.0, 3.0, 6.0], medium_table)
+
+
+def test_scan_needs_two_fitted_radii(saddle_run, medium_table):
+    # three radii leave one for the fit once the two smallest are excluded
+    with pytest.raises(DomainError):
+        energy_scan(saddle_run.profile, [2.0, 3.0, 4.0], medium_table)
+    rep = energy_scan(saddle_run.profile, [2.0, 3.0, 4.0], medium_table, exclude_smallest=1)
+    assert math.isfinite(rep.slope) and rep.fit_residual == pytest.approx(0.0, abs=1e-12)

@@ -4,7 +4,8 @@ import pytest
 from nlsaddle.errors import DomainError
 from nlsaddle.kernels import fractional_kernel
 from nlsaddle.doubly_radial import zero_order_coefficient
-from nlsaddle.energy import OddProfile, allen_cahn, build_grid, build_kernel_table, zero_profile
+from nlsaddle.energy import (EnergyModel, OddProfile, allen_cahn, build_grid,
+                             build_kernel_table, zero_profile)
 from nlsaddle.discrete_operator import (apply_operator, assemble,
                                         check_max_principle_structure,
                                         probe_nodes, residual)
@@ -131,3 +132,21 @@ def test_weak_maximum_principle_trials(op_small):
     rep = check_max_principle_structure(op_small, n_trials=100, seed=3)
     assert rep.monotone_probe
     assert rep.min_solution_value >= -1e-10
+
+
+@pytest.mark.parametrize("name", ["small", "m2"])
+def test_solver_gradient_is_assembled_operator(name, request):
+    # grad E / (2 mu) = L u - f(u) with the same L on the probe nodes
+    table = request.getfixturevalue(f"{name}_table")
+    g = table.grid
+    model = EnergyModel(table, allen_cahn())
+    u = np.random.default_rng(6).uniform(0, 1, model.iin.size)
+    _, grad = model.value_and_grad(u)
+    w = model.embed(u).values
+    lf = assemble(g, table).matrix @ w - allen_cahn().f(w)
+    probes = probe_nodes(g)
+    assert probes.size
+    at = np.searchsorted(model.iin, probes)
+    assert np.array_equal(model.iin[at], probes)
+    scale = np.abs(lf[model.iin]).max()
+    assert np.abs(grad[at] / (2.0 * model.mu[at]) - lf[probes]).max() <= 1e-12 * scale

@@ -5,8 +5,8 @@ import pytest
 
 from nlsaddle.errors import DomainError
 from nlsaddle.kernels import fractional_kernel, standard_c_norm
-from nlsaddle.energy import (allen_cahn, build_grid, total_energy, zero_potential,
-                             zero_profile)
+from nlsaddle.energy import (EnergyModel, allen_cahn, build_grid, build_kernel_table,
+                             total_energy, zero_potential, zero_profile)
 from nlsaddle.solver import (SolverConfig, _sup_diff, continuation, initial_guess, minimize)
 
 KSTD = fractional_kernel(0.5, 1, c_norm=standard_c_norm(0.5, 1))
@@ -44,6 +44,30 @@ def test_zero_potential_zero_init_is_stationary(small_table):
     assert res.trace.n_iters == 0
     assert res.breakdown.total == 0.0
     assert np.all(res.profile.values == 0.0)
+
+
+def test_solver_stops_on_equation_residual_m2():
+    # at m = 2 the orbit weight mu spans a decade on this grid; the stopping
+    # rule is on grad / (2 mu) = L u - f(u), not on the mu-weighted gradient
+    grid = build_grid(R=1.5, h=0.5, m=2, R_out=2.25)
+    kernel = fractional_kernel(0.5, 2, c_norm=standard_c_norm(0.5, 2))
+    table = build_kernel_table(grid, kernel)
+    cfg = SolverConfig(R=grid.R, h=grid.h, gamma=0.5, m=2, R_out=grid.R_out)
+    res = minimize(cfg, kernel, allen_cahn(), table=table)
+    assert res.trace.converged
+    model = EnergyModel(table, allen_cahn())
+    u = model.restrict(res.profile)
+    _, grad = model.value_and_grad(u)
+    pg = np.abs(u - np.clip(u - grad / (2.0 * model.mu), 0.0, 1.0)).max()
+    assert res.trace.pg_norms[-1] == pytest.approx(pg, rel=1e-12)
+    assert pg <= cfg.grad_tol * res.trace.pg_norms[0]
+    # a solve cut by max_iters reports the residual of the profile it returns
+    capped = minimize(replace(cfg, max_iters=3), kernel, allen_cahn(), table=table)
+    assert not capped.trace.converged
+    u = model.restrict(capped.profile)
+    _, grad = model.value_and_grad(u)
+    pg = np.abs(u - np.clip(u - grad / (2.0 * model.mu), 0.0, 1.0)).max()
+    assert capped.trace.pg_norms[-1] == pytest.approx(pg, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
