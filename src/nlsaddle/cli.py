@@ -71,7 +71,6 @@ class RunConfig:
             R_out=float(g["R_out"]) if g.get("R_out") is not None else None,
             max_iters=int(s.get("max_iters", 5000)),
             grad_tol=float(s.get("grad_tol", 1e-6)),
-            seed=int(s.get("seed", 0)),
             R_schedule=schedule,
             mu0=float(s.get("mu0", 1.0)),
             assume_positive=str(s.get("assume_positive", "false")).lower() == "true")

@@ -15,7 +15,7 @@ diagonally dominant Z-matrix, hence monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,27 +81,17 @@ class MaxPrincipleReport:
     solve_failures: int = 0
 
     def as_dict(self) -> dict:
-        return {"z_pattern": self.z_pattern,
-                "row_sums_positive": self.row_sums_positive,
-                "monotone_probe": self.monotone_probe,
-                "min_offdiag": self.min_offdiag,
-                "max_offdiag": self.max_offdiag,
-                "max_row_sum_error": self.max_row_sum_error,
-                "n_trials": self.n_trials,
-                "min_solution_value": self.min_solution_value,
-                "solve_failures": self.solve_failures}
+        return asdict(self)
 
 
 def check_max_principle_structure(op: DiscreteOperator, n_trials: int = 100,
-                                  seed: int = 0,
-                                  row_sum_reference: np.ndarray | None = None
-                                  ) -> MaxPrincipleReport:
+                                  seed: int = 0) -> MaxPrincipleReport:
     """Z sign pattern, positive row sums, and randomized monotone solves.
 
     Each probe solves (L + diag(c)) u = g with random c >= 0, g >= 0 and
-    checks u >= -1e-10; singular solves are reported, not fatal.  When an
-    independently integrated zero-order coefficient is supplied, the
-    relative row-sum error against 2x that reference is reported.
+    checks u >= -1e-10; singular solves are reported, not fatal.  The
+    relative row-sum error is taken against 2x the operator's own
+    zero-order coefficient.
     """
     M = op.matrix
     n = op.n
@@ -110,12 +100,8 @@ def check_max_principle_structure(op: DiscreteOperator, n_trials: int = 100,
     z_pattern = bool(off.max() <= _OFFDIAG_TOL * scale)
     rows = op.row_sums()
     row_sums_positive = bool(rows.min() > 0.0)
-    if row_sum_reference is not None:
-        ref = 2.0 * np.asarray(row_sum_reference)
-        max_err = float(np.max(np.abs(rows - ref) / np.abs(ref)))
-    else:
-        max_err = float(np.max(np.abs(rows - 2.0 * op.zero_order)
-                               / np.abs(2.0 * op.zero_order)))
+    max_err = float(np.max(np.abs(rows - 2.0 * op.zero_order)
+                           / np.abs(2.0 * op.zero_order)))
 
     rng = np.random.default_rng(seed)
     min_val = math.inf

@@ -26,6 +26,8 @@ REGION_INNER = "inner"
 
 # orbits per block of the vectorized zero-order integral
 _ZERO_ORDER_CHUNK = 16
+# kernel evaluations per block of j_values
+_J_CHUNK = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,7 @@ def weight_integral(m: int) -> float:
     return math.sqrt(math.pi) * math.gamma(m / 2.0) / math.gamma((m + 1) / 2.0)
 
 
-def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule,
-             chunk: int = 2 ** 22) -> np.ndarray:
+def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.ndarray:
     """Vectorized J(s,t,sigma,tau) over broadcastable arrays.
 
     J is the double spherical integral of K; for m=1 it is the exact 4-term
@@ -141,7 +142,7 @@ def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule,
     one_minus = 1.0 - th
     c_i = 2.0 * np.repeat(one_minus, th.size)
     c_j = 2.0 * np.tile(one_minus, th.size)
-    step = max(1, chunk // max(1, th.size ** 2))
+    step = max(1, _J_CHUNK // max(1, th.size ** 2))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         S, T, SIG, TAU = (f[lo:hi][:, None] for f in flat)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,8 +50,9 @@ class Grid:
     """Cell-centered triangle grid on {0 <= t < s, s^2 + t^2 <= R_out^2}.
 
     Node k sits at ((i_k + 1/2) h, (j_k + 1/2) h) with j_k < i_k and carries
-    the orbit-cell volume weight omega^2 s^(m-1) t^(m-1) h^2.  Profiles on
-    the grid vanish outside B_R; the band R < |x| <= R_out only mediates
+    the orbit-cell volume weight omega^2 s^(m-1) t^(m-1) h^2.  Nodes are
+    sorted by (i, j), i first, which `locate` relies on.  Profiles on the
+    grid vanish outside B_R; the band R < |x| <= R_out only mediates
     interactions.
     """
 
@@ -82,6 +83,17 @@ class Grid:
 
     def node_index(self) -> dict:
         return {(int(i), int(j)): k for k, (i, j) in enumerate(zip(self.ii, self.jj))}
+
+    def locate(self, i, j) -> np.ndarray:
+        """Node index of each lattice cell (i, j), broadcast, or -1 where the
+        grid has none: a binary search on the key i K + j (K > every j),
+        which the (i, j) node order sorts."""
+        i, j = np.broadcast_arrays(np.asarray(i, np.int64), np.asarray(j, np.int64))
+        K = int(self.ii[-1]) + 1
+        keys = self.ii * K + self.jj
+        want = i * K + j
+        k = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        return np.where((j >= 0) & (j < K) & (keys[k] == want), k, -1)
 
 
 def build_grid(R: float, h: float, m: int, R_out: float | None = None) -> Grid:
@@ -153,20 +165,24 @@ def save_profile(profile: OddProfile, path) -> None:
 
 
 def load_profile(path, grid: Grid) -> OddProfile:
+    """Read a `save_profile` file; rows may come in any order, but each must
+    sit on its own node of the grid."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header] != ["s", "t", "u"]:
+        if [c.strip() for c in fh.readline().split(",")] != ["s", "t", "u"]:
             raise DomainError(f"profile file {path} must have header s,t,u")
-        rows = np.array([[float(c) for c in row] for row in reader])
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     if rows.shape[0] != grid.n_nodes:
         raise DomainError("profile file does not match the grid size")
-    order = np.lexsort((np.round(rows[:, 1] / grid.h - 0.5), np.round(rows[:, 0] / grid.h - 0.5)))
-    rows = rows[order]
-    if not (np.allclose(rows[:, 0], grid.s, atol=1e-9 * grid.h)
-            and np.allclose(rows[:, 1], grid.t, atol=1e-9 * grid.h)):
+    # NaN and far-off coordinates become cells the grid lacks
+    cells = np.nan_to_num(rows[:, :2] / grid.h - 0.5, nan=-1.0).clip(-1, grid.ii[-1] + 1)
+    k = grid.locate(*np.rint(cells).astype(np.int64).T)
+    if ((k < 0).any() or np.unique(k).size != k.size
+            or not (np.allclose(rows[:, 0], grid.s[k], atol=1e-9 * grid.h)
+                    and np.allclose(rows[:, 1], grid.t[k], atol=1e-9 * grid.h))):
         raise DomainError("profile node coordinates do not match the grid")
-    return OddProfile(grid, rows[:, 2])
+    values = np.empty(grid.n_nodes)
+    values[k] = rows[:, 2]
+    return OddProfile(grid, values)
 
 
 @dataclass(frozen=True)
@@ -176,9 +192,6 @@ class Potential:
     G: Callable
     f: Callable
     name: str = "custom"
-
-    def well_height(self) -> float:
-        return float(self.G(0.0))
 
 
 def allen_cahn() -> Potential:
@@ -207,11 +220,7 @@ class EnergyBreakdown:
         return self.kinetic_in_in + self.kinetic_in_out + self.potential
 
     def as_dict(self) -> dict:
-        return {"kinetic_in_in": self.kinetic_in_in,
-                "kinetic_in_out": self.kinetic_in_out,
-                "potential": self.potential,
-                "total": self.total,
-                "S": self.S, "h": self.h, "R": self.R}
+        return {**asdict(self), "total": self.total}
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +319,11 @@ def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRu
 
 def _one_sided_neighbors(grid: Grid):
     """Per node, a neighbor strictly inside the octant per axis (-1 if none)."""
-    idx = grid.node_index()
-    n = grid.n_nodes
-    es = np.full(n, -1, dtype=np.int64)
-    et = np.full(n, -1, dtype=np.int64)
-    for k in range(n):
-        i, j = int(grid.ii[k]), int(grid.jj[k])
-        for cand in ((i + 1, j), (i - 1, j)):
-            if cand in idx:
-                es[k] = idx[cand]
-                break
-        for cand in ((i, j + 1), (i, j - 1)):
-            if cand in idx:
-                et[k] = idx[cand]
-                break
+    i, j = grid.ii, grid.jj
+    up, down = grid.locate(i + 1, j), grid.locate(i - 1, j)
+    es = np.where(up >= 0, up, down)
+    up, down = grid.locate(i, j + 1), grid.locate(i, j - 1)
+    et = np.where(up >= 0, up, down)
     return es, et
 
 

@@ -11,7 +11,7 @@ support of non-pure-phase values has volume ~ S^(2m-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,29 +56,22 @@ def measured_lipschitz(profile: OddProfile, radius: float, floor: float = 0.1) -
 
     Maximum one-sided difference quotient over axis and diagonal lattice
     edges, together with the direct cone quotient u/dist (which makes
-    u <= mu dist hold by construction); floored at 0.1.
+    u <= mu dist hold by construction); floored at 0.1.  An edge across the
+    diagonal, where the odd extension vanishes, starts only at a cone-row
+    node (j = i - 1), and its quotient |u|/h is below the cone quotient
+    |u|/dist = sqrt(2) |u|/h of that node, so it is not taken separately.
     """
     grid = profile.grid
     h = grid.h
-    idx = grid.node_index()
     vals = profile.values
-    best = 0.0
-    inside = grid.radius <= radius
-    for k in np.where(inside)[0]:
-        i, j = int(grid.ii[k]), int(grid.jj[k])
-        for (di, dj, dist) in ((1, 0, h), (0, 1, h), (1, 1, h * math.sqrt(2.0)),
-                               (1, -1, h * math.sqrt(2.0))):
-            other = idx.get((i + di, j + dj))
-            if other is None:
-                # across the diagonal the odd extension vanishes on the cone
-                if i + di == j + dj:
-                    best = max(best, abs(vals[k]) / dist)
-                continue
-            best = max(best, abs(vals[other] - vals[k]) / dist)
-        d = grid.cone_dist[k]
-        if d > 0:
-            best = max(best, abs(vals[k]) / d)
-    return max(best, floor)
+    k = np.flatnonzero(grid.radius <= radius)
+    quotients = [np.abs(vals[k]) / grid.cone_dist[k]]
+    for di, dj, dist in ((1, 0, h), (0, 1, h), (1, 1, h * math.sqrt(2.0)),
+                         (1, -1, h * math.sqrt(2.0))):
+        other = grid.locate(grid.ii[k] + di, grid.jj[k] + dj)
+        found = other >= 0
+        quotients.append(np.abs(vals[other[found]] - vals[k[found]]) / dist)
+    return max(floor, max(float(q.max(initial=0.0)) for q in quotients))
 
 
 @dataclass
@@ -127,8 +120,9 @@ def build_competitor(u: OddProfile, S: float, mu: float | None = None
     grid = u.grid
     if S + 4.0 >= grid.R:
         raise PreconditionError("need S + 4 < R")
+    lip_u = measured_lipschitz(u, S + 3.0)
     if mu is None:
-        mu = measured_lipschitz(u, S + 3.0)
+        mu = lip_u
     if mu <= 0.0:
         raise PreconditionError("mu must be positive")
     h = grid.h
@@ -148,7 +142,6 @@ def build_competitor(u: OddProfile, S: float, mu: float | None = None
 
     near = d <= 2.0 * h
     max_near = float(np.abs(w_vals[near]).max()) if near.any() else 0.0
-    lip_u = measured_lipschitz(u, S + 3.0)
     h2 = bool(max_near <= max(mu, lip_u) * (2.0 * h + 0.5 * h) + 1e-12)
 
     mismatch = float(np.abs(w_vals[shell] - u.values[shell]).max()) if shell.any() else 0.0
@@ -227,13 +220,7 @@ class ScalingReport:
     flatness_ratios: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {"S_values": self.S_values, "energies": self.energies,
-                "kinetic": self.kinetic, "potential": self.potential,
-                "slope": self.slope, "intercept": self.intercept,
-                "theoretical_exponent": self.theoretical_exponent,
-                "regime": self.regime, "fit_residual": self.fit_residual,
-                "log_flatness": self.log_flatness,
-                "flatness_ratios": self.flatness_ratios}
+        return asdict(self)
 
 
 def theoretical_growth(gamma: float, m: int) -> tuple[float, str]:

@@ -16,10 +16,14 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .kernels import RadialKernel
-from .doubly_radial import gauss_jacobi_rule
 from .energy import (EnergyBreakdown, EnergyModel, Grid, KernelTable, OddProfile,
                      Potential, allen_cahn, build_grid, build_kernel_table,
                      total_energy)
+
+# Armijo sufficient-decrease constant and the bounds on the spectral step
+_ARMIJO = 1e-4
+_STEP_MIN = 1e-10
+_STEP_MAX = 1e10
 
 
 @dataclass
@@ -31,13 +35,8 @@ class SolverConfig:
     R_out: float | None = None
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    seed: int = 0
     R_schedule: tuple = ()
     mu0: float = 1.0
-    quad_order: int = 32
-    armijo: float = 1e-4
-    step_min: float = 1e-10
-    step_max: float = 1e10
     assume_positive: bool = False
 
     def __post_init__(self):
@@ -97,9 +96,7 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
         potential = allen_cahn()
     if table is None:
         grid = build_grid(config.R, config.h, config.m, config.R_out)
-        rule = gauss_jacobi_rule(config.quad_order, config.m)
-        table = build_kernel_table(grid, kernel, rule,
-                                   assume_positive=config.assume_positive)
+        table = build_kernel_table(grid, kernel, assume_positive=config.assume_positive)
     grid = table.grid
     model = EnergyModel(table, potential)
     if init is None:
@@ -122,7 +119,7 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
         gd = float(g @ d)
         if gd >= 0.0:
             # degenerate direction; fall back to a tiny safeguarded step
-            alpha = max(config.step_min, 0.1 * alpha)
+            alpha = max(_STEP_MIN, 0.1 * alpha)
             d = _project(u - alpha * g) - u
             gd = float(g @ d)
             if gd >= 0.0:
@@ -135,7 +132,7 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
             E_new, g_new = model.value_and_grad(u_new)
             if not math.isfinite(E_new):
                 raise ConvergenceError(f"energy became non-finite at iteration {it}")
-            if E_new <= E + config.armijo * lam * gd:
+            if E_new <= E + _ARMIJO * lam * gd:
                 accepted = True
                 break
             lam *= 0.5
@@ -157,7 +154,7 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
             alpha = float(s @ s) / sy
         else:
             alpha *= 2.0
-        alpha = min(max(alpha, config.step_min), config.step_max)
+        alpha = min(max(alpha, _STEP_MIN), _STEP_MAX)
     if len(trace.pg_norms) < len(trace.energies):
         # stopped right after a step (max_iters, or a flat final step)
         trace.pg_norms.append(_residual(u, g, model))
@@ -231,17 +228,14 @@ def continuation(config: SolverConfig, kernel: RadialKernel,
 
 
 def _transfer(profile: OddProfile, grid: Grid) -> OddProfile:
-    """Copy values onto a new grid by lattice index; new nodes start at 0."""
-    src = {(int(i), int(j)): v for i, j, v in
-           zip(profile.grid.ii, profile.grid.jj, profile.values)}
-    vals = np.array([src.get((int(i), int(j)), 0.0)
-                     for i, j in zip(grid.ii, grid.jj)])
-    return OddProfile(grid, vals)
+    """Copy values onto a new grid by lattice cell; new nodes start at 0."""
+    k = profile.grid.locate(grid.ii, grid.jj)
+    return OddProfile(grid, np.where(k >= 0, profile.values[k], 0.0))
 
 
 def _sup_diff(p1: OddProfile, p2: OddProfile, radius: float) -> float:
-    src = {(int(i), int(j)): v for i, j, v in zip(p2.grid.ii, p2.grid.jj, p2.values)}
-    mask = p1.grid.radius <= radius
-    diffs = [abs(v - src.get((int(i), int(j)), 0.0))
-             for i, j, v, m in zip(p1.grid.ii, p1.grid.jj, p1.values, mask) if m]
-    return float(max(diffs)) if diffs else 0.0
+    """sup |p1 - p2| over the nodes of p1 in B_radius, p2 read as 0 off its grid."""
+    inside = p1.grid.radius <= radius
+    k = p2.grid.locate(p1.grid.ii[inside], p1.grid.jj[inside])
+    other = np.where(k >= 0, p2.values[k], 0.0)
+    return float(np.abs(p1.values[inside] - other).max(initial=0.0))

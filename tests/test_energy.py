@@ -42,6 +42,25 @@ def test_grid_default_extent():
     assert g.R_out == 6.0
 
 
+@pytest.mark.parametrize("name", ["small_grid", "medium_grid", "m2_grid"])
+def test_locate_agrees_with_node_index(name, request):
+    g = request.getfixturevalue(name)
+    assert np.array_equal(g.locate(g.ii, g.jj), np.arange(g.n_nodes))
+    index = g.node_index()
+    box = np.arange(-2, int(g.ii[-1]) + 3)
+    want = np.array([[index.get((a, b), -1) for b in box.tolist()] for a in box.tolist()])
+    assert np.array_equal(g.locate(box[:, None], box[None, :]), want)
+    # the cells the grid lacks: cone, superdiagonal, negative, beyond R_out
+    assert np.all(g.locate(box, box) == -1) and np.all(g.locate(box, box + 1) == -1)
+    assert np.all(g.locate(-1, box) == -1) and np.all(g.locate(box, -1) == -1)
+    ii, jj = np.meshgrid(box, box, indexing="ij")
+    beyond = (jj < ii) & (jj >= 0) & (np.hypot(ii + 0.5, jj + 0.5) * g.h > g.R_out)
+    assert beyond.any() and np.all(g.locate(ii[beyond], jj[beyond]) == -1)
+    k = g.n_nodes // 2
+    assert g.locate(int(g.ii[k]), int(g.jj[k])) == k
+    assert g.locate(3, 3) == -1 and g.locate(0, -1) == -1
+
+
 # --- profiles ------------------------------------------------------------------
 
 def test_profile_zeroed_outside_support(small_grid):
@@ -69,6 +88,29 @@ def test_profile_csv_roundtrip(tmp_path, small_grid):
     assert np.array_equal(p.values, q.values)
     save_profile(p, tmp_path / "p2.csv")
     assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
+
+
+def test_profile_csv_rows_load_in_any_order_once_each(tmp_path, small_grid):
+    rng = np.random.default_rng(1)
+    p = OddProfile(small_grid, rng.uniform(0, 1, small_grid.n_nodes))
+    save_profile(p, tmp_path / "p.csv")
+    header, *rows = (tmp_path / "p.csv").read_text().splitlines()
+
+    def load(lines):
+        path = tmp_path / "q.csv"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        return load_profile(path, small_grid)
+
+    shuffled = [rows[k] for k in rng.permutation(len(rows))]
+    assert np.array_equal(load(shuffled).values, p.values)
+    s, t, u = rows[3].split(",")
+    bad_rows = [rows[4],                                       # duplicate of row 4
+                f"{float(s) + 0.25 * small_grid.h!r},{t},{u}",  # between cells
+                f"{t},{s},{u}",                                 # across the cone
+                f"nan,{t},{u}"]
+    for bad in bad_rows:
+        with pytest.raises(DomainError):
+            load(rows[:3] + [bad] + rows[4:])
 
 
 def test_potential_properties():

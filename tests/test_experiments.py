@@ -129,6 +129,20 @@ def test_measured_lipschitz_floor(small_grid):
     assert measured_lipschitz(p, 2.0) == 0.1
 
 
+def test_measured_lipschitz_single_node_values(medium_grid):
+    g = medium_grid
+    inner = (g.radius <= 5.0) & (g.ii - g.jj >= 3)
+    for k, expected in ((np.flatnonzero(inner)[0], 0.8 / g.h),
+                        (np.flatnonzero((g.radius <= 5.0) & (g.ii - g.jj == 1))[2],
+                         math.sqrt(2.0) * 0.8 / g.h)):
+        vals = np.zeros(g.n_nodes)
+        vals[k] = 0.8
+        # away from the cone the steepest edge is an axis edge; on the cone
+        # row the cone quotient sqrt(2)|u|/h beats |u|/h across the diagonal
+        assert measured_lipschitz(OddProfile(g, vals), 6.0) == pytest.approx(expected,
+                                                                             rel=1e-14)
+
+
 def test_measured_lipschitz_dominates_cone_quotient(saddle_run):
     g = saddle_run.profile.grid
     mu = measured_lipschitz(saddle_run.profile, 6.0)

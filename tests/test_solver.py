@@ -5,9 +5,11 @@ import pytest
 
 from nlsaddle.errors import DomainError
 from nlsaddle.kernels import fractional_kernel, standard_c_norm
-from nlsaddle.energy import (EnergyModel, allen_cahn, build_grid, build_kernel_table,
-                             total_energy, zero_potential, zero_profile)
-from nlsaddle.solver import (SolverConfig, _sup_diff, continuation, initial_guess, minimize)
+from nlsaddle.energy import (EnergyModel, OddProfile, allen_cahn, build_grid,
+                             build_kernel_table, total_energy, zero_potential,
+                             zero_profile)
+from nlsaddle.solver import (SolverConfig, _sup_diff, _transfer, continuation,
+                             initial_guess, minimize)
 
 KSTD = fractional_kernel(0.5, 1, c_norm=standard_c_norm(0.5, 1))
 
@@ -134,6 +136,26 @@ def test_continuation_comparison_ball_tracks_convergence():
     # a fixed margin of 2 sees the Dirichlet layer of the R = 9 solve and
     # flags even the two cold-started minimizers
     assert _sup_diff(cold9, cold12, 7.0) > 0.1 * np.abs(cold12.values).max()
+
+
+def test_transfer_copies_common_cells_and_zeroes_new_ones():
+    # the cells of b with 4.2 < |x| <= 6 lie in B_R of b but off the grid of
+    # a, and the last node of a lies in B_R of a, so that a miss read as
+    # index -1 would show
+    a, b = build_grid(4.15, 0.5, 1, R_out=4.2), build_grid(6.0, 0.5, 1)
+    assert a.inside(a.R)[-1]
+    rng = np.random.default_rng(2)
+    for src, dst in ((a, b), (b, a)):
+        p = OddProfile(src, rng.uniform(0.1, 1.0, src.n_nodes))
+        index = src.node_index()
+        cells = list(zip(dst.ii.tolist(), dst.jj.tolist()))
+        common = np.array([c in index for c in cells])
+        got = _transfer(p, dst).values
+        want = np.array([p.values[index[c]] if c in index else 0.0 for c in cells])
+        keep = dst.inside(dst.R)
+        assert np.array_equal(got, np.where(keep, want, 0.0))
+        assert (got[common & keep] > 0.0).any()
+        assert (~common & keep).any() == (dst is b)
 
 
 def test_continuation_requires_increasing_schedule():
