@@ -109,22 +109,11 @@ def parse_config(path) -> RunConfig:
             problems.append(f"{section}.{name}: not a number ({raw!r})")
             return None
 
-    gamma = num("kernel", "gamma", 0.5)
-    m = num("kernel", "m", 1, int)
-    lam = num("kernel", "lambda", 1.0)
-    Lam = num("kernel", "Lambda", 1.0)
-    cn = cfg.kernel.get("c_norm", "1.0")
-    if str(cn).strip() != "standard":
-        num("kernel", "c_norm", 1.0)
-    family = cfg.kernel.get("family", "fractional")
-    if family not in K.FAMILIES:
-        problems.append(f"kernel.family: unknown family {family!r}")
-    if gamma is not None and not (0.0 < gamma < 1.0):
-        problems.append(f"kernel.gamma: must lie in (0,1), got {gamma}")
-    if m is not None and m < 1:
-        problems.append(f"kernel.m: must be >= 1, got {m}")
-    if lam is not None and Lam is not None and not (0.0 < lam <= Lam):
-        problems.append(f"kernel.lambda/Lambda: need 0 < lambda <= Lambda, got {lam}, {Lam}")
+    # the kernel's own constructor holds its rules (family defaults included)
+    try:
+        cfg.make_kernel()
+    except (NlsaddleError, ValueError, OSError) as exc:
+        problems.append(f"kernel: {exc}")
 
     R = num("grid", "R")
     h = num("grid", "h")
@@ -147,7 +136,8 @@ def parse_config(path) -> RunConfig:
         problems.append(f"solver.grad_tol: must be positive, got {gt}")
 
     try:
-        s_list = cfg.s_list()
+        # the default S_list is energy_scan's, which checks its own precondition
+        s_list = cfg.s_list() if "S_list" in cfg.experiment else []
         if R is not None:
             for S in s_list:
                 if S > R - 4.0:
@@ -216,11 +206,9 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
             # the table's zero-order column comes from the same integrator at
             # its default settings; the reference refines n_phi, n_rho and,
             # for m >= 2, the J rule
-            s_ref, t_ref = grid.s[ref_idx], grid.t[ref_idx]
-            zoc = (dr.zero_order_integral(kern, s_ref, t_ref, grid.R_out,
-                                          rule=dr.gauss_jacobi_rule(64, kern.m),
-                                          n_phi=320, n_rho=48)
-                   + 0.5 * dr.exterior_tail_coefficient(kern, s_ref, t_ref, grid.R_out))
+            zoc = dr.zero_order_coefficient(kern, (grid.s[ref_idx], grid.t[ref_idx]),
+                                            grid.R_out, rule=dr.gauss_jacobi_rule(64, kern.m),
+                                            n_phi=320, n_rho=48)
             rows = op.row_sums()
             max_err = float(np.max(np.abs(rows[ref_idx] - 2 * zoc) / (2 * zoc)))
             rep = dop.check_max_principle_structure(

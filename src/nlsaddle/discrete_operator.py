@@ -24,6 +24,8 @@ from .energy import (Grid, KernelTable, OddProfile, Potential, operator_diagonal
                      self_cell_matrix)
 
 _OFFDIAG_TOL = 1e-12
+# cells kept between the probe nodes and both the cone and |x| = R
+_PROBE_MARGIN_CELLS = 2.0
 
 
 @dataclass
@@ -128,16 +130,15 @@ def check_max_principle_structure(op: DiscreteOperator, n_trials: int = 100,
         solve_failures=failures)
 
 
-def probe_nodes(grid: Grid, margin_cells: float = 2.0) -> np.ndarray:
+def probe_nodes(grid: Grid) -> np.ndarray:
     """Nodes away from the cone and from the support boundary.
 
-    Excludes nodes within margin_cells * h of the cone and of the sphere
-    |x| = R (where the zero-order coefficient blows up, respectively where
-    the Dirichlet cut dominates).
+    Excludes nodes within _PROBE_MARGIN_CELLS * h of the cone and of the
+    sphere |x| = R (where the zero-order coefficient blows up, respectively
+    where the Dirichlet cut dominates).
     """
-    h = grid.h
-    keep = ((grid.cone_dist > margin_cells * h)
-            & (grid.radius < grid.R - margin_cells * h))
+    margin = _PROBE_MARGIN_CELLS * grid.h
+    keep = (grid.cone_dist > margin) & (grid.radius < grid.R - margin)
     return np.where(keep)[0]
 
 

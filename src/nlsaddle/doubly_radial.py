@@ -2,17 +2,17 @@
 
 Everything in R^(2m) that is invariant under O(m)xO(m) reduces to the two
 orbit radii (s, t) = (|x'|, |x''|).  This module provides the (s,t)-variable
-kernel J obtained by integrating K over the two spheres, the rotation
-average kbar = J / |S^(m-1)|^2, the odd-sector kernel difference
-kbar(x,y) - kbar(x,y*), its closed hypergeometric form for the pure power
-kernel (m >= 2), the zero-order coefficient of the odd-sector operator, and
-a randomized verifier for the kernel inequality.
+kernel J obtained by integrating K over the two spheres (`j_values`, the one
+evaluator of J), the odd-sector kernel difference kbar(x,y) - kbar(x,y*) of
+the rotation average kbar = J / |S^(m-1)|^2, its closed hypergeometric form
+for the pure power kernel (m >= 2), the zero-order coefficient of the
+odd-sector operator, and a randomized verifier for the kernel inequality.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammaln, hyp2f1, roots_jacobi
@@ -20,59 +20,25 @@ from scipy.special import gammaln, hyp2f1, roots_jacobi
 from .errors import ConvergenceError, DomainError, PreconditionError, SingularityError
 from .kernels import RadialKernel, eval_kernel
 
-REGION_OUTER = "outer"
-REGION_CONE = "cone"
-REGION_INNER = "inner"
-
 # orbits per block of the vectorized zero-order integral
 _ZERO_ORDER_CHUNK = 16
+# Gauss-Legendre nodes per phi panel of the zero-order integral
+_ZERO_ORDER_PHI_ORDER = 4
 # kernel evaluations per block of j_values
 _J_CHUNK = 2 ** 22
-
-
-@dataclass(frozen=True)
-class DoublyRadialPoint:
-    """An O(m)^2 orbit, represented by the radii s = |x'|, t = |x''|."""
-
-    s: float
-    t: float
-
-    def __post_init__(self):
-        if self.s < 0.0 or self.t < 0.0:
-            raise DomainError("orbit radii must be nonnegative")
-
-    @property
-    def region(self) -> str:
-        if self.s > self.t:
-            return REGION_OUTER
-        if self.s < self.t:
-            return REGION_INNER
-        return REGION_CONE
-
-    @property
-    def radius(self) -> float:
-        return math.hypot(self.s, self.t)
+# angular and radial nodes of the exterior tail's sphere-slice rule
+_TAIL_N_THETA = 48
+_TAIL_N_RAD = 32
+# relative gap tolerance and order cap of the sampled inequality check
+_INEQUALITY_REL_TOL = 1e-8
+_INEQUALITY_MAX_ORDER = 256
 
 
 def _coords(p) -> tuple[float, float]:
-    if isinstance(p, DoublyRadialPoint):
-        return p.s, p.t
     s, t = p
     if s < 0.0 or t < 0.0:
         raise DomainError("orbit radii must be nonnegative")
     return float(s), float(t)
-
-
-def star(p):
-    """The side-swapping involution (s, t) -> (t, s)."""
-    s, t = _coords(p)
-    return DoublyRadialPoint(t, s)
-
-
-def cone_distance(p) -> float:
-    """Distance |s - t| / sqrt(2) from the orbit to the cone {s = t}."""
-    s, t = _coords(p)
-    return abs(s - t) / math.sqrt(2.0)
 
 
 def omega_sphere(m: int) -> float:
@@ -97,9 +63,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     prefactor: float
-
-    def doubled(self) -> "QuadratureRule":
-        return gauss_jacobi_rule(2 * self.order, self.m)
 
 
 def gauss_jacobi_rule(order: int, m: int) -> QuadratureRule:
@@ -164,65 +127,32 @@ def _check_pair(p, q):
     return ps, pt, qs, qt
 
 
-def j_kernel(kernel: RadialKernel, p, q, rule: QuadratureRule | None = None) -> float:
-    """J(s,t,sigma,tau) for a single off-diagonal pair of orbits."""
-    ps, pt, qs, qt = _check_pair(p, q)
-    if rule is None:
-        rule = gauss_jacobi_rule(32, kernel.m)
-    if rule.m != kernel.m:
-        raise DomainError("quadrature rule dimension does not match the kernel")
-    return float(j_values(kernel, ps, pt, qs, qt, rule))
-
-
-def j_kernel_adaptive(kernel: RadialKernel, p, q, rtol: float = 1e-8,
-                      start_order: int = 32, max_order: int = 256):
-    """J with the order doubled until 1e-8 relative agreement; returns
-    (value, converged).  m=1 is exact at any order."""
-    if kernel.m == 1:
-        return j_kernel(kernel, p, q, gauss_jacobi_rule(2, 1)), True
-    rule = gauss_jacobi_rule(start_order, kernel.m)
-    val = j_kernel(kernel, p, q, rule)
-    while rule.order < max_order:
-        rule = rule.doubled()
-        new = j_kernel(kernel, p, q, rule)
-        if abs(new - val) <= rtol * abs(new):
-            return new, True
-        val = new
-    return val, False
-
-
-def kbar(kernel: RadialKernel, p, q, rule: QuadratureRule | None = None) -> float:
-    """Rotation-averaged kernel: the mean of K(|Rx - y|) over O(m)^2.
-
-    Equals J / |S^(m-1)|^2 since the orbit of x covers the product of
-    spheres uniformly.
-    """
-    return j_kernel(kernel, p, q, rule) / omega_sphere(kernel.m) ** 2
-
-
 def kernel_difference(kernel: RadialKernel, p, q,
                       rule: QuadratureRule | None = None) -> float:
     """kbar(x, y) - kbar(x, y*) for orbits strictly on the outer side.
 
-    Positive whenever K(sqrt(.)) is strictly convex.
+    kbar = J / |S^(m-1)|^2 is the mean of K(|Rx - y|) over O(m)^2, since the
+    orbit of x covers the product of spheres uniformly.  Positive whenever
+    K(sqrt(.)) is strictly convex.
     """
-    pp, qq = DoublyRadialPoint(*_coords(p)), DoublyRadialPoint(*_coords(q))
-    if pp.region != REGION_OUTER or qq.region == REGION_INNER:
+    s, t, sig, tau = _check_pair(p, q)
+    if not (s > t and sig >= tau):
         raise DomainError("kernel_difference requires orbits on the outer side of the cone")
-    if qq.region == REGION_CONE:
+    if sig == tau:
         return 0.0  # J is symmetric under swapping (sigma, tau) there
     if rule is None:
         rule = gauss_jacobi_rule(32, kernel.m)
-    direct = j_kernel(kernel, pp, qq, rule)
-    swapped = float(j_values(kernel, pp.s, pp.t, qq.t, qq.s, rule))
+    direct = float(j_values(kernel, s, t, sig, tau, rule))
+    swapped = float(j_values(kernel, s, t, tau, sig, rule))
     return (direct - swapped) / omega_sphere(kernel.m) ** 2
 
 
 @dataclass
 class InequalityReport:
-    """Sampled status of the inequality kbar(x,y) > kbar(x,y*) on outer pairs."""
+    """Sampled status of the inequality kbar(x,y) > kbar(x,y*) on outer
+    pairs; the fields are the report's JSON keys."""
 
-    family: str
+    kernel: str
     m: int
     gamma: float
     n_samples: int
@@ -230,22 +160,11 @@ class InequalityReport:
     min_gap: float
     seed: int
     rel_tolerance: float
-    n_unconverged: int = 0
-    worst: list = field(default_factory=list)
+    n_unconverged: int
+    worst_samples: list
 
     def as_dict(self) -> dict:
-        return {
-            "kernel": self.family,
-            "m": self.m,
-            "gamma": self.gamma,
-            "n_samples": self.n_samples,
-            "violations": self.violations,
-            "min_gap": self.min_gap,
-            "seed": self.seed,
-            "rel_tolerance": self.rel_tolerance,
-            "n_unconverged": self.n_unconverged,
-            "worst_samples": self.worst,
-        }
+        return asdict(self)
 
 
 def sample_outer_orbits(rng: np.random.Generator, n: int,
@@ -259,14 +178,13 @@ def sample_outer_orbits(rng: np.random.Generator, n: int,
 
 def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
                              rule: QuadratureRule | None = None,
-                             rel_tolerance: float = 1e-8,
-                             r_range=(1e-2, 1e2),
-                             max_order: int = 256) -> InequalityReport:
+                             r_range=(1e-2, 1e2)) -> InequalityReport:
     """Draw random outer-orbit pairs and count gaps below -tol (relative).
 
     The gap per pair is J(s,t,sigma,tau) - J(s,t,tau,sigma); for m=1 the
     sums are exact, for m>=2 the quadrature order is doubled on the
-    unconverged subset until 1e-8 relative agreement or max_order.
+    unconverged subset until _INEQUALITY_REL_TOL relative agreement or
+    _INEQUALITY_MAX_ORDER.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -283,27 +201,22 @@ def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
 
     if rule is None:
         rule = gauss_jacobi_rule(32, kernel.m)
-
-    def both(r):
-        direct = j_values(kernel, xs, xt, ys, yt, r)
-        swapped = j_values(kernel, xs, xt, yt, ys, r)
-        return direct, swapped
-
-    direct, swapped = both(rule)
+    direct = j_values(kernel, xs, xt, ys, yt, rule)
+    swapped = j_values(kernel, xs, xt, yt, ys, rule)
     n_unconverged = 0
     if kernel.m >= 2:
         # escalate the quadrature order only on the unconverged subset
         gap = direct - swapped
         unsettled = np.ones(n_samples, dtype=bool)
         cur = rule
-        while cur.order < max_order and unsettled.any():
-            cur = cur.doubled()
+        while cur.order < _INEQUALITY_MAX_ORDER and unsettled.any():
+            cur = gauss_jacobi_rule(2 * cur.order, kernel.m)
             idx = np.where(unsettled)[0]
             d2 = j_values(kernel, xs[idx], xt[idx], ys[idx], yt[idx], cur)
             s2 = j_values(kernel, xs[idx], xt[idx], yt[idx], ys[idx], cur)
             g2 = d2 - s2
             scale = np.abs(d2) + np.abs(s2)
-            settled_now = np.abs(g2 - gap[idx]) <= rel_tolerance * scale
+            settled_now = np.abs(g2 - gap[idx]) <= _INEQUALITY_REL_TOL * scale
             direct[idx] = d2
             swapped[idx] = s2
             gap[idx] = g2
@@ -311,16 +224,16 @@ def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
         n_unconverged = int(unsettled.sum())
 
     gap = direct - swapped
-    tol = rel_tolerance * (np.abs(direct) + np.abs(swapped))
+    tol = _INEQUALITY_REL_TOL * (np.abs(direct) + np.abs(swapped))
     bad = gap < -tol
     order = np.argsort(gap)[:8]
     worst = [{"x": [float(xs[i]), float(xt[i])], "y": [float(ys[i]), float(yt[i])],
               "gap": float(gap[i])} for i in order]
     return InequalityReport(
-        family=kernel.family, m=kernel.m, gamma=kernel.gamma,
+        kernel=kernel.family, m=kernel.m, gamma=kernel.gamma,
         n_samples=n_samples, violations=int(bad.sum()),
-        min_gap=float(gap.min()), seed=seed, rel_tolerance=rel_tolerance,
-        n_unconverged=n_unconverged, worst=worst)
+        min_gap=float(gap.min()), seed=seed, rel_tolerance=_INEQUALITY_REL_TOL,
+        n_unconverged=n_unconverged, worst_samples=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +305,7 @@ def j_kernel_appell(gamma: float, m: int, p, q, series_tol: float = 1e-10,
     """
     if m < 2:
         raise DomainError("the closed form is stated for m >= 2 only")
-    s, t = _coords(p)
-    sig, tau = _coords(q)
-    _check_pair((s, t), (sig, tau))
+    s, t, sig, tau = _check_pair(p, q)
     x, y = f2_arguments((s, t), (sig, tau))
     den = (s + sig) ** 2 + (t + tau) ** 2
     a = m + gamma
@@ -407,8 +318,7 @@ def j_kernel_appell(gamma: float, m: int, p, q, series_tol: float = 1e-10,
 # Zero-order coefficient of the odd-sector operator
 # ---------------------------------------------------------------------------
 
-def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float,
-                              n_theta: int = 48, n_rad: int = 32) -> np.ndarray:
+def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float) -> np.ndarray:
     """int_{|y| > R_out} K_env(|x - y|) dy for the power envelope
     K_env = Lam c_norm r^(-2m-2 gamma), vectorized over orbit coordinates.
 
@@ -427,11 +337,11 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float,
     gam = kernel.gamma
     # angular slice of S^(n-1) against the first coordinate
     alpha = (n - 3) / 2.0
-    th, wth = roots_jacobi(n_theta, alpha, alpha)
+    th, wth = roots_jacobi(_TAIL_N_THETA, alpha, alpha)
     slice_area = (2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
                   if n >= 2 else 2.0)
     # radial nodes: v = u^(1/(2 gamma)), r = R_out / v
-    ugl, wugl = np.polynomial.legendre.leggauss(n_rad)
+    ugl, wugl = np.polynomial.legendre.leggauss(_TAIL_N_RAD)
     u = 0.5 * (ugl + 1.0)
     wu = 0.5 * wugl
     v = u ** (1.0 / (2.0 * gam))
@@ -440,8 +350,8 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float,
     drdu = R_out / v ** 2 * dv
 
     A = a.reshape(a.shape + (1, 1))
-    Rr = r.reshape((1,) * a.ndim + (n_rad, 1))
-    TH = th.reshape((1,) * a.ndim + (1, n_theta))
+    Rr = r.reshape((1,) * a.ndim + (_TAIL_N_RAD, 1))
+    TH = th.reshape((1,) * a.ndim + (1, _TAIL_N_THETA))
     dist2 = Rr ** 2 + A ** 2 - 2.0 * A * Rr * TH
     avg = (dist2 ** (-p / 2.0) * wth).sum(axis=-1)
     rad = (avg * (r ** (n - 1) * drdu * wu)).sum(axis=-1)
@@ -451,8 +361,7 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float,
 
 def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
                         rule: QuadratureRule | None = None,
-                        n_phi: int = 160, phi_order: int = 4,
-                        n_rho: int = 24) -> np.ndarray:
+                        n_phi: int = 160, n_rho: int = 24) -> np.ndarray:
     """int_{O, |y| <= R_out} kbar(x, y*) dy per orbit (s, t), vectorized.
 
     Integrates J(s,t,b,a) a^(m-1) b^(m-1) over the truncated outer octant
@@ -460,11 +369,11 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     centered at the reflected orbit (t, s), the only singularity of the
     integrand, which lies outside the region at distance sqrt(2) times the
     cone distance of x.  phi runs over the half-plane arc that can see the
-    region in n_phi Gauss-Legendre panels of phi_order nodes; along each ray
-    the region is entered at the cone and left at b = 0 or at the rim, and
-    log(rho) is integrated with n_rho Gauss-Legendre nodes.  Nodes are
-    processed _ZERO_ORDER_CHUNK at a time, and only the (node, phi) rays
-    that cross the region are evaluated.
+    region in n_phi Gauss-Legendre panels of _ZERO_ORDER_PHI_ORDER nodes;
+    along each ray the region is entered at the cone and left at b = 0 or
+    at the rim, and log(rho) is integrated with n_rho Gauss-Legendre nodes.
+    Nodes are processed _ZERO_ORDER_CHUNK at a time, and only the
+    (node, phi) rays that cross the region are evaluated.
     """
     s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
     if not np.all((s > t) & (t >= 0.0)):
@@ -476,7 +385,7 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
         rule = gauss_jacobi_rule(32, m)
 
     edges = np.linspace(-3.0 * math.pi / 4.0, math.pi / 4.0, n_phi + 1)
-    gl, wgl = np.polynomial.legendre.leggauss(phi_order)
+    gl, wgl = np.polynomial.legendre.leggauss(_ZERO_ORDER_PHI_ORDER)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     phi = (mid[:, None] + half[:, None] * gl[None, :]).reshape(-1)
@@ -519,15 +428,15 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
 
 def zero_order_coefficient(kernel: RadialKernel, p, R_out: float,
                            rule: QuadratureRule | None = None,
-                           n_phi: int = 160, phi_order: int = 4,
-                           n_rho: int = 24) -> float:
-    """The coefficient int_O kbar(x, y*) dy of the odd-sector operator.
+                           n_phi: int = 160, n_rho: int = 24):
+    """The coefficient int_O kbar(x, y*) dy of the odd-sector operator at
+    p = (s, t), floats or arrays (a float for scalar input).
 
     `zero_order_integral` over the octant truncated at R_out, plus half the
-    analytic exterior tail.  Comparable to cone_distance(p)^(-2 gamma) from
-    both sides.
+    analytic exterior tail.  Comparable to |s - t|^(-2 gamma) from both
+    sides.
     """
-    s, t = _coords(p)
-    trunc = float(zero_order_integral(kernel, s, t, R_out, rule, n_phi, phi_order, n_rho))
-    tail = 0.5 * float(exterior_tail_coefficient(kernel, s, t, R_out))
-    return trunc + tail
+    s, t = p
+    z = (zero_order_integral(kernel, s, t, R_out, rule, n_phi, n_rho)
+         + 0.5 * exterior_tail_coefficient(kernel, s, t, R_out))
+    return z if np.ndim(z) else float(z)

@@ -43,6 +43,9 @@ from .doubly_radial import (QuadratureRule, exterior_tail_coefficient,
                             zero_order_integral)
 
 _ROW_CHUNK = 512
+# polar angles and radial nodes of the self-cell quadrature
+_SELF_CELL_N_THETA = 16
+_SELF_CELL_N_RAD = 12
 
 
 @dataclass(frozen=True)
@@ -260,22 +263,8 @@ class KernelTable:
         """Per-node zero-order coefficient including the exterior tail."""
         return self.zcol + self.ztail
 
-    def kbar_entry(self, i: int, j: int) -> float:
-        if i == j:
-            raise TableError("diagonal kbar entries are not stored")
-        return float(self.D[i, j] + self.P[i, j])
 
-    def kbar_star_entry(self, i: int, j: int) -> float:
-        return float(self.P[i, j])
-
-    def difference_entry(self, i: int, j: int) -> float:
-        if i == j:
-            raise TableError("diagonal difference entries are not stored")
-        return float(self.D[i, j])
-
-
-def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRule,
-                            n_theta: int = 16, n_rad: int = 12):
+def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRule):
     """Exact constants of the omitted self-cell quadratic mass.
 
     cs_i, ct_i with  (1/2) mu_i int_cell (dw . z)^2 D(x, x+z) d(orbit measure)
@@ -284,9 +273,10 @@ def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRu
     """
     h = grid.h
     m = grid.m
+    n_theta = _SELF_CELL_N_THETA
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     rmax = 0.5 * h / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
-    gx, gw = np.polynomial.legendre.leggauss(n_rad)
+    gx, gw = np.polynomial.legendre.leggauss(_SELF_CELL_N_RAD)
     r01 = 0.5 * (gx + 1.0)
     w01 = 0.5 * gw
     rr = rmax[:, None] * r01[None, :]              # (n_theta, n_rad)
@@ -394,26 +384,24 @@ def _as_index(grid: Grid, sel) -> np.ndarray:
 def interaction(profile: OddProfile, A, B, table: KernelTable) -> float:
     """Discrete I(A, B): pairwise over A x B with the tabulated kernels.
 
-    The quadratic term skips the diagonal (self pairs are the form of
-    `self_cell_matrix`, added by `total_energy`); the squared term
-    includes it.
+    With x = mu 1_A and y = mu 1_B (an index listed twice counts twice),
+    I = 2 [(w^2 x).Dy - 2 (w x).D(w y) + x.D(w^2 y)] + 4 [(w^2 x).Py + x.P(w^2 y)].
+    The quadratic term skips the self pairs through D's zero diagonal (they
+    are the form of `self_cell_matrix`, added by `total_energy`); the
+    squared term includes them.
     """
-    ia = _as_index(profile.grid, A)
-    ib = _as_index(profile.grid, B)
+    grid = profile.grid
+    n = grid.n_nodes
+    mu = grid.weights
+    ia = _as_index(grid, A)
+    ib = _as_index(grid, B)
+    x = np.bincount(ia, weights=mu[ia], minlength=n)
+    y = np.bincount(ib, weights=mu[ib], minlength=n)
     w = profile.values
-    mu = profile.grid.weights
-    wa, wb = w[ia], w[ib]
-    ma, mb = mu[ia], mu[ib]
-    total = 0.0
-    for lo in range(0, ia.size, _ROW_CHUNK):
-        hi = min(ia.size, lo + _ROW_CHUNK)
-        sub = np.ix_(ia[lo:hi], ib)
-        dw2 = (wa[lo:hi, None] - wb[None, :]) ** 2
-        Psub = table.P[sub]
-        total += 2.0 * float(ma[lo:hi] @ (dw2 * table.D[sub]) @ mb)
-        total += 4.0 * float((wa[lo:hi] ** 2 * ma[lo:hi]) @ Psub @ mb
-                             + ma[lo:hi] @ Psub @ (wb ** 2 * mb))
-    return total
+    w2 = w * w
+    D, P = table.D, table.P
+    quad = (w2 * x) @ (D @ y) - 2.0 * (w * x) @ (D @ (w * y)) + x @ (D @ (w2 * y))
+    return float(2.0 * quad + 4.0 * ((w2 * x) @ (P @ y) + x @ (P @ (w2 * y))))
 
 
 def self_cell_matrix(table: KernelTable, owners) -> sp.csr_matrix:
@@ -471,25 +459,27 @@ class EnergyModel:
     """E(u) = E(w_u, B_R) for u living on the nodes inside B_R.
 
     Holds the free block of the operator L of the module docstring: its
-    diagonal D mu + 2 Z, the in-block of D and the self-cell form C of the
-    nodes in B_R scaled by 1/(2 mu).  One dense matvec per point gives
-    L u, hence both E = mu . (u o L u) + 2 mu . G(u) and its exact gradient
-    2 mu (L u - f(u)).
+    diagonal D mu + 2 Z and the self-cell form C of the nodes in B_R scaled
+    by 1/(2 mu).  One matvec of the full D with mu u embedded in the grid
+    per point gives L u, hence both E = mu . (u o L u) + 2 mu . G(u) and its
+    exact gradient 2 mu (L u - f(u)).
     """
 
     def __init__(self, table: KernelTable, potential: Potential):
+        self.table = table
         self.grid = grid = table.grid
         self.potential = potential
         self.iin = np.where(grid.inside(grid.R))[0]
         self.mu = grid.weights[self.iin]
-        self.D_in = np.ascontiguousarray(table.D[np.ix_(self.iin, self.iin)])
         self.diag = operator_diagonal(table)[self.iin]
         C = self_cell_matrix(table, self.iin)[self.iin][:, self.iin]
         self.C = sp.diags(0.5 / self.mu) @ C
 
     def value_and_grad(self, u: np.ndarray):
         mu = self.mu
-        lu = self.diag * u - self.D_in @ (mu * u) + self.C @ u
+        mu_u = np.zeros(self.grid.n_nodes)
+        mu_u[self.iin] = mu * u
+        lu = self.diag * u - (self.table.D @ mu_u)[self.iin] + self.C @ u
         E = float(mu @ (u * lu)) + 2.0 * float(mu @ np.asarray(self.potential.G(u)))
         return E, 2.0 * mu * (lu - np.asarray(self.potential.f(u)))
 

@@ -19,6 +19,9 @@ from .errors import DomainError, PreconditionError
 from .doubly_radial import omega_sphere
 from .energy import Grid, KernelTable, OddProfile, Potential, allen_cahn, total_energy
 
+# lower bound of the measured Lipschitz constant
+_LIPSCHITZ_FLOOR = 0.1
+
 
 def radial_ramp(radius, S: float):
     """Two-level radial profile: -1 inside B_(S+1), linear on [S+1, S+2],
@@ -44,14 +47,14 @@ def cone_ramp(s, t, S: float, mu: float):
 def cutoff_distance(p, S: float, mu: float) -> float:
     """min of the distance to the sphere |x| = S+1 and mu times the cone
     distance, for |p| < S."""
-    s, t = (p.s, p.t) if hasattr(p, "s") else p
+    s, t = p
     r = math.hypot(s, t)
     if r >= S:
         raise DomainError("cutoff_distance is defined inside B_S")
     return min(S + 1.0 - r, mu * abs(s - t) / math.sqrt(2.0))
 
 
-def measured_lipschitz(profile: OddProfile, radius: float, floor: float = 0.1) -> float:
+def measured_lipschitz(profile: OddProfile, radius: float) -> float:
     """Discrete Lipschitz estimate of the profile on B_radius.
 
     Maximum one-sided difference quotient over axis and diagonal lattice
@@ -71,7 +74,7 @@ def measured_lipschitz(profile: OddProfile, radius: float, floor: float = 0.1) -
         other = grid.locate(grid.ii[k] + di, grid.jj[k] + dj)
         found = other >= 0
         quotients.append(np.abs(vals[other[found]] - vals[k[found]]) / dist)
-    return max(floor, max(float(q.max(initial=0.0)) for q in quotients))
+    return max(_LIPSCHITZ_FLOOR, max(float(q.max(initial=0.0)) for q in quotients))
 
 
 @dataclass

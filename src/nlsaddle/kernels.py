@@ -24,6 +24,11 @@ VERDICT_STRICT = "strictly-convex"
 VERDICT_NONSTRICT = "convex-nonstrict"
 VERDICT_FAILS = "fails"
 
+# relative midpoint-gap tolerance of the convexity check, and the most
+# witnesses it reports
+_CONVEXITY_TOL = 1e-10
+_MAX_WITNESSES = 32
+
 
 @dataclass(frozen=True)
 class RadialKernel:
@@ -198,15 +203,16 @@ def _second_divided_differences(h: Callable, tau: np.ndarray) -> np.ndarray:
     return num / (np.abs(h0) + np.abs(h1) + np.abs(h2))
 
 
-def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None, tol: float = 1e-10,
-                         max_witnesses: int = 32) -> ConvexityReport:
+def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None) -> ConvexityReport:
     """Sampled verification that h(tau) = K(sqrt(tau)) is strictly convex.
 
     Evaluates the midpoint inequality h(t1) + h(t2) > 2 h((t1+t2)/2) on all
-    grid pairs.  Gaps above tol*|h(mid)| count as strict; gaps inside
-    [-tol, tol]*|h(mid)| as tight (verdict "convex-nonstrict" at best); any
-    gap below -tol*|h(mid)| is a failure witness.  Near-tight pairs trigger
-    one refinement pass of 64 extra points around the offending bracket.
+    grid pairs.  With tol = _CONVEXITY_TOL, gaps above tol*|h(mid)| count as
+    strict; gaps inside [-tol, tol]*|h(mid)| as tight (verdict
+    "convex-nonstrict" at best); any gap below -tol*|h(mid)| is a failure
+    witness, and at most _MAX_WITNESSES witnesses are reported.  Near-tight
+    pairs trigger one refinement pass of 64 extra points around the
+    offending bracket.
 
     Independently, consecutive-triple second divided differences are scanned
     for an interval of concavity: a run of >= 3 consecutive negative triples
@@ -224,6 +230,7 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None, tol: float = 1e-10
         raise DomainError("tau_grid must be strictly increasing")
 
     h = lambda x: sqrt_profile(kernel, x)
+    tol = _CONVEXITY_TOL
 
     iu, rel = _midpoint_gaps(h, tau)
 
@@ -245,7 +252,7 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None, tol: float = 1e-10
     def triples(idx):
         order = idx[np.argsort(rel[idx])]
         return [(float(tau[iu[0][k]]), float(tau[iu[1][k]]), float(rel[k]))
-                for k in order[:max_witnesses]]
+                for k in order[:_MAX_WITNESSES]]
 
     dd = _second_divided_differences(h, tau)
     neg = dd < -tol

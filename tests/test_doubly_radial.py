@@ -7,18 +7,22 @@ from hypothesis import example, given, settings, strategies as st
 from nlsaddle.errors import (ConvergenceError, DomainError, PreconditionError,
                              SingularityError)
 from nlsaddle.kernels import fractional_kernel, tabulated_kernel
-from nlsaddle.doubly_radial import (DoublyRadialPoint, appell_f2, appell_prefactor,
-                                    cone_distance, exterior_tail_coefficient,
-                                    f2_arguments, gauss_jacobi_rule, j_kernel,
-                                    j_kernel_adaptive, j_kernel_appell, j_values,
-                                    kbar, kernel_difference, omega_sphere,
-                                    sample_outer_orbits, star,
-                                    verify_kernel_inequality, weight_integral,
-                                    zero_order_coefficient, zero_order_integral)
+from nlsaddle.doubly_radial import (appell_f2, appell_prefactor, exterior_tail_coefficient,
+                                    f2_arguments, gauss_jacobi_rule, j_kernel_appell,
+                                    j_values, kernel_difference, omega_sphere,
+                                    sample_outer_orbits, verify_kernel_inequality,
+                                    weight_integral, zero_order_coefficient,
+                                    zero_order_integral)
 from nlsaddle.energy import build_grid
 
 K1 = fractional_kernel(0.5, 1)
 RULE1 = gauss_jacobi_rule(2, 1)
+K2 = fractional_kernel(0.25, 2)
+RULE2 = gauss_jacobi_rule(32, 2)
+
+
+def J(kernel, p, q, rule):
+    return float(j_values(kernel, *p, *q, rule))
 
 
 def four_term_sum(s, t, sig, tau, power=3.0):
@@ -37,30 +41,16 @@ def four_term_sum(s, t, sig, tau, power=3.0):
     return total
 
 
-# --- geometry ---------------------------------------------------------------
-
-def test_star_examples():
-    assert star((3, 1)) == DoublyRadialPoint(1, 3)
-    assert star((2, 2)) == DoublyRadialPoint(2, 2)
-    p = DoublyRadialPoint(0.7, 0.1)
-    assert star(star(p)) == p
-
-
-def test_region_classification():
-    assert DoublyRadialPoint(3, 1).region == "outer"
-    assert DoublyRadialPoint(1, 3).region == "inner"
-    assert DoublyRadialPoint(2, 2).region == "cone"
-
-
-def test_cone_distance_values():
-    assert cone_distance((3, 1)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert cone_distance((2, 2)) == 0.0
-    assert cone_distance((0, 5)) == pytest.approx(5.0 / math.sqrt(2.0), rel=1e-12)
-
+# --- orbit pairs ---------------------------------------------------------------
 
 def test_negative_coordinates_rejected():
-    with pytest.raises(DomainError):
-        DoublyRadialPoint(-1.0, 0.5)
+    for p, q in (((-1.0, 0.5), (3.0, 1.0)), ((3.0, 1.0), (2.0, -0.5))):
+        with pytest.raises(DomainError):
+            kernel_difference(K1, p, q, RULE1)
+        with pytest.raises(DomainError):
+            f2_arguments(p, q)
+        with pytest.raises(DomainError):
+            j_kernel_appell(0.5, 2, p, q)
 
 
 # --- quadrature rules --------------------------------------------------------
@@ -86,21 +76,23 @@ def test_c_m_at_two():
 
 def test_j_kernel_axis_example():
     # J(1,0,2,0) = 2 [K(1) + K(3)] = 56/27
-    assert j_kernel(K1, (1, 0), (2, 0), RULE1) == pytest.approx(56.0 / 27.0, rel=1e-13)
+    assert J(K1, (1, 0), (2, 0), RULE1) == pytest.approx(56.0 / 27.0, rel=1e-13)
     assert four_term_sum(1, 0, 2, 0) == pytest.approx(56.0 / 27.0, rel=1e-13)
 
 
 def test_j_kernel_interior_example():
     expected = four_term_sum(2, 1, 3, 1)
     assert expected == pytest.approx(1.103846, abs=1e-6)
-    assert j_kernel(K1, (2, 1), (3, 1), RULE1) == pytest.approx(expected, rel=1e-13)
+    assert J(K1, (2, 1), (3, 1), RULE1) == pytest.approx(expected, rel=1e-13)
 
 
 def test_j_kernel_refuses_diagonal_and_negative():
     with pytest.raises(SingularityError):
-        j_kernel(K1, (2, 1), (2, 1), RULE1)
+        kernel_difference(K1, (2, 1), (2, 1), RULE1)
+    with pytest.raises(SingularityError):
+        j_kernel_appell(0.5, 2, (2, 1), (2, 1))
     with pytest.raises(DomainError):
-        j_kernel(K1, (2, -1), (3, 1), RULE1)
+        kernel_difference(K1, (2, -1), (3, 1), RULE1)
 
 
 # near-diagonal pairs where the expanded r^2 = s^2 + ... - 2 s sig th cancels
@@ -115,8 +107,8 @@ NEAR_DIAGONAL = [(6.87081594406054, 0.0, 6.87081594406054, 1e-6),
 def test_j_symmetry_m1(s, t, sig, tau):
     if abs(s - sig) + abs(t - tau) < 1e-9 * (s + sig):
         return
-    a = j_kernel(K1, (s, t), (sig, tau), RULE1)
-    b = j_kernel(K1, (sig, tau), (s, t), RULE1)
+    a = J(K1, (s, t), (sig, tau), RULE1)
+    b = J(K1, (sig, tau), (s, t), RULE1)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -126,51 +118,51 @@ def test_j_near_diagonal_closed_form(s, t, sig, tau):
     # twice and 4 s^2 + delta^2 twice, with delta = |t - tau|
     delta = abs(t - tau)
     exact = 2.0 * delta ** -3 + 2.0 * (4.0 * s * s + delta * delta) ** -1.5
-    assert j_kernel(K1, (s, t), (sig, tau), RULE1) == pytest.approx(exact, rel=1e-12)
+    assert J(K1, (s, t), (sig, tau), RULE1) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("s, t, sig, tau", NEAR_DIAGONAL)
 def test_j_values_exactly_symmetric_near_diagonal(s, t, sig, tau):
-    for kernel, rule in ((K1, RULE1), (fractional_kernel(0.25, 2), gauss_jacobi_rule(32, 2))):
+    for kernel, rule in ((K1, RULE1), (K2, RULE2)):
         assert j_values(kernel, s, t, sig, tau, rule) == j_values(kernel, sig, tau, s, t, rule)
 
 
 def test_j_symmetry_m2_fixed_rule():
-    k2 = fractional_kernel(0.25, 2)
-    rule = gauss_jacobi_rule(32, 2)
     rng = np.random.default_rng(5)
     for _ in range(20):
         s, t = sample_outer_orbits(rng, 1)
         sig, tau = sample_outer_orbits(rng, 1)
-        a = j_kernel(k2, (s[0], t[0]), (sig[0], tau[0]), rule)
-        b = j_kernel(k2, (sig[0], tau[0]), (s[0], t[0]), rule)
+        a = J(K2, (s[0], t[0]), (sig[0], tau[0]), RULE2)
+        b = J(K2, (sig[0], tau[0]), (s[0], t[0]), RULE2)
         assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_j_quadrature_doubling_converges():
+    # every doubling of the order from 32 to 256 agrees to 1e-8
     k2 = fractional_kernel(0.5, 2)
-    val, converged = j_kernel_adaptive(k2, (1.0, 0.5), (2.0, 0.8), rtol=1e-8)
-    assert converged
-    r64 = gauss_jacobi_rule(64, 2)
-    r128 = gauss_jacobi_rule(128, 2)
-    a = j_kernel(k2, (1.0, 0.4), (1.6, 0.9), r64)
-    b = j_kernel(k2, (1.0, 0.4), (1.6, 0.9), r128)
-    assert abs(a - b) <= 1e-8 * abs(b)
+    for p, q in (((1.0, 0.5), (2.0, 0.8)), ((1.0, 0.4), (1.6, 0.9))):
+        vals = [J(k2, p, q, gauss_jacobi_rule(n, 2)) for n in (32, 64, 128, 256)]
+        for a, b in zip(vals, vals[1:]):
+            assert abs(a - b) <= 1e-8 * abs(b)
 
 
 # --- averaged kernel ----------------------------------------------------------
 
 def test_kbar_is_quarter_of_j_for_m1():
-    assert kbar(K1, (1, 0), (2, 0), RULE1) == pytest.approx(56.0 / 108.0, rel=1e-13)
+    # kbar = J / |S^0|^2 = J / 4
+    assert J(K1, (1, 0), (2, 0), RULE1) / omega_sphere(1) ** 2 == pytest.approx(
+        56.0 / 108.0, rel=1e-13)
 
 
 def test_kbar_symmetry_and_star_identities():
-    for (p, q) in [((2, 1), (3, 1)), ((0.5, 0.2), (1.5, 0.9)), ((4, 2), (1, 0.3))]:
-        a = kbar(K1, p, q, RULE1)
-        assert kbar(K1, q, p, RULE1) == pytest.approx(a, rel=1e-12)
-        ps, qs = (p[1], p[0]), (q[1], q[0])
-        assert kbar(K1, ps, q, RULE1) == pytest.approx(kbar(K1, p, qs, RULE1), rel=1e-12)
-        assert kbar(K1, ps, qs, RULE1) == pytest.approx(a, rel=1e-12)
+    # J(p, q) = J(q, p) = J(p*, q*) and J(p*, q) = J(p, q*), with * = (s, t) -> (t, s)
+    for kernel, rule in ((K1, RULE1), (K2, RULE2)):
+        for (p, q) in [((2, 1), (3, 1)), ((0.5, 0.2), (1.5, 0.9)), ((4, 2), (1, 0.3))]:
+            a = J(kernel, p, q, rule)
+            assert J(kernel, q, p, rule) == pytest.approx(a, rel=1e-12)
+            ps, qs = (p[1], p[0]), (q[1], q[0])
+            assert J(kernel, ps, q, rule) == pytest.approx(J(kernel, p, qs, rule), rel=1e-12)
+            assert J(kernel, ps, qs, rule) == pytest.approx(a, rel=1e-12)
 
 
 def test_kernel_difference_example():
@@ -249,15 +241,14 @@ def test_prefactor_duplication_identity():
 
 def test_appell_agrees_with_quadrature():
     k2 = fractional_kernel(0.5, 2)
-    quad, conv = j_kernel_adaptive(k2, (1, 0.5), (2, 0.8), rtol=1e-10)
-    assert conv
+    quad = J(k2, (1, 0.5), (2, 0.8), gauss_jacobi_rule(512, 2))
     series = j_kernel_appell(0.5, 2, (1, 0.5), (2, 0.8), series_tol=1e-12)
     assert series == pytest.approx(quad, rel=1e-6)
 
 
 def test_appell_agrees_on_random_sample():
     rng = np.random.default_rng(12)
-    k2 = fractional_kernel(0.25, 2)
+    rule = gauss_jacobi_rule(512, 2)
     n = 0
     while n < 25:
         (s,), (t,) = sample_outer_orbits(rng, 1)
@@ -265,9 +256,7 @@ def test_appell_agrees_on_random_sample():
         x, y = f2_arguments((s, t), (sig, tau))
         if x + y > 0.95:
             continue
-        quad, conv = j_kernel_adaptive(k2, (s, t), (sig, tau), rtol=1e-10)
-        if not conv:
-            continue
+        quad = J(K2, (s, t), (sig, tau), rule)
         series = j_kernel_appell(0.25, 2, (s, t), (sig, tau), series_tol=1e-12)
         assert series == pytest.approx(quad, rel=1e-6)
         n += 1
@@ -289,12 +278,12 @@ def test_zero_order_bound_sandwich():
     ratios = []
     for p in probes:
         z = zero_order_coefficient(K1, p, R_out=50.0)
-        d = cone_distance(p)
+        d = (p[0] - p[1]) / math.sqrt(2.0)  # cone distance
         ratios.append(z * d)  # 2 gamma = 1
     c1, c2 = min(ratios), max(ratios)
     assert 0 < c1 <= c2 < 10.0 * c1
     z31 = zero_order_coefficient(K1, (3, 1), R_out=50.0)
-    d = cone_distance((3, 1))
+    d = math.sqrt(2.0)
     assert c1 / d <= z31 + 1e-12 and z31 <= c2 / d + 1e-12
 
 
@@ -325,9 +314,13 @@ def test_zero_order_integral_matches_scalar_calls(small_grid):
                                (m2_grid, fractional_kernel(0.5, 2), gauss_jacobi_rule(8, 2))):
         tail = 0.5 * exterior_tail_coefficient(kernel, grid.s, grid.t, grid.R_out)
         arr = zero_order_integral(kernel, grid.s, grid.t, grid.R_out, rule) + tail
-        one = np.array([zero_order_coefficient(kernel, (s, t), grid.R_out, rule)
-                        for s, t in zip(grid.s, grid.t)])
+        one = [zero_order_coefficient(kernel, (s, t), grid.R_out, rule)
+               for s, t in zip(grid.s, grid.t)]
+        assert all(type(z) is float for z in one)
         assert np.allclose(arr, one, rtol=1e-13, atol=0.0)
+        # the array call is the same sum
+        both = zero_order_coefficient(kernel, (grid.s, grid.t), grid.R_out, rule)
+        assert np.array_equal(both, arr)
 
 
 def test_zero_order_integral_domain_errors():

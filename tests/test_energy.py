@@ -5,7 +5,8 @@ import pytest
 
 from nlsaddle.errors import DomainError, PreconditionError, TableError
 from nlsaddle.kernels import counterexample_kernel, fractional_kernel
-from nlsaddle.doubly_radial import gauss_jacobi_rule, j_values, zero_order_coefficient
+from nlsaddle.doubly_radial import (gauss_jacobi_rule, j_values, kernel_difference,
+                                    omega_sphere, zero_order_coefficient)
 from nlsaddle.energy import (EnergyModel, Grid, OddProfile, allen_cahn, build_grid,
                              build_kernel_table, interaction, load_profile,
                              save_profile, total_energy, truncate_profile,
@@ -137,20 +138,25 @@ def test_table_differences_positive_10x10():
     assert tab.D[off].min() > 0.0
 
 
-def test_table_diagonal_entries_refused(small_table):
-    assert np.all(np.diag(small_table.D) == 0.0)
-    with pytest.raises(TableError):
-        small_table.kbar_entry(3, 3)
-    with pytest.raises(TableError):
-        small_table.difference_entry(2, 2)
-    # kbar-star on the diagonal is finite and stored
-    assert small_table.kbar_star_entry(3, 3) > 0.0
+def test_table_diagonal_entries_refused(small_table, m2_table):
+    # the singular kbar(x, x) is not stored: D is 0 on the diagonal, while
+    # kbar-star there is finite and stored
+    for table in (small_table, m2_table):
+        assert np.all(np.diag(table.D) == 0.0)
+        assert np.all(np.isfinite(np.diag(table.P))) and np.all(np.diag(table.P) > 0.0)
 
 
-def test_table_entry_accessors(small_table):
-    d = small_table.difference_entry(0, 5)
-    p = small_table.kbar_star_entry(0, 5)
-    assert small_table.kbar_entry(0, 5) == pytest.approx(d + p, rel=1e-14)
+def test_table_entry_accessors(small_table, m2_table):
+    # D[a, b] = kernel_difference and P[a, b] = J(x_a, x_b*) / |S^(m-1)|^2
+    for table in (small_table, m2_table):
+        g, kernel, rule = table.grid, table.kernel, table.rule
+        om2 = omega_sphere(g.m) ** 2
+        for a, b in ((0, 5), (5, 0), (3, g.n_nodes - 1), (g.n_nodes - 2, 1)):
+            p, q = (g.s[a], g.t[a]), (g.s[b], g.t[b])
+            assert table.D[a, b] == pytest.approx(kernel_difference(kernel, p, q, rule),
+                                                  rel=1e-12)
+            star = float(j_values(kernel, g.s[a], g.t[a], g.t[b], g.s[b], rule)) / om2
+            assert table.P[a, b] == pytest.approx(star, rel=1e-12)
 
 
 def test_table_memory_cap():
@@ -231,13 +237,13 @@ def test_interaction_single_pair_example():
     mu2 = g.weights[ia] * g.weights[ib]
     expected = 2.0 * tab.D[ia, ib] * mu2 + 4.0 * tab.P[ia, ib] * mu2
     assert got == pytest.approx(expected, rel=1e-14)
-    # and the tabulated entries are the pointwise kernels
-    from nlsaddle.doubly_radial import kernel_difference, kbar
+    # and the tabulated entries are the pointwise kernels, kbar = J / 4 at m = 1
     sa, ta = g.s[ia], g.t[ia]
     sb, tb = g.s[ib], g.t[ib]
     assert tab.D[ia, ib] == pytest.approx(
         kernel_difference(K1, (sa, ta), (sb, tb)), rel=1e-12)
-    assert tab.P[ia, ib] == pytest.approx(kbar(K1, (sa, ta), (tb, sb)), rel=1e-12)
+    kbar_star = float(j_values(K1, sa, ta, tb, sb, tab.rule)) / 4.0
+    assert tab.P[ia, ib] == pytest.approx(kbar_star, rel=1e-12)
 
 
 def test_interaction_index_validation(small_table, small_grid):
