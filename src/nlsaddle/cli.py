@@ -10,8 +10,20 @@ files shipped under nlsaddle/schemas):
     energy-scan         scan.csv, scan_report.json, scan.svg
     competitor          competitor_report.json
 
-Exit status: 0 success, 2 ran-correctly-but-property-failed, 1 error (a
-diagnostic JSON is written when possible).
+INI sections and keys, with the one place that writes their defaults; each
+section is checked by building what it configures:
+
+    [kernel]      family, gamma, m, lambda, Lambda, c_norm (a number or
+                  `standard`), table: kernels.kernel_from_config
+    [grid]        R, h (required), R_out (1.5 R): energy.build_grid
+    [solver]      max_iters, grad_tol, mu0, R_schedule, assume_positive:
+                  solver.SolverConfig; seed: _KEYS
+    [experiment]  S_list, n_samples, zoc_nodes, mp_trials, competitor_s: _KEYS
+    [output]      dir, profile: _KEYS
+
+Each flag of _OVERRIDES sets one key.  Exit status: 0 success, 2
+ran-correctly-but-property-failed, 1 error (`config error:` lines for a
+refused configuration, else a diagnostic JSON).
 """
 
 from __future__ import annotations
@@ -36,121 +48,130 @@ from . import svgplot
 
 _SUBCOMMANDS = ("kernel-check", "verify-inequality", "check-operator",
                 "solve", "energy-scan", "competitor")
+_REQUIRED = object()
+
+
+def _floats(raw) -> tuple:
+    return tuple(float(x) for x in str(raw).split(",") if x.strip())
+
+
+def _at_least(lo: int):
+    def parse(raw) -> int:
+        if int(raw) < lo:
+            raise ValueError(f"need an integer >= {lo}")
+        return int(raw)
+    return parse
+
+
+# section -> key -> (parser, default or a function of the RunConfig giving it);
+# the [solver] keys but seed go to SolverConfig only when set: it holds their defaults
+_KEYS = {
+    "grid": {"R": (float, _REQUIRED), "h": (float, _REQUIRED), "R_out": (float, None)},
+    "solver": {"max_iters": (int, None), "grad_tol": (float, None), "mu0": (float, None),
+               "R_schedule": (_floats, None), "assume_positive":
+               (lambda raw: {"true": True, "false": False}[str(raw).strip().lower()], None),
+               "seed": (_at_least(0), 0)},
+    "experiment": {"S_list": (_floats, (4.0, 6.0, 8.0, 10.0, 12.0)),
+                   "n_samples": (_at_least(1), 10000), "zoc_nodes": (_at_least(1), 200),
+                   "mp_trials": (_at_least(1), 100),
+                   "competitor_s": (float, lambda c: max(2.0, c.value("grid", "R") - 6.0))},
+    "output": {"dir": (str, "out"), "profile": (str, None)},
+}
+
+# command-line flag -> the (section, key) it sets
+_OVERRIDES = {"--out": ("output", "dir"), "--seed": ("solver", "seed"),
+              "--gamma": ("kernel", "gamma"), "--m": ("kernel", "m"), "--R": ("grid", "R"),
+              "--h": ("grid", "h"), "--n-samples": ("experiment", "n_samples"),
+              "--profile": ("output", "profile")}
 
 
 @dataclass
 class RunConfig:
+    """The raw sections (strings from an INI file, or values set in code);
+    `value` is the only reader of the [grid], [solver], [experiment] and
+    [output] keys, and `kernel_from_config` of the [kernel] section."""
+
     kernel: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
     experiment: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
 
+    def value(self, section: str, key: str):
+        """section.key parsed by its _KEYS parser, or its default when unset."""
+        parse, default = _KEYS[section][key]
+        raw = getattr(self, section).get(key)
+        if raw is None:
+            if default is _REQUIRED:
+                raise ConfigError([f"{section}.{key}: required"])
+            return default(self) if callable(default) else default
+        try:
+            return parse(raw)
+        except (TypeError, ValueError, KeyError):
+            raise ConfigError([f"{section}.{key}: invalid value {raw!r}"]) from None
+
     def make_kernel(self) -> K.RadialKernel:
-        section = dict(self.kernel)
-        if str(section.get("c_norm", "")).strip() == "standard":
-            section["c_norm"] = K.standard_c_norm(float(section.get("gamma", 0.5)),
-                                                  int(section.get("m", 1)))
-        return K.kernel_from_config(section)
+        return K.kernel_from_config(self.kernel)
 
-    def make_grid(self) -> en.Grid:
-        g = self.grid
-        R_out = g.get("R_out")
-        return en.build_grid(float(g["R"]), float(g["h"]),
-                             int(self.kernel.get("m", 1)),
-                             float(R_out) if R_out is not None else None)
+    def make_grid(self, kernel: K.RadialKernel) -> en.Grid:
+        return en.build_grid(self.value("grid", "R"), self.value("grid", "h"), kernel.m,
+                             self.value("grid", "R_out"))
 
-    def solver_config(self) -> sv.SolverConfig:
-        g, s = self.grid, self.solver
-        sched = s.get("R_schedule", "")
-        schedule = tuple(float(x) for x in str(sched).split(",") if x.strip()) if sched else ()
-        return sv.SolverConfig(
-            R=float(g["R"]), h=float(g["h"]),
-            gamma=float(self.kernel.get("gamma", 0.5)),
-            m=int(self.kernel.get("m", 1)),
-            R_out=float(g["R_out"]) if g.get("R_out") is not None else None,
-            max_iters=int(s.get("max_iters", 5000)),
-            grad_tol=float(s.get("grad_tol", 1e-6)),
-            R_schedule=schedule,
-            mu0=float(s.get("mu0", 1.0)),
-            assume_positive=str(s.get("assume_positive", "false")).lower() == "true")
+    def solver_config(self, kernel: K.RadialKernel) -> sv.SolverConfig:
+        # R_out as given: unset, continuation takes 1.5 R at each stage
+        given = {key: self.value("solver", key) for key in _KEYS["solver"]
+                 if self.solver.get(key) is not None and key != "seed"}
+        return sv.SolverConfig(R=self.value("grid", "R"), h=self.value("grid", "h"),
+                               gamma=kernel.gamma, m=kernel.m,
+                               R_out=self.value("grid", "R_out"), **given)
 
     def s_list(self) -> list:
-        raw = str(self.experiment.get("S_list", "4,6,8,10,12"))
-        return [float(x) for x in raw.split(",") if x.strip()]
+        return list(self.value("experiment", "S_list"))
+
+    def check(self) -> RunConfig:
+        """Parse every key and build what each section configures; raise one
+        ConfigError listing every violation."""
+        problems = []
+
+        def attempt(section, build):
+            try:
+                return build()
+            except ConfigError as exc:
+                problems.extend(exc.violations)
+            except (NlsaddleError, OSError) as exc:
+                problems.append(f"{section}: {exc}")
+
+        for section, keys in _KEYS.items():
+            for key in keys:
+                attempt(section, lambda: self.value(section, key))
+        kern = attempt("kernel", self.make_kernel)
+        if kern is not None and not problems:
+            grid = attempt("grid", lambda: self.make_grid(kern))
+            attempt("solver", lambda: self.solver_config(kern))
+            # the default S_list is energy_scan's, which checks its own precondition
+            if grid is not None and "S_list" in self.experiment and any(
+                    not 2.0 <= S <= grid.R - 4.0 for S in self.s_list()):
+                problems.append(f"experiment.S_list: need 2 <= S <= R - 4 (R={grid.R})")
+        if problems:
+            raise ConfigError(problems)
+        return self
+
+
+def _read_config(path) -> RunConfig:
+    cp = configparser.ConfigParser()
+    cp.optionxform = str  # keys such as R, R_out, Lambda and S_list are case-sensitive
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+        return RunConfig(**{name: dict(cp.items(name)) if cp.has_section(name) else {}
+                            for name in ("kernel", "grid", "solver", "experiment", "output")})
+    except (OSError, ValueError, configparser.Error) as exc:
+        raise ConfigError([f"config file {path}: {exc}"]) from exc
 
 
 def parse_config(path) -> RunConfig:
-    """Read and validate the INI-style run configuration.
-
-    All violations are collected and reported together with field names.
-    """
-    if not Path(path).exists():
-        raise ConfigError([f"config file not found: {path}"])
-    cp = configparser.ConfigParser()
-    cp.optionxform = str  # keys such as R, R_out, Lambda and S_list are case-sensitive
-    cp.read(path)
-    cfg = RunConfig(
-        kernel=dict(cp.items("kernel")) if cp.has_section("kernel") else {},
-        grid=dict(cp.items("grid")) if cp.has_section("grid") else {},
-        solver=dict(cp.items("solver")) if cp.has_section("solver") else {},
-        experiment=dict(cp.items("experiment")) if cp.has_section("experiment") else {},
-        output=dict(cp.items("output")) if cp.has_section("output") else {})
-
-    problems = []
-
-    def num(section, name, default=None, cast=float):
-        raw = getattr(cfg, section).get(name, default)
-        if raw is None:
-            return None
-        try:
-            return cast(raw)
-        except (TypeError, ValueError):
-            problems.append(f"{section}.{name}: not a number ({raw!r})")
-            return None
-
-    # the kernel's own constructor holds its rules (family defaults included)
-    try:
-        cfg.make_kernel()
-    except (NlsaddleError, ValueError, OSError) as exc:
-        problems.append(f"kernel: {exc}")
-
-    R = num("grid", "R")
-    h = num("grid", "h")
-    R_out = num("grid", "R_out")
-    if R is None:
-        problems.append("grid.R: required")
-    if h is None:
-        problems.append("grid.h: required")
-    if R is not None and h is not None and not (0.0 < h < R):
-        problems.append(f"grid.h: need 0 < h < R, got h={h}, R={R}")
-    if R is not None and R_out is not None and R_out <= R:
-        problems.append(f"grid.R_out: must exceed R, got {R_out} <= {R}")
-
-    mi = num("solver", "max_iters", 5000, int)
-    gt = num("solver", "grad_tol", 1e-6)
-    num("solver", "seed", 0, int)
-    if mi is not None and mi < 1:
-        problems.append(f"solver.max_iters: must be >= 1, got {mi}")
-    if gt is not None and gt <= 0:
-        problems.append(f"solver.grad_tol: must be positive, got {gt}")
-
-    try:
-        # the default S_list is energy_scan's, which checks its own precondition
-        s_list = cfg.s_list() if "S_list" in cfg.experiment else []
-        if R is not None:
-            for S in s_list:
-                if S > R - 4.0:
-                    problems.append(
-                        f"experiment.S_list: S={S} violates the R > S + 4 constraint (R={R})")
-            if any(S < 2.0 for S in s_list):
-                problems.append("experiment.S_list: entries must be >= 2")
-    except ValueError:
-        problems.append(f"experiment.S_list: not a comma-separated number list")
-
-    if problems:
-        raise ConfigError(problems)
-    return cfg
+    """Read and check the INI run configuration; ConfigError lists every violation."""
+    return _read_config(path).check()
 
 
 def write_json(path, obj) -> None:
@@ -159,48 +180,78 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _report_with_meta(cfg: RunConfig, body: dict) -> dict:
-    out = dict(body)
-    out["kernel"] = cfg.kernel.get("family", "fractional")
-    out["gamma"] = float(cfg.kernel.get("gamma", 0.5))
-    out["m"] = int(cfg.kernel.get("m", 1))
-    return out
-
-
 def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> int:
     """Dispatch one subcommand; returns the process exit status."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if seed is None:
-        seed = int(cfg.solver.get("seed", 0))
     try:
+        if subcommand not in _SUBCOMMANDS:
+            raise ConfigError([f"unknown subcommand {subcommand!r}"])
+        if seed is None:
+            seed = cfg.value("solver", "seed")
+        kern = cfg.make_kernel()
+
+        def report(name: str, body: dict) -> None:
+            write_json(out / f"{name}_report.json",
+                       {**body, "kernel": kern.family, "gamma": kern.gamma, "m": kern.m})
+
         if subcommand == "kernel-check":
-            kern = cfg.make_kernel()
             rep = K.check_sqrt_convexity(kern)
             lo, hi = K.ellipticity_margins(kern, np.geomspace(1e-2, 1e2, 257))
-            body = _report_with_meta(cfg, {
+            report("convexity", {
                 "verdict": rep.verdict,
                 "witnesses": [list(w) for w in rep.witnesses[:16]],
                 "n_pairs": rep.n_pairs, "n_fail": rep.n_fail, "n_tight": rep.n_tight,
                 "min_rel_gap": rep.min_rel_gap,
                 "concavity_interval": rep.concavity_interval,
                 "ellipticity_min": lo, "ellipticity_max": hi})
-            write_json(out / "convexity_report.json", body)
             return 0 if rep.verdict == "strictly-convex" else 2
 
         if subcommand == "verify-inequality":
-            kern = cfg.make_kernel()
-            n = int(cfg.experiment.get("n_samples", 10000))
-            rep = dr.verify_kernel_inequality(kern, seed=seed, n_samples=n)
+            rep = dr.verify_kernel_inequality(kern, seed=seed,
+                                              n_samples=cfg.value("experiment", "n_samples"))
             write_json(out / "inequality_report.json", rep.as_dict())
             return 0 if rep.violations == 0 else 2
 
+        if subcommand == "solve":
+            # minimize and continuation lay out each stage's grid themselves
+            scfg = cfg.solver_config(kern)
+            if scfg.R_schedule:
+                cont = sv.continuation(scfg, kern)
+                prof, breakdown, converged = cont.profile, cont.stages[-1].breakdown, True
+                n_iters, trace_tail = sum(st.n_iters for st in cont.stages), []
+                stages = [{"R": st.R, "total": st.breakdown.total,
+                           "sup_diff_common": st.sup_diff_common,
+                           "flagged": st.flagged, "n_iters": st.n_iters}
+                          for st in cont.stages]
+            else:
+                res = sv.minimize(scfg, kern)
+                prof, breakdown, converged = res.profile, res.breakdown, res.trace.converged
+                n_iters, stages = res.trace.n_iters, []
+                trace_tail = [float(e) for e in res.trace.energies[-20:]]
+            en.save_profile(prof, out / "profile.csv")
+            report("solve", {
+                "breakdown": breakdown.as_dict(),
+                "converged": bool(converged),
+                "n_iters": int(n_iters),
+                "max_value": float(prof.values.max()),
+                "min_value": float(prof.values.min()),
+                "stages": stages,
+                "trace_tail": trace_tail,
+                "seed": seed})
+            svgplot.node_heatmap(out / "profile.svg", prof.grid, prof.values,
+                                 title="saddle profile w(s,t)")
+            return 0 if converged else 2
+
+        grid = cfg.make_grid(kern)
+        if subcommand != "check-operator":
+            profile = en.load_profile(cfg.value("output", "profile") or out / "profile.csv",
+                                      grid)
+        table = en.build_kernel_table(grid, kern, assume_positive=True)
+
         if subcommand == "check-operator":
-            kern = cfg.make_kernel()
-            grid = cfg.make_grid()
-            table = en.build_kernel_table(grid, kern, assume_positive=True)
             op = dop.assemble(grid, table)
-            n_ref = min(grid.n_nodes, int(cfg.experiment.get("zoc_nodes", 200)))
+            n_ref = min(grid.n_nodes, cfg.value("experiment", "zoc_nodes"))
             rng = np.random.default_rng(seed)
             ref_idx = np.sort(rng.choice(grid.n_nodes, size=n_ref, replace=False))
             # the table's zero-order column comes from the same integrator at
@@ -209,68 +260,20 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
             zoc = dr.zero_order_coefficient(kern, (grid.s[ref_idx], grid.t[ref_idx]),
                                             grid.R_out, rule=dr.gauss_jacobi_rule(64, kern.m),
                                             n_phi=320, n_rho=48)
-            rows = op.row_sums()
-            max_err = float(np.max(np.abs(rows[ref_idx] - 2 * zoc) / (2 * zoc)))
+            max_err = float(np.max(np.abs(op.row_sums()[ref_idx] - 2 * zoc) / (2 * zoc)))
             rep = dop.check_max_principle_structure(
-                op, n_trials=int(cfg.experiment.get("mp_trials", 100)), seed=seed)
-            body = rep.as_dict()
-            body["max_row_sum_error"] = max_err
-            body["n_zoc_reference_nodes"] = int(n_ref)
-            write_json(out / "operator_report.json", _report_with_meta(cfg, body))
-            ok = rep.z_pattern and rep.row_sums_positive and rep.monotone_probe \
-                and max_err <= 1e-3
-            return 0 if ok else 2
-
-        if subcommand == "solve":
-            kern = cfg.make_kernel()
-            scfg = cfg.solver_config()
-            if scfg.R_schedule:
-                cont = sv.continuation(scfg, kern)
-                result_profile = cont.profile
-                breakdown = cont.stages[-1].breakdown
-                stages = [{"R": st.R, "total": st.breakdown.total,
-                           "sup_diff_common": st.sup_diff_common,
-                           "flagged": st.flagged, "n_iters": st.n_iters}
-                          for st in cont.stages]
-                trace_tail = []
-                converged = True
-                n_iters = sum(st.n_iters for st in cont.stages)
-            else:
-                res = sv.minimize(scfg, kern)
-                result_profile = res.profile
-                breakdown = res.breakdown
-                stages = []
-                trace_tail = [float(e) for e in res.trace.energies[-20:]]
-                converged = res.trace.converged
-                n_iters = res.trace.n_iters
-            en.save_profile(result_profile, out / "profile.csv")
-            body = _report_with_meta(cfg, {
-                "breakdown": breakdown.as_dict(),
-                "converged": bool(converged),
-                "n_iters": int(n_iters),
-                "max_value": float(result_profile.values.max()),
-                "min_value": float(result_profile.values.min()),
-                "stages": stages,
-                "trace_tail": trace_tail,
-                "seed": seed})
-            write_json(out / "solve_report.json", body)
-            svgplot.node_heatmap(out / "profile.svg", result_profile.grid,
-                                 result_profile.values, title="saddle profile w(s,t)")
-            return 0 if converged else 2
+                op, n_trials=cfg.value("experiment", "mp_trials"), seed=seed)
+            report("operator", {**rep.as_dict(), "max_row_sum_error": max_err,
+                                "n_zoc_reference_nodes": int(n_ref)})
+            ok = rep.z_pattern and rep.row_sums_positive and rep.monotone_probe
+            return 0 if ok and max_err <= 1e-3 else 2
 
         if subcommand == "energy-scan":
-            kern = cfg.make_kernel()
-            grid = cfg.make_grid()
-            profile_path = cfg.output.get("profile", out / "profile.csv")
-            profile = en.load_profile(profile_path, grid)
-            table = en.build_kernel_table(grid, kern, assume_positive=True)
             rep = ex.energy_scan(profile, cfg.s_list(), table)
-            with open(out / "scan.csv", "w") as fh:
-                fh.write("S,E_total,E_kin,E_pot\n")
-                for S, e, kk, p in zip(rep.S_values, rep.energies, rep.kinetic,
-                                       rep.potential):
-                    fh.write(f"{S!r},{e!r},{kk!r},{p!r}\n")
-            write_json(out / "scan_report.json", _report_with_meta(cfg, rep.as_dict()))
+            rows = zip(rep.S_values, rep.energies, rep.kinetic, rep.potential)
+            (out / "scan.csv").write_text("S,E_total,E_kin,E_pot\n" + "".join(
+                f"{S!r},{e!r},{kk!r},{p!r}\n" for S, e, kk, p in rows))
+            report("scan", rep.as_dict())
             svgplot.line_plot(out / "scan.svg", rep.S_values,
                               {"E_total": rep.energies, "E_kin": rep.kinetic,
                                "E_pot": rep.potential},
@@ -278,69 +281,39 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
                               logx=True, logy=True)
             return 0
 
-        if subcommand == "competitor":
-            kern = cfg.make_kernel()
-            grid = cfg.make_grid()
-            profile_path = cfg.output.get("profile", out / "profile.csv")
-            profile = en.load_profile(profile_path, grid)
-            S = float(cfg.experiment.get("competitor_s", max(2.0, grid.R - 6.0)))
-            w, rep = ex.build_competitor(profile, S)
-            table = en.build_kernel_table(grid, kern, assume_positive=True)
-            e_u = en.total_energy(profile, grid.R, table).total
-            e_w = en.total_energy(w, grid.R, table).total
-            body = rep.as_dict()
-            body["energy_minimizer"] = e_u
-            body["energy_competitor"] = e_w
-            body["competitor_not_below"] = bool(e_w >= e_u - 1e-9 * abs(e_u))
-            write_json(out / "competitor_report.json", _report_with_meta(cfg, body))
-            return 0 if rep.all_pass() and body["competitor_not_below"] else 2
-
-        raise ConfigError([f"unknown subcommand {subcommand!r}"])
-    except NlsaddleError as exc:
-        write_json(out / "diagnostic.json",
-                   {"error": type(exc).__name__, "message": str(exc),
-                    "subcommand": subcommand})
+        w, rep = ex.build_competitor(profile, cfg.value("experiment", "competitor_s"))
+        e_u = en.total_energy(profile, grid.R, table).total
+        e_w = en.total_energy(w, grid.R, table).total
+        not_below = bool(e_w >= e_u - 1e-9 * abs(e_u))
+        report("competitor", {**rep.as_dict(), "energy_minimizer": e_u,
+                              "energy_competitor": e_w, "competitor_not_below": not_below})
+        return 0 if rep.all_pass() and not_below else 2
+    except (NlsaddleError, OSError) as exc:
+        write_json(out / "diagnostic.json", {"error": type(exc).__name__, "message": str(exc),
+                                             "subcommand": subcommand})
         return 1
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="nlsaddle",
-        description="Averaged cone kernels, odd-sector energies, saddle minimizers.")
+    parser = argparse.ArgumentParser(prog="nlsaddle", description=(
+        "Averaged cone kernels, odd-sector energies, saddle minimizers."))
     parser.add_argument("subcommand", choices=_SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="INI run configuration")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--gamma", type=float, default=None, help="override kernel.gamma")
-    parser.add_argument("--m", type=int, default=None, help="override kernel.m")
-    parser.add_argument("--R", type=float, default=None, help="override grid.R")
-    parser.add_argument("--h", type=float, default=None, help="override grid.h")
-    parser.add_argument("--n-samples", type=int, default=None,
-                        help="override experiment.n_samples")
-    parser.add_argument("--profile", default=None,
-                        help="profile CSV for energy-scan / competitor")
-    args = parser.parse_args(argv)
+    for flag, (section, key) in _OVERRIDES.items():
+        parser.add_argument(flag, dest=key, help=f"override {section}.{key}")
+    args = vars(parser.parse_args(argv))
 
     try:
-        cfg = parse_config(args.config)
+        cfg = _read_config(args["config"])
+        for section, key in _OVERRIDES.values():
+            if args[key] is not None:
+                getattr(cfg, section)[key] = args[key]
+        cfg.check()
     except ConfigError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)
         return 1
-    if args.gamma is not None:
-        cfg.kernel["gamma"] = args.gamma
-    if args.m is not None:
-        cfg.kernel["m"] = args.m
-    if args.R is not None:
-        cfg.grid["R"] = args.R
-    if args.h is not None:
-        cfg.grid["h"] = args.h
-    if args.n_samples is not None:
-        cfg.experiment["n_samples"] = args.n_samples
-    if args.profile is not None:
-        cfg.output["profile"] = args.profile
-    out_dir = args.out or cfg.output.get("dir", "out")
-    return run(args.subcommand, cfg, out_dir, seed=args.seed)
+    return run(args["subcommand"], cfg, cfg.value("output", "dir"))
 
 
 if __name__ == "__main__":

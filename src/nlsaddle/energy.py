@@ -173,9 +173,12 @@ def load_profile(path, grid: Grid) -> OddProfile:
     with open(path, newline="") as fh:
         if [c.strip() for c in fh.readline().split(",")] != ["s", "t", "u"]:
             raise DomainError(f"profile file {path} must have header s,t,u")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if rows.shape[0] != grid.n_nodes:
-        raise DomainError("profile file does not match the grid size")
+        try:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"profile file {path}: {exc}") from None
+    if rows.shape != (grid.n_nodes, 3):
+        raise DomainError("profile file needs one s,t,u row per grid node")
     # NaN and far-off coordinates become cells the grid lacks
     cells = np.nan_to_num(rows[:, :2] / grid.h - 0.5, nan=-1.0).clip(-1, grid.ii[-1] + 1)
     k = grid.locate(*np.rint(cells).astype(np.int64).T)

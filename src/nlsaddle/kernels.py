@@ -338,27 +338,37 @@ def convex_quad_oracle(h: Callable, A: float, B: float, C: float, D: float,
 
 
 def load_kernel_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a CSV kernel table with columns r,K."""
+    """Read a CSV kernel table: header r,K, then one (r, K) number pair per row."""
     rs, ks = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header[:2]] != ["r", "K"]:
+        if [c.strip() for c in next(reader, [])[:2]] != ["r", "K"]:
             raise DomainError(f"kernel table {path} must have header r,K")
         for row in reader:
-            rs.append(float(row[0]))
-            ks.append(float(row[1]))
+            try:
+                rs.append(float(row[0]))
+                ks.append(float(row[1]))
+            except (IndexError, ValueError):
+                raise DomainError(f"kernel table {path} line {reader.line_num}: "
+                                  f"need two numbers r,K, got {row}") from None
     return np.asarray(rs), np.asarray(ks)
 
 
 def kernel_from_config(section: dict) -> RadialKernel:
-    """Build a kernel from a plain-text config section (strings allowed)."""
+    """Build a kernel from a plain-text config section (strings allowed); the
+    [kernel] defaults live here, and `c_norm = standard` is `standard_c_norm`."""
+    def read(key, default, cast=float):
+        try:
+            return cast(section.get(key, default))
+        except (TypeError, ValueError):
+            raise DomainError(f"{key}: invalid value {section[key]!r}") from None
+
     family = str(section.get("family", "fractional")).strip()
-    gamma = float(section.get("gamma", 0.5))
-    m = int(section.get("m", 1))
-    lam = float(section.get("lambda", 0.1 if family == "piecewise-counterexample" else 1.0))
-    Lam = float(section.get("Lambda", 1.0))
-    c_norm = float(section.get("c_norm", 1.0))
+    gamma, m = read("gamma", 0.5), read("m", 1, int)
+    lam = read("lambda", 0.1 if family == "piecewise-counterexample" else 1.0)
+    Lam = read("Lambda", 1.0)
+    standard = str(section.get("c_norm", "")).strip() == "standard"
+    c_norm = standard_c_norm(gamma, m) if standard else read("c_norm", 1.0)
     table = None
     if family == "tabulated":
         path = section.get("table")

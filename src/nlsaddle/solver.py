@@ -40,7 +40,7 @@ class SolverConfig:
     assume_positive: bool = False
 
     def __post_init__(self):
-        if self.R <= 0 or self.h <= 0 or self.grad_tol <= 0 or self.max_iters < 1:
+        if not (self.R > 0 and self.h > 0 and self.grad_tol > 0 and self.max_iters >= 1):
             raise DomainError("solver config requires positive numeric fields")
         if not (0.0 < self.gamma < 1.0):
             raise DomainError("gamma must lie in (0,1)")

@@ -85,3 +85,91 @@ def test_ini_without_s_list_runs_at_small_radius(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["kernel-check", "--config", str(ini), "--out", str(out)]) == 0
     assert (out / "convexity_report.json").exists()
+
+
+def _kernel_check_errors(tmp_path, capsys, ini_text, *flags):
+    ini = tmp_path / "run.ini"
+    ini.write_text(ini_text)
+    code = cli.main(["kernel-check", "--config", str(ini), "--out", str(tmp_path / "out"),
+                     *flags])
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("table", ["", "r,K\n1.0,2.0\n3.0\n"], ids=["empty", "one-column"])
+def test_malformed_kernel_table_is_one_kernel_violation(tmp_path, capsys, table):
+    (tmp_path / "kern.csv").write_text(table)
+    code, errors = _kernel_check_errors(
+        tmp_path, capsys,
+        f"[kernel]\nfamily = tabulated\ntable = {tmp_path / 'kern.csv'}\n[grid]\nR = 7\nh = 0.5\n")
+    assert code == 1
+    assert len(errors) == 1 and errors[0].startswith("config error: kernel: "), errors
+
+
+@pytest.mark.parametrize("section, line", [
+    ("solver", "mu0 = abc"), ("solver", "max_iters = many"), ("solver", "grad_tol = tiny"),
+    ("solver", "R_schedule = 5, x"), ("solver", "assume_positive = perhaps"),
+    ("solver", "seed = -1"), ("experiment", "zoc_nodes = abc"),
+    ("experiment", "mp_trials = 0"), ("experiment", "n_samples = 1e4"),
+    ("experiment", "competitor_s = far"), ("experiment", "S_list = 2, three")])
+def test_bad_value_is_one_violation_naming_its_key(tmp_path, section, line):
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI.split("[experiment]")[0] + f"\n[{section}]\n{line}\n")
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(ini)
+    key = line.split(" = ")[0]
+    assert len(err.value.violations) == 1, err.value.violations
+    assert err.value.violations[0].startswith(f"{section}.{key}: "), err.value.violations
+
+
+@pytest.mark.parametrize("sub, section, raw", [
+    ("verify-inequality", "experiment", {"n_samples": "many"}),
+    ("check-operator", "experiment", {"zoc_nodes": "abc"}),
+    ("kernel-check", "kernel", {"gamma": "half"})])
+def test_bad_value_in_code_built_config_gives_a_diagnostic(tmp_path, sub, section, raw):
+    sections = {"kernel": {"family": "fractional", "gamma": 0.5, "m": 1},
+                "grid": {"R": 7.0, "h": 1.0}}
+    sections.setdefault(section, {}).update(raw)
+    assert cli.run(sub, cli.RunConfig(**sections), tmp_path, seed=1) == 1
+    diag = json.loads((tmp_path / "diagnostic.json").read_text())
+    jsonschema.validate(diag, json.loads((SCHEMAS / "diagnostic.schema.json").read_text()))
+    assert next(iter(raw)) in diag["message"]
+
+
+@pytest.mark.parametrize("profile", [None, "s,t,u\n1.0,0.5,abc\n"], ids=["missing", "malformed"])
+def test_missing_or_malformed_profile_gives_a_diagnostic(tmp_path, profile):
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI)
+    out = tmp_path / "out"
+    out.mkdir()
+    if profile is not None:
+        (out / "profile.csv").write_text(profile)
+    assert cli.main(["energy-scan", "--config", str(ini), "--out", str(out)]) == 1
+    diag = json.loads((out / "diagnostic.json").read_text())
+    jsonschema.validate(diag, json.loads((SCHEMAS / "diagnostic.schema.json").read_text()))
+    assert "profile" in diag["message"]
+
+
+def test_r_schedule_solve_matches_continuation_with_r_out_unset(tmp_path):
+    # continuation takes R_out = 1.5 R at each stage; the grid's own R_out
+    # (1.5 x 6) would move the first stage
+    from nlsaddle import kernels as K, solver as sv
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI.split("[grid]")[0]
+                   + "[grid]\nR = 6\nh = 0.5\n\n[solver]\nR_schedule = 5, 6\n")
+    assert cli.main(["solve", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    stages = json.loads((tmp_path / "solve_report.json").read_text())["stages"]
+    kern = K.fractional_kernel(0.5, 1, K.standard_c_norm(0.5, 1))
+    cont = sv.continuation(sv.SolverConfig(R=6.0, h=0.5, gamma=0.5, m=1,
+                                           R_schedule=(5.0, 6.0)), kern)
+    assert [(st["R"], st["total"], st["n_iters"]) for st in stages] == \
+        [(st.R, st.breakdown.total, st.n_iters) for st in cont.stages]
+
+
+def test_gamma_and_m_flags_reach_the_report(tmp_path, capsys):
+    code, _ = _kernel_check_errors(tmp_path, capsys, INI, "--gamma", "0.25", "--m", "2")
+    assert code == 0
+    body = json.loads((tmp_path / "out" / "convexity_report.json").read_text())
+    assert (body["gamma"], body["m"]) == (0.25, 2)
+    # a flag's value is checked like the INI's
+    code, errors = _kernel_check_errors(tmp_path, capsys, INI, "--gamma", "1.5")
+    assert code == 1 and len(errors) == 1 and errors[0].startswith("config error: kernel: ")

@@ -108,10 +108,14 @@ def test_profile_csv_rows_load_in_any_order_once_each(tmp_path, small_grid):
     bad_rows = [rows[4],                                       # duplicate of row 4
                 f"{float(s) + 0.25 * small_grid.h!r},{t},{u}",  # between cells
                 f"{t},{s},{u}",                                 # across the cone
-                f"nan,{t},{u}"]
+                f"nan,{t},{u}",
+                f"{s},{t},abc",                                 # not a number
+                f"{s},{t}"]                                     # short row
     for bad in bad_rows:
         with pytest.raises(DomainError):
             load(rows[:3] + [bad] + rows[4:])
+    with pytest.raises(DomainError):
+        load([row.rsplit(",", 1)[0] for row in rows])           # no u column
 
 
 def test_potential_properties():

@@ -35,6 +35,8 @@ def test_config_validation():
         SolverConfig(R=-1, h=0.5, gamma=0.5, m=1)
     with pytest.raises(DomainError):
         SolverConfig(R=8, h=0.5, gamma=1.5, m=1)
+    with pytest.raises(DomainError):
+        SolverConfig(R=8, h=0.5, gamma=0.5, m=1, grad_tol=float("nan"))
 
 
 def test_zero_potential_zero_init_is_stationary(small_table):
