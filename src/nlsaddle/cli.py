@@ -16,14 +16,16 @@ section is checked by building what it configures:
     [kernel]      family, gamma, m, lambda, Lambda, c_norm (a number or
                   `standard`), table: kernels.kernel_from_config
     [grid]        R, h (required), R_out (1.5 R): energy.build_grid
-    [solver]      max_iters, grad_tol, mu0, R_schedule, assume_positive:
-                  solver.SolverConfig; seed: _KEYS
+    [solver]      max_iters, grad_tol, mu0, R_schedule (strictly increasing,
+                  ending at R), assume_positive: solver.SolverConfig; seed: _KEYS
     [experiment]  S_list, n_samples, zoc_nodes, mp_trials, competitor_s: _KEYS
     [output]      dir, profile: _KEYS
 
-Each flag of _OVERRIDES sets one key.  Exit status: 0 success, 2
-ran-correctly-but-property-failed, 1 error (`config error:` lines for a
-refused configuration, else a diagnostic JSON).
+`solve` runs solver.continuation over R_schedule (unset, R alone); the
+report's `stages` gives each stage's R, total, n_iters, converged,
+sup_diff_common (null on the first) and flagged.  Each flag of _OVERRIDES
+sets one key.  Exit status: 0 success, 2 a property failed (for solve, a
+stage did not converge), 1 error (`config error:` lines, else diagnostic.json).
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class RunConfig:
                              self.value("grid", "R_out"))
 
     def solver_config(self, kernel: K.RadialKernel) -> sv.SolverConfig:
-        # R_out as given: unset, continuation takes 1.5 R at each stage
+        # R_out as given: unset, minimize takes 1.5 R at each stage
         given = {key: self.value("solver", key) for key in _KEYS["solver"]
                  if self.solver.get(key) is not None and key != "seed"}
         return sv.SolverConfig(R=self.value("grid", "R"), h=self.value("grid", "h"),
@@ -175,15 +177,18 @@ def parse_config(path) -> RunConfig:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Encode first, so a NaN or infinity (not JSON) raises before the file is touched."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> int:
-    """Dispatch one subcommand; returns the process exit status."""
+    """Dispatch one subcommand; returns the process exit status.  An output
+    directory that cannot be made is a ConfigError: no diagnostic fits there."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"output.dir: {exc}"]) from None
     try:
         if subcommand not in _SUBCOMMANDS:
             raise ConfigError([f"unknown subcommand {subcommand!r}"])
@@ -214,30 +219,21 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
             return 0 if rep.violations == 0 else 2
 
         if subcommand == "solve":
-            # minimize and continuation lay out each stage's grid themselves
-            scfg = cfg.solver_config(kern)
-            if scfg.R_schedule:
-                cont = sv.continuation(scfg, kern)
-                prof, breakdown, converged = cont.profile, cont.stages[-1].breakdown, True
-                n_iters, trace_tail = sum(st.n_iters for st in cont.stages), []
-                stages = [{"R": st.R, "total": st.breakdown.total,
-                           "sup_diff_common": st.sup_diff_common,
-                           "flagged": st.flagged, "n_iters": st.n_iters}
-                          for st in cont.stages]
-            else:
-                res = sv.minimize(scfg, kern)
-                prof, breakdown, converged = res.profile, res.breakdown, res.trace.converged
-                n_iters, stages = res.trace.n_iters, []
-                trace_tail = [float(e) for e in res.trace.energies[-20:]]
+            stages = sv.continuation(cfg.solver_config(kern), kern)
+            last = stages[-1].result
+            prof, converged = last.profile, all(st.result.trace.converged for st in stages)
             en.save_profile(prof, out / "profile.csv")
             report("solve", {
-                "breakdown": breakdown.as_dict(),
-                "converged": bool(converged),
-                "n_iters": int(n_iters),
+                "breakdown": last.breakdown.as_dict(),
+                "converged": converged,
+                "n_iters": sum(st.result.trace.n_iters for st in stages),
                 "max_value": float(prof.values.max()),
                 "min_value": float(prof.values.min()),
-                "stages": stages,
-                "trace_tail": trace_tail,
+                "stages": [{"R": st.result.profile.grid.R, "total": st.result.breakdown.total,
+                            "sup_diff_common": st.sup_diff_common, "flagged": st.flagged,
+                            "n_iters": st.result.trace.n_iters,
+                            "converged": st.result.trace.converged} for st in stages],
+                "trace_tail": [float(e) for e in last.trace.energies[-20:]],
                 "seed": seed})
             svgplot.node_heatmap(out / "profile.svg", prof.grid, prof.values,
                                  title="saddle profile w(s,t)")
@@ -308,12 +304,11 @@ def main(argv=None) -> int:
         for section, key in _OVERRIDES.values():
             if args[key] is not None:
                 getattr(cfg, section)[key] = args[key]
-        cfg.check()
+        return run(args["subcommand"], cfg.check(), cfg.value("output", "dir"))
     except ConfigError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)
         return 1
-    return run(args["subcommand"], cfg, cfg.value("output", "dir"))
 
 
 if __name__ == "__main__":

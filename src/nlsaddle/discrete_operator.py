@@ -78,7 +78,7 @@ class MaxPrincipleReport:
     min_offdiag: float
     max_offdiag: float
     n_trials: int
-    min_solution_value: float
+    min_solution_value: float | None  # None when no probe solve succeeded
     solve_failures: int = 0
 
     def as_dict(self) -> dict:
@@ -120,7 +120,7 @@ def check_max_principle_structure(op: DiscreteOperator, n_trials: int = 100,
         monotone_probe=ok and failures == 0,
         min_offdiag=float(off.min()), max_offdiag=float(off.max()),
         n_trials=n_trials,
-        min_solution_value=min_val if min_val is not math.inf else float("nan"),
+        min_solution_value=min_val if min_val is not math.inf else None,
         solve_failures=failures)
 
 

@@ -1,6 +1,10 @@
 """Projected descent on the discrete odd-sector energy.
 
-Minimizes over node values constrained to [0, 1] (the sign-rearranged
+`continuation` is the only solve driver: a SolverConfig names a schedule
+(R alone, or an increasing R_schedule ending at R), and each stage is one
+`minimize` on the ball of that radius, warm-started from the stage before.
+`minimize` is the one place that turns a config into a grid and a table.
+It works over node values constrained to [0, 1] (the sign-rearranged
 representative is energetically optimal, so the outer-octant values are
 kept nonnegative).  Monotone spectral projected gradient: Barzilai-Borwein
 trial steps with Armijo backtracking along the projection arc, so the
@@ -44,6 +48,9 @@ class SolverConfig:
             raise DomainError("solver config requires positive numeric fields")
         if not (0.0 < self.gamma < 1.0):
             raise DomainError("gamma must lie in (0,1)")
+        sched = tuple(self.R_schedule)
+        if sched and not (sched[-1] == self.R and all(b > a for a, b in zip(sched, sched[1:]))):
+            raise DomainError("R_schedule must be strictly increasing and end at R")
 
 
 @dataclass
@@ -90,8 +97,12 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
     (trace.pg_norms; the gradient over 2 mu, so the orbit weight does not
     scale it) falls to grad_tol times its initial value.
     Aborts with ConvergenceError on NaN or if backtracking cannot produce a
-    non-increasing step.
+    non-increasing step.  An init on another grid with the same h and m is
+    carried over by lattice cell (`_transfer`); any other is refused.
     """
+    if (config.m, config.gamma) != (kernel.m, kernel.gamma):
+        raise DomainError(f"solver config has m={config.m}, gamma={config.gamma} but the "
+                          f"kernel m={kernel.m}, gamma={kernel.gamma}")
     if potential is None:
         potential = allen_cahn()
     if table is None:
@@ -101,7 +112,10 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
     model = EnergyModel(table, potential)
     if init is None:
         init = initial_guess(grid, config.mu0)
-    u = _project(model.restrict(init))
+    elif (init.grid.h, init.grid.m) != (grid.h, grid.m):
+        raise DomainError(f"init lies on a grid with h={init.grid.h}, m={init.grid.m}; "
+                          f"the solve's has h={grid.h}, m={grid.m}")
+    u = _project(model.restrict(_transfer(init, grid)))
 
     trace = SolveTrace()
     E, g = model.value_and_grad(u)
@@ -166,27 +180,20 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
 
 
 @dataclass
-class ContinuationStage:
-    R: float
-    breakdown: EnergyBreakdown
-    sup_diff_common: float
+class Stage:
+    """One stage of a continuation: its solve, and its movement from the stage
+    before on the comparison ball (None on the first stage)."""
+    result: SolveResult
+    sup_diff_common: float | None
     flagged: bool
-    n_iters: int
-
-
-@dataclass
-class ContinuationResult:
-    profile: OddProfile
-    stages: list
-    table: KernelTable
 
 
 def continuation(config: SolverConfig, kernel: RadialKernel,
-                 potential: Potential | None = None) -> ContinuationResult:
-    """Solve over the increasing R_schedule, warm-starting each stage from
-    the previous profile extended by zero; stages whose profiles move by
-    more than 10% sup-norm on the comparison ball B_(min(R_prev, R)/2) are
-    flagged.
+                 potential: Potential | None = None) -> list[Stage]:
+    """Solve over the schedule (config.R_schedule, or R alone), warm-starting
+    each stage from the previous profile extended by zero; returns one Stage
+    per radius.  Stages whose profiles move by more than 10% sup-norm on the
+    comparison ball B_(min(R_prev, R)/2) are flagged.
 
     The existence argument takes u_R -> u on compact sets, so the ball's
     distance from the smaller stage's boundary grows with R.  A fixed margin
@@ -197,34 +204,16 @@ def continuation(config: SolverConfig, kernel: RadialKernel,
     over R = 9, 12, 15 decays geometrically for every fraction from 0.4 to
     0.8.
     """
-    if potential is None:
-        potential = allen_cahn()
-    schedule = tuple(config.R_schedule) or (config.R,)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("R_schedule must be strictly increasing")
-    prev_profile = None
-    prev_R = None
     stages = []
-    result = None
-    for R in schedule:
-        cfg = replace(config, R=R, R_schedule=())
-        grid = build_grid(cfg.R, cfg.h, cfg.m, cfg.R_out)
-        init = None
-        if prev_profile is not None:
-            init = _transfer(prev_profile, grid)
-        result = minimize(cfg, kernel, potential, init=init)
-        sup_diff = float("nan")
-        flagged = False
-        if prev_profile is not None:
-            common = 0.5 * min(prev_R, R)
-            sup_diff = _sup_diff(prev_profile, result.profile, common)
-            scale = max(float(np.abs(result.profile.values).max()), 1e-30)
-            flagged = sup_diff > 0.1 * scale
-        stages.append(ContinuationStage(R=R, breakdown=result.breakdown,
-                                        sup_diff_common=sup_diff, flagged=flagged,
-                                        n_iters=result.trace.n_iters))
-        prev_profile, prev_R = result.profile, R
-    return ContinuationResult(profile=result.profile, stages=stages, table=result.table)
+    for R in config.R_schedule or (config.R,):
+        prev = stages[-1].result.profile if stages else None
+        result = minimize(replace(config, R=R, R_schedule=()), kernel, potential, init=prev)
+        sup_diff, flagged = None, False
+        if prev is not None:
+            sup_diff = _sup_diff(prev, result.profile, 0.5 * min(prev.grid.R, R))
+            flagged = sup_diff > 0.1 * max(float(np.abs(result.profile.values).max()), 1e-30)
+        stages.append(Stage(result, sup_diff, flagged))
+    return stages
 
 
 def _transfer(profile: OddProfile, grid: Grid) -> OddProfile:

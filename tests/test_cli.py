@@ -47,13 +47,17 @@ def test_parse_config_keeps_key_case(tmp_path):
     assert cfg.s_list() == [2.0, 2.5, 2.75, 3.0]
 
 
+def _no_constant(name):
+    raise ValueError(f"report carries {name}, which is not JSON")
+
+
 def test_subcommands_run_from_ini(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(INI)
     out = tmp_path / "out"
     for sub, report in REPORTS.items():
         assert cli.main([sub, "--config", str(ini), "--out", str(out)]) == 0, sub
-        body = json.loads((out / f"{report}.json").read_text())
+        body = json.loads((out / f"{report}.json").read_text(), parse_constant=_no_constant)
         schema = json.loads((SCHEMAS / f"{report}.schema.json").read_text())
         jsonschema.validate(body, schema)
     assert not (out / "diagnostic.json").exists()
@@ -162,7 +166,43 @@ def test_r_schedule_solve_matches_continuation_with_r_out_unset(tmp_path):
     cont = sv.continuation(sv.SolverConfig(R=6.0, h=0.5, gamma=0.5, m=1,
                                            R_schedule=(5.0, 6.0)), kern)
     assert [(st["R"], st["total"], st["n_iters"]) for st in stages] == \
-        [(st.R, st.breakdown.total, st.n_iters) for st in cont.stages]
+        [(st.result.profile.grid.R, st.result.breakdown.total, st.result.trace.n_iters)
+         for st in cont]
+
+
+@pytest.mark.parametrize("schedule", ["", "R_schedule = 5, 6\n"], ids=["plain", "schedule"])
+def test_solve_converges_only_if_every_stage_does(tmp_path, schedule):
+    # a schedule solve used to report converged: true whatever its stages did
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI.split("[grid]")[0]
+                   + f"[grid]\nR = 6\nh = 0.5\n\n[solver]\nmax_iters = 1\n{schedule}")
+    assert cli.main(["solve", "--config", str(ini), "--out", str(tmp_path)]) == 2
+    body = json.loads((tmp_path / "solve_report.json").read_text(), parse_constant=_no_constant)
+    jsonschema.validate(body, json.loads((SCHEMAS / "solve_report.schema.json").read_text()))
+    stages = body["stages"]
+    assert [st["R"] for st in stages] == ([5.0, 6.0] if schedule else [6.0])
+    assert not body["converged"] and not any(st["converged"] for st in stages)
+    assert body["n_iters"] == sum(st["n_iters"] for st in stages) == len(stages)
+    assert stages[0]["sup_diff_common"] is None
+    assert all(isinstance(st["sup_diff_common"], float) for st in stages[1:])
+    assert body["trace_tail"][-1] == pytest.approx(stages[-1]["total"], rel=1e-12)
+
+
+def test_schedule_not_ending_at_r_is_a_solver_violation(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI + "\n[solver]\nR_schedule = 5, 8\n")
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(ini)
+    assert err.value.violations == ["solver: R_schedule must be strictly increasing "
+                                    "and end at R"]
+
+
+def test_output_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    code, errors = _kernel_check_errors(tmp_path, capsys, INI, "--out",
+                                        str(tmp_path / "afile"))
+    assert code == 1
+    assert len(errors) == 1 and errors[0].startswith("config error: output.dir: "), errors
 
 
 def test_gamma_and_m_flags_reach_the_report(tmp_path, capsys):
@@ -173,3 +213,10 @@ def test_gamma_and_m_flags_reach_the_report(tmp_path, capsys):
     # a flag's value is checked like the INI's
     code, errors = _kernel_check_errors(tmp_path, capsys, INI, "--gamma", "1.5")
     assert code == 1 and len(errors) == 1 and errors[0].startswith("config error: kernel: ")
+
+
+def test_reports_refuse_nan_and_infinity(tmp_path):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli.write_json(tmp_path / "report.json", {"value": bad})
+        assert not (tmp_path / "report.json").exists()

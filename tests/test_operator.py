@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -150,3 +153,13 @@ def test_solver_gradient_is_assembled_operator(name, request):
     assert np.array_equal(model.iin[at], probes)
     scale = np.abs(lf[model.iin]).max()
     assert np.abs(grad[at] / (2.0 * model.mu[at]) - lf[probes]).max() <= 1e-12 * scale
+
+
+def test_no_successful_probe_gives_a_null_minimum(op_small):
+    # a zero matrix makes every probe solve singular; the minimum is then
+    # None (null in the report), not NaN, which JSON cannot carry
+    zero = replace(op_small, matrix=np.zeros_like(op_small.matrix))
+    rep = check_max_principle_structure(zero, n_trials=3, seed=0)
+    assert rep.solve_failures == 3 and not rep.monotone_probe
+    assert rep.min_solution_value is None
+    assert json.loads(json.dumps(rep.as_dict(), allow_nan=False))["min_solution_value"] is None

@@ -106,22 +106,22 @@ def test_continuation_single_stage_matches_minimize(small_table):
     k = fractional_kernel(0.5, 1, c_norm=standard_c_norm(0.5, 1))
     cfg = SolverConfig(R=small_table.grid.R, h=small_table.grid.h, gamma=0.5, m=1,
                        max_iters=500, grad_tol=1e-7, R_schedule=(small_table.grid.R,))
-    cont = continuation(cfg, k)
+    stages = continuation(cfg, k)
     cfg2 = SolverConfig(R=small_table.grid.R, h=small_table.grid.h, gamma=0.5, m=1,
                         max_iters=500, grad_tol=1e-7)
     plain = minimize(cfg2, k)
-    assert np.allclose(cont.profile.values, plain.profile.values, atol=1e-8)
+    assert np.allclose(stages[-1].result.profile.values, plain.profile.values, atol=1e-8)
 
 
 def test_continuation_profiles_stabilize():
     cfg = SolverConfig(R=12.0, h=0.5, gamma=0.5, m=1, max_iters=2000,
                        grad_tol=1e-7, R_schedule=(6.0, 9.0, 12.0))
-    cont = continuation(cfg, KSTD)
-    diffs = [st.sup_diff_common for st in cont.stages[1:]]
+    stages = continuation(cfg, KSTD)
+    diffs = [st.sup_diff_common for st in stages[1:]]
     assert len(diffs) == 2
     assert diffs[1] <= diffs[0]
     # warm-started stages stay close on the common region
-    assert not cont.stages[-1].flagged
+    assert not stages[-1].flagged
 
 
 def test_continuation_comparison_ball_tracks_convergence():
@@ -129,8 +129,8 @@ def test_continuation_comparison_ball_tracks_convergence():
     # so it measures u_R -> u and not the continuation, and it decays in R
     cfg = SolverConfig(R=15.0, h=0.5, gamma=0.5, m=1, max_iters=2000,
                        grad_tol=1e-7, R_schedule=(6.0, 9.0, 12.0, 15.0))
-    cont = continuation(cfg, KSTD)
-    diffs = [st.sup_diff_common for st in cont.stages[1:]]
+    stages = continuation(cfg, KSTD)
+    diffs = [st.sup_diff_common for st in stages[1:]]
     assert diffs[0] > 2.0 * diffs[1] > 4.0 * diffs[2]
     cold9, cold12 = (minimize(replace(cfg, R=R, R_schedule=()), KSTD).profile
                      for R in (9.0, 12.0))
@@ -161,6 +161,37 @@ def test_transfer_copies_common_cells_and_zeroes_new_ones():
 
 
 def test_continuation_requires_increasing_schedule():
-    cfg = SolverConfig(R=8.0, h=0.5, gamma=0.5, m=1, R_schedule=(8.0, 6.0))
-    with pytest.raises(DomainError):
-        continuation(cfg, KSTD)
+    # R = 7 with the schedule 5, 8 solved at R = 8 and wrote a profile that
+    # the R = 7 grid of energy-scan could not read
+    for R, schedule in ((8.0, (8.0, 6.0)), (7.0, (5.0, 8.0)), (7.0, (5.0, 6.0)),
+                        (7.0, (7.0, 7.0)), (7.0, (5.0, float("nan"), 7.0))):
+        with pytest.raises(DomainError, match="R_schedule"):
+            SolverConfig(R=R, h=0.5, gamma=0.5, m=1, R_schedule=schedule)
+    assert SolverConfig(R=7.0, h=0.5, gamma=0.5, m=1, R_schedule=(5.0, 7.0)).R == 7.0
+
+
+def test_minimize_carries_an_init_from_a_smaller_grid():
+    cfg = SolverConfig(R=6.0, h=0.5, gamma=0.5, m=1, max_iters=20)
+    small = build_grid(4.0, 0.5, 1)
+    init = OddProfile(small, np.random.default_rng(5).uniform(0.0, 1.0, small.n_nodes))
+    carried = minimize(cfg, KSTD, init=init)
+    want = minimize(cfg, KSTD, init=_transfer(init, carried.table.grid),
+                    table=carried.table)
+    assert carried.trace.energies == want.trace.energies
+    assert np.array_equal(carried.profile.values, want.profile.values)
+
+
+def test_minimize_refuses_an_init_with_another_h_or_m(small_table):
+    R, h = small_table.grid.R, small_table.grid.h
+    cfg = SolverConfig(R=R, h=h, gamma=0.5, m=1)
+    for grid in (build_grid(R, 0.25, 1), build_grid(R, h, 2)):
+        with pytest.raises(DomainError, match="init"):
+            minimize(cfg, KSTD, init=zero_profile(grid), table=small_table)
+
+
+def test_minimize_refuses_a_config_for_another_kernel():
+    cfg = SolverConfig(R=4.0, h=0.5, gamma=0.5, m=1)
+    for kernel in (fractional_kernel(0.25, 2), fractional_kernel(0.25, 1),
+                   fractional_kernel(0.5, 2)):
+        with pytest.raises(DomainError, match="kernel"):
+            minimize(cfg, kernel)
