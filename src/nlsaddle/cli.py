@@ -11,7 +11,8 @@ files shipped under nlsaddle/schemas):
     competitor          competitor_report.json
 
 INI sections and keys, with the one place that writes their defaults; each
-section is checked by building what it configures:
+section is checked by building what it configures, and an unknown section
+or key is an error:
 
     [kernel]      family, gamma, m, lambda, Lambda, c_norm (a number or
                   `standard`), table: kernels.kernel_from_config
@@ -23,9 +24,11 @@ section is checked by building what it configures:
 
 `solve` runs solver.continuation over R_schedule (unset, R alone); the
 report's `stages` gives each stage's R, total, n_iters, converged,
-sup_diff_common (null on the first) and flagged.  Each flag of _OVERRIDES
-sets one key.  Exit status: 0 success, 2 a property failed (for solve, a
-stage did not converge), 1 error (`config error:` lines, else diagnostic.json).
+el_residual (the projected residual of its profile that the stopping rule
+reads), sup_diff_common (null on the first) and flagged.  Each flag of
+_OVERRIDES sets one key.  Exit status: 0 success, 2 a property failed (for
+solve, a stage did not converge), 1 error (`config error:` lines, else
+diagnostic.json).
 """
 
 from __future__ import annotations
@@ -144,6 +147,8 @@ class RunConfig:
                 problems.append(f"{section}: {exc}")
 
         for section, keys in _KEYS.items():
+            problems.extend(f"{section}.{key}: unknown key"
+                            for key in getattr(self, section) if key not in keys)
             for key in keys:
                 attempt(section, lambda: self.value(section, key))
         kern = attempt("kernel", self.make_kernel)
@@ -165,10 +170,13 @@ def _read_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             cp.read_file(fh)
-        return RunConfig(**{name: dict(cp.items(name)) if cp.has_section(name) else {}
-                            for name in ("kernel", "grid", "solver", "experiment", "output")})
+        sections = {name: dict(cp.items(name)) for name in cp.sections()}
     except (OSError, ValueError, configparser.Error) as exc:
         raise ConfigError([f"config file {path}: {exc}"]) from exc
+    unknown = [name for name in sections if name != "kernel" and name not in _KEYS]
+    if unknown:
+        raise ConfigError([f"[{name}]: unknown section" for name in unknown])
+    return RunConfig(**sections)
 
 
 def parse_config(path) -> RunConfig:
@@ -232,7 +240,8 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
                 "stages": [{"R": st.result.profile.grid.R, "total": st.result.breakdown.total,
                             "sup_diff_common": st.sup_diff_common, "flagged": st.flagged,
                             "n_iters": st.result.trace.n_iters,
-                            "converged": st.result.trace.converged} for st in stages],
+                            "converged": st.result.trace.converged,
+                            "el_residual": st.result.trace.pg_norms[-1]} for st in stages],
                 "trace_tail": [float(e) for e in last.trace.energies[-20:]],
                 "seed": seed})
             svgplot.node_heatmap(out / "profile.svg", prof.grid, prof.values,
@@ -246,7 +255,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
         table = en.build_kernel_table(grid, kern, assume_positive=True)
 
         if subcommand == "check-operator":
-            op = dop.assemble(grid, table)
+            op = dop.assemble(table)
             n_ref = min(grid.n_nodes, cfg.value("experiment", "zoc_nodes"))
             rng = np.random.default_rng(seed)
             ref_idx = np.sort(rng.choice(grid.n_nodes, size=n_ref, replace=False))
@@ -256,7 +265,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
             zoc = dr.zero_order_coefficient(kern, (grid.s[ref_idx], grid.t[ref_idx]),
                                             grid.R_out, rule=dr.gauss_jacobi_rule(64, kern.m),
                                             n_phi=320, n_rho=48)
-            max_err = float(np.max(np.abs(op.row_sums()[ref_idx] - 2 * zoc) / (2 * zoc)))
+            max_err = float(np.max(np.abs(op.sum(axis=1)[ref_idx] - 2 * zoc) / (2 * zoc)))
             rep = dop.check_max_principle_structure(
                 op, n_trials=cfg.value("experiment", "mp_trials"), seed=seed)
             report("operator", {**rep.as_dict(), "max_row_sum_error": max_err,

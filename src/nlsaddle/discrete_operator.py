@@ -6,10 +6,11 @@ The operator on grid node values is the L of `energy`'s one quadratic form,
 
 with D the tabulated kernel difference, Z the zero-order coefficient
 (polar integral + tail) and C = `self_cell_matrix` over every node cell.
-Row sums equal 2 Z_k exactly (the difference and self-cell parts
-annihilate constants), all off-diagonal entries are nonpositive when the
-kernel difference is nonnegative, and the matrix is then a strictly
-diagonally dominant Z-matrix, hence monotone.
+`assemble` returns L as a plain array, the one the checks take.  Row sums
+equal 2 Z_k exactly (the difference and self-cell parts annihilate
+constants), all off-diagonal entries are nonpositive when the kernel
+difference is nonnegative, and the matrix is then a strictly diagonally
+dominant Z-matrix, hence monotone.
 """
 
 from __future__ import annotations
@@ -19,31 +20,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .energy import (Grid, KernelTable, OddProfile, Potential, operator_diagonal,
-                     self_cell_matrix)
+from .energy import Grid, KernelTable, operator_diagonal, self_cell_matrix
 
 _OFFDIAG_TOL = 1e-12
 # cells kept between the probe nodes and both the cone and |x| = R
 _PROBE_MARGIN_CELLS = 2.0
 
 
-@dataclass
-class DiscreteOperator:
-    grid: Grid
-    matrix: np.ndarray
-    zero_order: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def row_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
-
-
-def assemble(grid: Grid, table: KernelTable) -> DiscreteOperator:
-    """Dense operator over all grid nodes (band rows included).
+def assemble(table: KernelTable) -> np.ndarray:
+    """Dense operator over all nodes of `table.grid` (band rows included).
 
     Its rows at the nodes inside B_R are the solver's L (grad E / (2 mu) =
     L u - f(u) from `EnergyModel`) except where a self-cell edge owned by a
@@ -54,20 +39,13 @@ def assemble(grid: Grid, table: KernelTable) -> DiscreteOperator:
     grid, node (6, 4) by 4 % of sup |L u - f(u)|); the nodes of
     `probe_nodes` are never such rows.
     """
+    grid = table.grid
     mu = grid.weights
     M = -table.D * mu[None, :]
     np.fill_diagonal(M, operator_diagonal(table))
     C = self_cell_matrix(table, np.arange(grid.n_nodes)).tocoo()
     M[C.row, C.col] += C.data / (2.0 * mu[C.row])
-    return DiscreteOperator(grid=grid, matrix=M, zero_order=table.zero_order.copy())
-
-
-def apply_operator(op: DiscreteOperator, profile) -> np.ndarray:
-    """Matrix-vector product; accepts an OddProfile or raw node values."""
-    values = profile.values if isinstance(profile, OddProfile) else np.asarray(profile, float)
-    if values.shape != (op.n,):
-        raise DomainError("profile does not match the operator's grid")
-    return op.matrix @ values
+    return M
 
 
 @dataclass
@@ -85,19 +63,19 @@ class MaxPrincipleReport:
         return asdict(self)
 
 
-def check_max_principle_structure(op: DiscreteOperator, n_trials: int = 100,
+def check_max_principle_structure(M: np.ndarray, n_trials: int = 100,
                                   seed: int = 0) -> MaxPrincipleReport:
-    """Z sign pattern, positive row sums, and randomized monotone solves.
+    """Z sign pattern, positive row sums, and randomized monotone solves of
+    the assembled operator M.
 
-    Each probe solves (L + diag(c)) u = g with random c >= 0, g >= 0 and
+    Each probe solves (M + diag(c)) u = g with random c >= 0, g >= 0 and
     checks u >= -1e-10; singular solves are reported, not fatal.
     """
-    M = op.matrix
-    n = op.n
+    n = M.shape[0]
     off = M[~np.eye(n, dtype=bool)]
     scale = float(np.abs(np.diag(M)).max())
     z_pattern = bool(off.max() <= _OFFDIAG_TOL * scale)
-    row_sums_positive = bool(op.row_sums().min() > 0.0)
+    row_sums_positive = bool(M.sum(axis=1).min() > 0.0)
 
     rng = np.random.default_rng(seed)
     min_val = math.inf
@@ -134,26 +112,3 @@ def probe_nodes(grid: Grid) -> np.ndarray:
     margin = _PROBE_MARGIN_CELLS * grid.h
     keep = (grid.cone_dist > margin) & (grid.radius < grid.R - margin)
     return np.where(keep)[0]
-
-
-@dataclass
-class ResidualReport:
-    sup: float
-    per_node: np.ndarray
-    probe_idx: np.ndarray
-    sup_f_scale: float
-
-
-def residual(op: DiscreteOperator, profile: OddProfile, potential: Potential,
-             probe_idx: np.ndarray) -> ResidualReport:
-    """sup |L u - f(u)| over the probe nodes."""
-    probe_idx = np.asarray(probe_idx)
-    if probe_idx.size == 0:
-        raise DomainError("empty probe set")
-    lu = apply_operator(op, profile)
-    res = lu - np.asarray(potential.f(profile.values))
-    vals = res[probe_idx]
-    us = np.linspace(0.0, 1.0, 2001)
-    sup_f = float(np.max(np.abs(potential.f(us))))
-    return ResidualReport(sup=float(np.abs(vals).max()), per_node=vals,
-                          probe_idx=probe_idx, sup_f_scale=sup_f)

@@ -43,8 +43,6 @@ def _coords(p) -> tuple[float, float]:
 
 def omega_sphere(m: int) -> float:
     """Surface measure of the unit sphere S^(m-1); counting measure 2 for m=1."""
-    if m == 1:
-        return 2.0
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
@@ -54,12 +52,10 @@ class QuadratureRule:
 
     For m = 1 the sphere S^0 is two points and the rule is exact by
     construction.  For m >= 2 these are Gauss-Jacobi nodes; `prefactor`
-    carries the constant c_m^2 = (2 pi^((m-1)/2) / Gamma((m-1)/2))^2 of the
-    double spherical integral.
+    carries the constant c_m^2 = |S^(m-2)|^2 of the double spherical integral.
     """
 
     order: int
-    m: int
     nodes: np.ndarray
     weights: np.ndarray
     prefactor: float
@@ -69,13 +65,12 @@ def gauss_jacobi_rule(order: int, m: int) -> QuadratureRule:
     if m == 1:
         nodes = np.array([1.0, -1.0])
         weights = np.array([1.0, 1.0])
-        return QuadratureRule(2, 1, nodes, weights, 1.0)
+        return QuadratureRule(2, nodes, weights, 1.0)
     if order < 2:
         raise DomainError("quadrature order must be >= 2")
     a = (m - 2) / 2.0
     nodes, weights = roots_jacobi(order, a, a)
-    c_m = 2.0 * math.pi ** ((m - 1) / 2.0) / math.gamma((m - 1) / 2.0)
-    return QuadratureRule(order, m, nodes, weights, c_m ** 2)
+    return QuadratureRule(order, nodes, weights, omega_sphere(m - 1) ** 2)
 
 
 def weight_integral(m: int) -> float:
@@ -248,8 +243,7 @@ def appell_prefactor(gamma: float, m: int, c_norm: float = 1.0) -> float:
     Jacobians kept.  By the duplication formula this equals
     4 pi^m Gamma(m/2)^2 / (Gamma((m-1)/2)^2 Gamma((m+1)/2)^2).
     """
-    c_m = 2.0 * math.pi ** ((m - 1) / 2.0) / math.gamma((m - 1) / 2.0)
-    lg = ((2 * m - 2) * math.log(2.0) + 2.0 * math.log(c_m)
+    lg = ((2 * m - 2) * math.log(2.0) + 2.0 * math.log(omega_sphere(m - 1))
           + 4.0 * gammaln(m / 2.0) - 2.0 * gammaln(float(m)))
     return c_norm * math.exp(lg)
 
@@ -338,8 +332,6 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float) -> np.nd
     # angular slice of S^(n-1) against the first coordinate
     alpha = (n - 3) / 2.0
     th, wth = roots_jacobi(_TAIL_N_THETA, alpha, alpha)
-    slice_area = (2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
-                  if n >= 2 else 2.0)
     # radial nodes: v = u^(1/(2 gamma)), r = R_out / v
     ugl, wugl = np.polynomial.legendre.leggauss(_TAIL_N_RAD)
     u = 0.5 * (ugl + 1.0)
@@ -355,7 +347,7 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float) -> np.nd
     dist2 = Rr ** 2 + A ** 2 - 2.0 * A * Rr * TH
     avg = (dist2 ** (-p / 2.0) * wth).sum(axis=-1)
     rad = (avg * (r ** (n - 1) * drdu * wu)).sum(axis=-1)
-    out = kernel.Lam * kernel.c_norm * slice_area * rad
+    out = kernel.Lam * kernel.c_norm * omega_sphere(n - 1) * rad
     return out if a.ndim else float(out)
 
 

@@ -486,9 +486,6 @@ class EnergyModel:
         E = float(mu @ (u * lu)) + 2.0 * float(mu @ np.asarray(self.potential.G(u)))
         return E, 2.0 * mu * (lu - np.asarray(self.potential.f(u)))
 
-    def value(self, u: np.ndarray) -> float:
-        return self.value_and_grad(u)[0]
-
     def embed(self, u: np.ndarray) -> OddProfile:
         vals = np.zeros(self.grid.n_nodes)
         vals[self.iin] = u

@@ -356,7 +356,12 @@ def load_kernel_table(path) -> tuple[np.ndarray, np.ndarray]:
 
 def kernel_from_config(section: dict) -> RadialKernel:
     """Build a kernel from a plain-text config section (strings allowed); the
-    [kernel] defaults live here, and `c_norm = standard` is `standard_c_norm`."""
+    [kernel] defaults live here, and `c_norm = standard` is `standard_c_norm`.
+    A key it does not read is refused."""
+    unknown = set(section) - {"family", "gamma", "m", "lambda", "Lambda", "c_norm", "table"}
+    if unknown:
+        raise DomainError(f"unknown key {', '.join(map(repr, sorted(unknown)))}")
+
     def read(key, default, cast=float):
         try:
             return cast(section.get(key, default))

@@ -170,6 +170,27 @@ def test_r_schedule_solve_matches_continuation_with_r_out_unset(tmp_path):
          for st in cont]
 
 
+def test_stage_el_residual_is_that_of_the_returned_profile(tmp_path):
+    # the projected sup |u - proj(u - (L u - f(u)))| that each stage stopped on
+    import numpy as np
+    from nlsaddle import energy as en, kernels as K, solver as sv
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI.split("[grid]")[0]
+                   + "[grid]\nR = 6\nh = 0.5\n\n[solver]\nR_schedule = 5, 6\n")
+    assert cli.main(["solve", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    stages = json.loads((tmp_path / "solve_report.json").read_text())["stages"]
+    kern = K.fractional_kernel(0.5, 1, K.standard_c_norm(0.5, 1))
+    cont = sv.continuation(sv.SolverConfig(R=6.0, h=0.5, gamma=0.5, m=1,
+                                           R_schedule=(5.0, 6.0)), kern)
+    assert len(stages) == len(cont) == 2
+    for st, stage in zip(stages, cont):
+        model = en.EnergyModel(stage.result.table, en.allen_cahn())
+        u = model.restrict(stage.result.profile)
+        _, grad = model.value_and_grad(u)
+        res = np.abs(u - np.clip(u - grad / (2.0 * model.mu), 0.0, 1.0)).max()
+        assert st["el_residual"] == pytest.approx(res, rel=0, abs=1e-12)
+
+
 @pytest.mark.parametrize("schedule", ["", "R_schedule = 5, 6\n"], ids=["plain", "schedule"])
 def test_solve_converges_only_if_every_stage_does(tmp_path, schedule):
     # a schedule solve used to report converged: true whatever its stages did
@@ -203,6 +224,18 @@ def test_output_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
                                         str(tmp_path / "afile"))
     assert code == 1
     assert len(errors) == 1 and errors[0].startswith("config error: output.dir: "), errors
+
+
+@pytest.mark.parametrize("ini, error", [
+    (INI.replace("gamma = 0.5", "gamma = 0.5\ngama = 0.25"), "kernel: unknown key 'gama'"),
+    (INI + "\n[solver]\nmax_iter = 1\n", "solver.max_iter: unknown key"),
+    (INI + "\n[experimnt]\nmp_trials = 5\n", "[experimnt]: unknown section")],
+    ids=["kernel-key", "solver-key", "section"])
+def test_unknown_section_or_key_is_a_config_error(tmp_path, capsys, ini, error):
+    # each used to be ignored: kernel-check ran and exited 0
+    code, errors = _kernel_check_errors(tmp_path, capsys, ini)
+    assert code == 1 and errors == [f"config error: {error}"], errors
+    assert not (tmp_path / "out" / "convexity_report.json").exists()
 
 
 def test_gamma_and_m_flags_reach_the_report(tmp_path, capsys):

@@ -369,7 +369,7 @@ def test_model_matches_total_energy(small_grid, small_table):
     rng = np.random.default_rng(4)
     u = rng.uniform(0, 1, model.iin.size)
     prof = model.embed(u)
-    assert model.value(u) == pytest.approx(
+    assert model.value_and_grad(u)[0] == pytest.approx(
         total_energy(prof, small_grid.R, small_table).total, rel=1e-12)
 
 
@@ -383,5 +383,5 @@ def test_model_gradient_matches_finite_differences(small_grid, small_table):
         up, um = u.copy(), u.copy()
         up[idx] += eps
         um[idx] -= eps
-        fd = (model.value(up) - model.value(um)) / (2 * eps)
+        fd = (model.value_and_grad(up)[0] - model.value_and_grad(um)[0]) / (2 * eps)
         assert g[idx] == pytest.approx(fd, rel=2e-5, abs=1e-9)
