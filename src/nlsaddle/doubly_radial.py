@@ -3,7 +3,9 @@
 Everything in R^(2m) that is invariant under O(m)xO(m) reduces to the two
 orbit radii (s, t) = (|x'|, |x''|).  This module provides the (s,t)-variable
 kernel J obtained by integrating K over the two spheres (`j_values`, the one
-evaluator of J), the odd-sector kernel difference kbar(x,y) - kbar(x,y*) of
+evaluator of J: for the fractional kernel at m=2, whose spherical weight is
+constant, one sphere angle is integrated in closed form and only the other
+goes through the rule), the odd-sector kernel difference kbar(x,y) - kbar(x,y*) of
 the rotation average kbar = J / |S^(m-1)|^2, its closed hypergeometric form
 for the pure power kernel (m >= 2), the zero-order coefficient of the
 odd-sector operator, and a randomized verifier for the kernel inequality.
@@ -24,7 +26,8 @@ from .kernels import RadialKernel, eval_kernel
 _ZERO_ORDER_CHUNK = 16
 # Gauss-Legendre nodes per phi panel of the zero-order integral
 _ZERO_ORDER_PHI_ORDER = 4
-# kernel evaluations per block of j_values
+# values per block of j_values: kernel evaluations on the tensor path; the
+# closed m=2 path keeps a quarter of them in each (points x nodes) array
 _J_CHUNK = 2 ** 22
 # angular and radial nodes of the exterior tail's sphere-slice rule
 _TAIL_N_THETA = 48
@@ -53,6 +56,10 @@ class QuadratureRule:
     For m = 1 the sphere S^0 is two points and the rule is exact by
     construction.  For m >= 2 these are Gauss-Jacobi nodes; `prefactor`
     carries the constant c_m^2 = |S^(m-2)|^2 of the double spherical integral.
+    `order` counts nodes per angle: one J costs order^2 kernel values on
+    the tensor path, and `order` values where `j_values` integrates the
+    inner angle in closed form (fractional kernel, m=2), since `order` then
+    counts the outer angle's nodes only.
     """
 
     order: int
@@ -89,28 +96,82 @@ def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.n
     form is exact at th = +-1, and it is bit-for-bit symmetric under
     (s,t) <-> (sig,tau).  The 1e-60 floor only keeps exact zeros finite: the
     diagonal entries that `build_kernel_table` computes and then overwrites.
+
+    For the fractional kernel at m=2 the rule's weight is constant (the
+    Jacobi exponent (m-2)/2 is 0), so the angle with the larger product
+    B = max(2 s sig, 2 t tau) is integrated exactly and only the other one
+    goes through the rule: see `_j_power_m2`.
     """
     s, t, sig, tau = np.broadcast_arrays(*(np.asarray(a, float) for a in (s, t, sig, tau)))
     flat = [a.reshape(-1) for a in (s, t, sig, tau)]
-    n = flat[0].size
-    out = np.empty(n)
+    if kernel.family == "fractional" and kernel.m == 2:
+        out = _j_power_m2(kernel, *flat, rule)
+    else:
+        out = _j_tensor(kernel, *flat, rule)
+    out *= rule.prefactor
+    return out.reshape(s.shape)
+
+
+def _j_tensor(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.ndarray:
+    """sum_ij w_i w_j K(r_ij) over flat arrays, in blocks of _J_CHUNK values."""
+    out = np.empty(s.size)
     th = rule.nodes
-    w = rule.weights
-    ww = np.outer(w, w).reshape(-1)
+    ww = np.outer(rule.weights, rule.weights).reshape(-1)
     one_minus = 1.0 - th
     c_i = 2.0 * np.repeat(one_minus, th.size)
     c_j = 2.0 * np.tile(one_minus, th.size)
-    step = max(1, _J_CHUNK // max(1, th.size ** 2))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        S, T, SIG, TAU = (f[lo:hi][:, None] for f in flat)
+    step = max(1, _J_CHUNK // th.size ** 2)
+    for lo in range(0, s.size, step):
+        blk = slice(lo, lo + step)
+        S, T, SIG, TAU = (a[blk][:, None] for a in (s, t, sig, tau))
         base = (S - SIG) ** 2 + (T - TAU) ** 2
         r2 = base + (S * SIG) * c_i[None, :] + (T * TAU) * c_j[None, :]
         np.maximum(r2, 1e-60, out=r2)
-        vals = eval_kernel(kernel, np.sqrt(r2))
-        out[lo:hi] = vals @ ww
-    out *= rule.prefactor
-    return out.reshape(s.shape)
+        out[blk] = eval_kernel(kernel, np.sqrt(r2)) @ ww
+    return out
+
+
+def _j_power_m2(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.ndarray:
+    """sum_j w_j I_j for K = c_norm r^(-2k), k = m + gamma, over flat arrays.
+
+    With a_j = (s-sig)^2 + (t-tau)^2 + min(2 s sig, 2 t tau)(1 - th_j) and
+    b_j = a_j + 2B, the squared distance is a_j + B(1 - th) on the exact
+    angle, and
+        I_j = c_norm int_{-1}^{1} (a_j + B(1 - th))^(-k) dth
+            = c_norm (a_j^q - b_j^q) / ((k-1) B),      q = 1 - k,
+    evaluated as b_j^q expm1((k-1) log1p(2B/a_j)) / ((k-1) B), which has no
+    cancellation for any ratio a_j/b_j; I_j = 2 c_norm a_j^(-k) at B = 0.
+    The rule serves the outer angle only and must have a constant weight.
+    """
+    if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in (s, t, sig, tau)):
+        raise DomainError("orbit radii must be finite and nonnegative")
+    k = kernel.power / 2.0
+    one_minus = 1.0 - rule.nodes
+    out = np.empty(s.size)
+    step = max(1, _J_CHUNK // (4 * rule.nodes.size))
+    for lo in range(0, s.size, step):
+        blk = slice(lo, lo + step)
+        S, T, SIG, TAU = (a[blk] for a in (s, t, sig, tau))
+        u, v = 2.0 * S * SIG, 2.0 * T * TAU
+        B = np.maximum(u, v)
+        a = np.multiply.outer(np.minimum(u, v), one_minus)
+        a += ((S - SIG) ** 2 + (T - TAU) ** 2)[:, None]
+        np.maximum(a, 1e-60, out=a)
+        const = B == 0.0  # the distance does not depend on the exact angle
+        lim = 2.0 * a[const] ** -k @ rule.weights
+        x = np.divide(2.0 * B[:, None], a)
+        np.log1p(x, out=x)
+        x *= k - 1.0
+        np.expm1(x, out=x)
+        a += 2.0 * B[:, None]
+        np.power(a, 1.0 - k, out=a)
+        x *= a
+        vals = x @ rule.weights
+        vals /= (k - 1.0) * np.where(const, 1.0, B)
+        vals[const] = lim
+        out[blk] = vals
+    out *= kernel.c_norm
+    return out
 
 
 def _check_pair(p, q):

@@ -10,7 +10,9 @@ kernel of the odd-sector operator is positive.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -298,11 +300,24 @@ def abcd_coefficients(alpha: float, beta: float,
         raise PreconditionError(f"need alpha >= |beta|, got {alpha}, {beta}")
     if not (sx > tx >= 0.0 and sy > ty >= 0.0):
         raise PreconditionError("points must satisfy s > t >= 0")
-    A = sx * sy * alpha + tx * ty * beta
-    B = sx * ty * alpha + tx * sy * beta
-    C = tx * sy * alpha + sx * ty * beta
-    D = tx * ty * alpha + sx * sy * beta
-    return A, B, C, D
+    # exact products and sums, rounded once: A and D away from zero, B and C
+    # toward it, so that the floats keep the lemma's |A| >= |B|, |C|, |D| and
+    # |A| + |D| >= |B| + |C| (also with beta within an ulp of +-alpha, or
+    # alpha subnormal)
+    a, b, sx, tx, sy, ty = map(Fraction, (alpha, beta, sx, tx, sy, ty))
+    return (_round_directed(sx * sy * a + tx * ty * b, away=True),
+            _round_directed(sx * ty * a + tx * sy * b, away=False),
+            _round_directed(tx * sy * a + sx * ty * b, away=False),
+            _round_directed(tx * ty * a + sx * sy * b, away=True))
+
+
+def _round_directed(x: Fraction, away: bool) -> float:
+    """The float next to x away from zero (away=True) or toward it."""
+    f = float(x)
+    err = abs(Fraction(f)) - abs(x)
+    if err < 0 if away else err > 0:
+        f = math.nextafter(f, math.copysign(math.inf, f) if away else 0.0)
+    return f
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,19 @@ def test_subcommands_run_from_ini(tmp_path):
     assert not (out / "diagnostic.json").exists()
 
 
+def test_check_operator_runs_at_m2(tmp_path):
+    # default settings: 200 reference nodes cap at the grid's 29, each with
+    # the order-64 J of the refined zero-order reference
+    ini = tmp_path / "run.ini"
+    ini.write_text("[kernel]\nfamily = fractional\ngamma = 0.5\nm = 2\n\n"
+                   "[grid]\nR = 3\nh = 0.5\n")
+    out = tmp_path / "out"
+    assert cli.main(["check-operator", "--config", str(ini), "--out", str(out)]) == 0
+    body = json.loads((out / "operator_report.json").read_text(), parse_constant=_no_constant)
+    jsonschema.validate(body, json.loads((SCHEMAS / "operator_report.schema.json").read_text()))
+    assert (body["m"], body["n_zoc_reference_nodes"]) == (2, 29)
+
+
 def test_kernel_section_is_checked_by_the_kernel(tmp_path):
     # the piecewise counterexample defaults lambda to 0.1, so Lambda = 0.5 is valid
     ini = tmp_path / "run.ini"

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import integrate
 
 from nlsaddle.errors import (ConvergenceError, DomainError, PreconditionError,
                              SingularityError)
-from nlsaddle.kernels import fractional_kernel, tabulated_kernel
+from nlsaddle.kernels import eval_kernel, fractional_kernel, tabulated_kernel
 from nlsaddle.doubly_radial import (appell_f2, appell_prefactor, exterior_tail_coefficient,
                                     f2_arguments, gauss_jacobi_rule, j_kernel_appell,
                                     j_values, kernel_difference, omega_sphere,
@@ -51,6 +52,10 @@ def test_negative_coordinates_rejected():
             f2_arguments(p, q)
         with pytest.raises(DomainError):
             j_kernel_appell(0.5, 2, p, q)
+        with pytest.raises(DomainError):
+            J(K2, p, q, RULE2)
+    with pytest.raises(DomainError):
+        J(K2, (math.nan, 0.5), (3.0, 1.0), RULE2)
 
 
 # --- quadrature rules --------------------------------------------------------
@@ -144,6 +149,69 @@ def test_j_quadrature_doubling_converges():
         vals = [J(k2, p, q, gauss_jacobi_rule(n, 2)) for n in (32, 64, 128, 256)]
         for a, b in zip(vals, vals[1:]):
             assert abs(a - b) <= 1e-8 * abs(b)
+
+
+# --- closed inner angle of the power kernel at m=2 ----------------------------
+
+def tensor_sum(kernel, s, t, sig, tau, rule):
+    """Independent oracle: c_m^2 sum_ij w_i w_j K(r_ij), written out."""
+    th, w = rule.nodes, rule.weights
+    r2 = ((s - sig) ** 2 + (t - tau) ** 2
+          + 2 * s * sig * (1 - th)[:, None] + 2 * t * tau * (1 - th)[None, :])
+    return rule.prefactor * float(w @ eval_kernel(kernel, np.sqrt(r2)) @ w)
+
+
+def test_j_power_m2_matches_tensor_sum():
+    # radii over four decades, the second orbit 1.5 to 4 times farther out
+    # so that the order-256 tensor sum has converged; a change of the m=2
+    # rule's weight breaks the agreement, since the inner angle assumes a
+    # constant one
+    rng = np.random.default_rng(21)
+    rule = gauss_jacobi_rule(256, 2)
+    for kernel in (K2, fractional_kernel(0.5, 2, c_norm=0.3)):
+        for _ in range(20):
+            r = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+            rq = r * rng.uniform(1.5, 4.0)
+            a, b = rng.uniform(0.0, math.pi / 2.0, size=2)
+            p, q = (r * math.cos(a), r * math.sin(a)), (rq * math.cos(b), rq * math.sin(b))
+            assert J(kernel, p, q, rule) == pytest.approx(
+                tensor_sum(kernel, *p, *q, rule), rel=1e-10)
+
+
+@pytest.mark.parametrize("p, q", [((1.0, 0.5), (2.0, 0.8)), ((3.0, 0.2), (0.7, 0.6)),
+                                  ((2.0, 1.0), (2.05, 1.02))])
+def test_j_power_m2_matches_adaptive_double_integral(p, q):
+    # the near-diagonal pair needs the order-256 outer rule
+    k2 = fractional_kernel(0.5, 2)
+    (s, t), (sig, tau) = p, q
+
+    def integrand(th_t, th_s):
+        r2 = (s - sig) ** 2 + (t - tau) ** 2 + 2 * s * sig * (1 - th_s) + 2 * t * tau * (1 - th_t)
+        return 4.0 * r2 ** (-k2.power / 2.0)  # c_2^2 = 4
+
+    exact, _ = integrate.dblquad(integrand, -1.0, 1.0, -1.0, 1.0, epsabs=0.0, epsrel=1e-11)
+    assert J(k2, p, q, gauss_jacobi_rule(256, 2)) == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("p, q", [((0.0, 1.0), (2.0, 0.0)), ((0.0, 0.0), (1.5, 0.5)),
+                                  ((1.5, 0.5), (0.0, 0.0)), ((2.0, 0.0), (0.0, 0.7))])
+def test_j_power_m2_without_angle_products(p, q):
+    # s sig = t tau = 0: the distance does not depend on either angle
+    val = J(K2, p, q, RULE2)
+    assert math.isfinite(val)
+    assert val == pytest.approx(tensor_sum(K2, *p, *q, RULE2), rel=1e-13)
+
+
+def test_tabulated_kernel_at_m2_takes_the_tensor_rule():
+    # the tabulated power law is the fractional kernel up to rounding, but
+    # only the latter integrates the inner angle in closed form
+    r = np.geomspace(1e-3, 1e3, 64)
+    tab = tabulated_kernel(r, r ** -5.0, gamma=0.5, m=2)
+    rule = gauss_jacobi_rule(8, 2)
+    p, q = (2.0, 1.0), (2.4, 1.1)
+    val = J(tab, p, q, rule)
+    assert val == pytest.approx(tensor_sum(tab, *p, *q, rule), rel=1e-12)
+    assert abs(val - J(fractional_kernel(0.5, 2), p, q, rule)) > 1e-3 * val
 
 
 # --- averaged kernel ----------------------------------------------------------

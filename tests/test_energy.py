@@ -345,9 +345,12 @@ PINNED_BREAKDOWNS = {
     "small": [(0.8906887397010335, 2.8250033935570453, 0.34017680033013675),
               (3.938168229892497, 7.014384358704649, 0.8651474722119264),
               (29.33493137876974, 23.926682965058873, 2.945076397774623)],
-    "m2": [(0.07699253555313658, 2.630317771456188, 0.8949380899465832),
-           (4.335617572643012, 43.18856984629301, 3.6483720687239654),
-           (77.42221399312908, 496.7422530832455, 38.53561548832912)],
+    # m2: J with the closed inner angle and the order-32 outer rule; at
+    # S = R, kinetic_in_in refines to 77.5154, 77.5169, 77.51705, 77.51708
+    # at orders 64, 128, 256, 512
+    "m2": [(0.07710395744766105, 2.630317771456227, 0.8949380899465832),
+           (4.337296786372383, 43.188569857776585, 3.6483720687239654),
+           (77.50373273814034, 496.74295218685046, 38.53561548832912)],
 }
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nlsaddle.errors import DomainError, PreconditionError
 from nlsaddle.kernels import (AbcdReport, RadialKernel, abcd_coefficients,
@@ -167,6 +167,14 @@ _orbit = st.tuples(st.floats(0.0, 50.0), st.floats(0.001, 50.0)).map(
 
 
 @given(alpha=st.floats(0.0, 10.0), frac=st.floats(-1.0, 1.0), x=_orbit, y=_orbit)
+# beta within an ulp of alpha: D computed apart from A came out above it
+@example(alpha=0.954734195359064, frac=0.9999999999999999,
+         x=(22.125, 4.625), y=(6.107421875, 4.607421875))
+# beta = -alpha: D = A - (sx sy - tx ty)(alpha - beta) comes out below -A
+@example(alpha=3.8142298266722072, frac=-1.0, x=(1.5, 1.0), y=(1.5, 1.0))
+# subnormal alpha: A, B, C, D rounded to nearest break |A| + |D| >= |B| + |C|
+@example(alpha=5e-324, frac=0.0, x=(3.0203922348622574, 2.5203922348622574),
+         y=(3.0203922348622574, 2.5203922348622574))
 @settings(max_examples=300, deadline=None)
 def test_abcd_inequalities_hold_under_preconditions(alpha, frac, x, y):
     beta = frac * alpha
