@@ -346,8 +346,12 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
         rule = gauss_jacobi_rule(32, kernel.m)
 
     om2 = omega_sphere(grid.m) ** 2
-    D = np.empty((n, n))
-    P = np.empty((n, n))
+    # one block for both tables: past the C allocator's mmap ceiling (32 MiB
+    # in glibc) a block is always mapped on its own and given back when the
+    # table is dropped, whereas two n x n blocks of just under it can land
+    # in the heap, where a dropped pair may stay resident under the next
+    # build's tables and raise its peak memory by a table's size
+    D, P = np.empty((2, n, n))
     for lo in range(0, n, _ROW_CHUNK):
         hi = min(n, lo + _ROW_CHUNK)
         S = grid.s[lo:hi][:, None]
