@@ -260,8 +260,10 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
             rng = np.random.default_rng(seed)
             ref_idx = np.sort(rng.choice(grid.n_nodes, size=n_ref, replace=False))
             # the table's zero-order column comes from the same integrator at
-            # its default settings; the reference refines n_phi, n_rho and,
-            # for m >= 2, the J rule
+            # its default settings; the reference doubles the angular nodes
+            # (at m=1, 64 instead of 32 per ray panel for the power kernel,
+            # where n_rho and the rule are unused) and, on the polar J form,
+            # the radial nodes and for m >= 2 the J rule
             zoc = dr.zero_order_coefficient(kern, (grid.s[ref_idx], grid.t[ref_idx]),
                                             grid.R_out, rule=dr.gauss_jacobi_rule(64, kern.m),
                                             n_phi=320, n_rho=48)

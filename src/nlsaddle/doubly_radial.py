@@ -8,7 +8,9 @@ constant, one sphere angle is integrated in closed form and only the other
 goes through the rule), the odd-sector kernel difference kbar(x,y) - kbar(x,y*) of
 the rotation average kbar = J / |S^(m-1)|^2, its closed hypergeometric form
 for the pure power kernel (m >= 2), the zero-order coefficient of the
-odd-sector operator, and a randomized verifier for the kernel inequality.
+odd-sector operator (for the power kernel at m=1 a planar integral along
+exact rays, which needs no J; otherwise a polar integral of J), and a
+randomized verifier for the kernel inequality.
 """
 
 from __future__ import annotations
@@ -22,13 +24,16 @@ from scipy.special import gammaln, hyp2f1, roots_jacobi
 from .errors import ConvergenceError, DomainError, PreconditionError, SingularityError
 from .kernels import RadialKernel, eval_kernel
 
-# orbits per block of the vectorized zero-order integral
+# orbits per block of the polar zero-order integral
 _ZERO_ORDER_CHUNK = 16
-# Gauss-Legendre nodes per phi panel of the zero-order integral
+# Gauss-Legendre nodes per phi panel of the polar zero-order integral
 _ZERO_ORDER_PHI_ORDER = 4
-# values per block of j_values: kernel evaluations on the tensor path; the
-# closed m=2 path keeps a quarter of them in each (points x nodes) array
-_J_CHUNK = 2 ** 22
+# values per block of the vectorized loops, 2 MiB per float array: kernel
+# evaluations of j_values on the tensor path (the closed m=2 path keeps a
+# quarter of them in each (points x nodes) array), (node, radius, angle)
+# points of the exterior tail and (node, angle) rays of the m=1 zero-order
+# column; a few such arrays are live at once
+_J_CHUNK = 2 ** 18
 # angular and radial nodes of the exterior tail's sphere-slice rule
 _TAIL_N_THETA = 48
 _TAIL_N_RAD = 32
@@ -102,7 +107,11 @@ def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.n
     B = max(2 s sig, 2 t tau) is integrated exactly and only the other one
     goes through the rule: see `_j_power_m2`.
     """
-    s, t, sig, tau = np.broadcast_arrays(*(np.asarray(a, float) for a in (s, t, sig, tau)))
+    radii = [np.asarray(a, float) for a in (s, t, sig, tau)]
+    # checked before broadcasting, so that an n x n pair call checks O(n) values
+    if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in radii):
+        raise DomainError("orbit radii must be finite and nonnegative")
+    s, t, sig, tau = np.broadcast_arrays(*radii)
     flat = [a.reshape(-1) for a in (s, t, sig, tau)]
     if kernel.family == "fractional" and kernel.m == 2:
         out = _j_power_m2(kernel, *flat, rule)
@@ -143,8 +152,6 @@ def _j_power_m2(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> n
     cancellation for any ratio a_j/b_j; I_j = 2 c_norm a_j^(-k) at B = 0.
     The rule serves the outer angle only and must have a constant weight.
     """
-    if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in (s, t, sig, tau)):
-        raise DomainError("orbit radii must be finite and nonnegative")
     k = kernel.power / 2.0
     one_minus = 1.0 - rule.nodes
     out = np.empty(s.size)
@@ -402,13 +409,17 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float) -> np.nd
     dv = (1.0 / (2.0 * gam)) * u ** (1.0 / (2.0 * gam) - 1.0)
     drdu = R_out / v ** 2 * dv
 
-    A = a.reshape(a.shape + (1, 1))
-    Rr = r.reshape((1,) * a.ndim + (_TAIL_N_RAD, 1))
-    TH = th.reshape((1,) * a.ndim + (1, _TAIL_N_THETA))
-    dist2 = Rr ** 2 + A ** 2 - 2.0 * A * Rr * TH
-    avg = (dist2 ** (-p / 2.0) * wth).sum(axis=-1)
-    rad = (avg * (r ** (n - 1) * drdu * wu)).sum(axis=-1)
-    out = kernel.Lam * kernel.c_norm * omega_sphere(n - 1) * rad
+    wr = r ** (n - 1) * drdu * wu
+    Rr = r[:, None]
+    flat = a.reshape(-1)
+    rad = np.empty(flat.size)
+    step = max(1, _J_CHUNK // (_TAIL_N_RAD * _TAIL_N_THETA))
+    for lo in range(0, flat.size, step):
+        A = flat[lo:lo + step, None, None]
+        dist2 = Rr ** 2 + A ** 2 - 2.0 * A * Rr * th
+        avg = (dist2 ** (-p / 2.0) * wth).sum(axis=-1)
+        rad[lo:lo + step] = (avg * wr).sum(axis=-1)
+    out = kernel.Lam * kernel.c_norm * omega_sphere(n - 1) * rad.reshape(a.shape)
     return out if a.ndim else float(out)
 
 
@@ -417,14 +428,26 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
                         n_phi: int = 160, n_rho: int = 24) -> np.ndarray:
     """int_{O, |y| <= R_out} kbar(x, y*) dy per orbit (s, t), vectorized.
 
-    Integrates J(s,t,b,a) a^(m-1) b^(m-1) over the truncated outer octant
-    {0 <= b < a, a^2 + b^2 <= R_out^2} in polar coordinates (rho, phi)
-    centered at the reflected orbit (t, s), the only singularity of the
-    integrand, which lies outside the region at distance sqrt(2) times the
-    cone distance of x.  phi runs over the half-plane arc that can see the
-    region in n_phi Gauss-Legendre panels of _ZERO_ORDER_PHI_ORDER nodes;
-    along each ray the region is entered at the cone and left at b = 0 or
-    at the rim, and log(rho) is integrated with n_rho Gauss-Legendre nodes.
+    For the fractional kernel at m=1, J is the exact 4-term sum, so the
+    integral is int K(|x - z|) dz over {|z_1| < |z_2|, |z| < R_out} in R^2,
+    x = (s, t); `_zero_order_rays` integrates it along exact rays from x with
+    n_phi // 5 angular nodes per panel, makes no J call, and ignores `rule`
+    and n_rho.  At m >= 2 a ray form would integrate over the true sphere
+    measure, which the Gauss-Jacobi weight of `j_values` does not carry yet,
+    so the column stays on the polar J form below.  So do the counterexample
+    and tabulated kernels, whose radial integral is not closed: along the
+    rays a Gauss rule in log rho misses the counterexample's kink at r = 1
+    (4e-3 off near the cone, where the polar form is 6e-4 off).
+
+    The polar form integrates J(s,t,b,a) a^(m-1) b^(m-1) over the truncated
+    outer octant {0 <= b < a, a^2 + b^2 <= R_out^2} in polar coordinates
+    (rho, phi) centered at the reflected orbit (t, s), the only singularity
+    of the integrand, which lies outside the region at distance sqrt(2)
+    times the cone distance of x.  phi runs over the half-plane arc that can
+    see the region in n_phi Gauss-Legendre panels of _ZERO_ORDER_PHI_ORDER
+    nodes; along each ray the region is entered at the cone and left at
+    b = 0 or at the rim, and log(rho) is integrated with n_rho
+    Gauss-Legendre nodes.
     Nodes are processed _ZERO_ORDER_CHUNK at a time, and only the
     (node, phi) rays that cross the region are evaluated.
     """
@@ -434,6 +457,9 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     if np.any(np.hypot(s, t) >= R_out):
         raise PreconditionError("need |p| < R_out")
     m = kernel.m
+    if kernel.family == "fractional" and m == 1:
+        return _zero_order_rays(kernel, s.reshape(-1), t.reshape(-1), R_out,
+                                max(1, n_phi // 5)).reshape(s.shape)
     if rule is None:
         rule = gauss_jacobi_rule(32, m)
 
@@ -479,15 +505,62 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     return out.reshape(s.shape)
 
 
+def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np.ndarray:
+    """int K(|x - z|) dz over W = {|z_1| < |z_2|, |z| < R_out} in R^2 for the
+    m=1 power kernel K = c_norm r^(-2-2 gamma), x = (s, t), over flat arrays.
+
+    Along the ray z = x + rho (cos th, sin th) the sign of z_2^2 - z_1^2 is
+    that of ((t-s) + rho (sin th - cos th)) ((t+s) + rho (sin th + cos th)),
+    negative at rho = 0, so the ray is inside W between the two roots and
+    leaves at the rim root rho_disk if that comes first; the radial integral
+    c_norm int rho^(-1-2 gamma) drho = c_norm (lo^(-2 gamma) - hi^(-2 gamma))
+    / (2 gamma) is exact.  The angle goes through Gauss-Legendre panels of
+    `order` nodes, split per node where the interval's ends change formula:
+    at the directions to the origin and to the rim points
+    (+-R_out, +-R_out)/sqrt(2), and along the cone lines.
+    """
+    two_g = 2.0 * kernel.gamma
+    gl, wgl = np.polynomial.legendre.leggauss(order)
+    rim_z1 = R_out / math.sqrt(2.0) * np.array([1.0, -1.0, 1.0, -1.0])
+    rim_z2 = R_out / math.sqrt(2.0) * np.array([1.0, 1.0, -1.0, -1.0])
+    cone = math.pi / 4.0 * np.array([1.0, 3.0, 5.0, 7.0])
+    out = np.empty(s.size)
+    step = max(1, _J_CHUNK // (9 * order))
+    for lo in range(0, s.size, step):
+        S, T = s[lo:lo + step, None], t[lo:lo + step, None]
+        brk = np.concatenate([np.arctan2(-T, -S),
+                              np.arctan2(rim_z2 - T, rim_z1 - S),
+                              np.broadcast_to(cone, (S.shape[0], 4))], axis=1)
+        rel = np.sort(np.mod(brk - brk[:, :1], 2.0 * math.pi), axis=1)
+        edges = brk[:, :1] + np.concatenate([rel, np.full_like(S, 2.0 * math.pi)], axis=1)
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        th = (mid[:, :, None] + half[:, :, None] * gl).reshape(S.shape[0], -1)
+        w = (half[:, :, None] * wgl).reshape(S.shape[0], -1)
+        c, sn = np.cos(th), np.sin(th)
+        with np.errstate(divide="ignore"):
+            rho_a = np.where(sn > c, (S - T) / (sn - c), np.inf)
+            rho_b = np.where(sn < -c, (S + T) / -(sn + c), np.inf)
+        pe = S * c + T * sn
+        rho_disk = np.sqrt(pe ** 2 + (R_out ** 2 - S ** 2 - T ** 2)) - pe
+        rho_lo = np.minimum(rho_a, rho_b)
+        rho_hi = np.minimum(np.maximum(rho_a, rho_b), rho_disk)
+        # rays that miss W have rho_lo >= rho_hi and a nonpositive difference
+        ray = np.maximum(rho_lo ** -two_g - rho_hi ** -two_g, 0.0)
+        out[lo:lo + step] = (ray * w).sum(axis=1)
+    return out * (kernel.c_norm / two_g)
+
+
 def zero_order_coefficient(kernel: RadialKernel, p, R_out: float,
                            rule: QuadratureRule | None = None,
                            n_phi: int = 160, n_rho: int = 24):
     """The coefficient int_O kbar(x, y*) dy of the odd-sector operator at
     p = (s, t), floats or arrays (a float for scalar input).
 
-    `zero_order_integral` over the octant truncated at R_out, plus half the
-    analytic exterior tail.  Comparable to |s - t|^(-2 gamma) from both
-    sides.
+    `zero_order_integral` over the octant truncated at R_out (exact rays
+    for the fractional kernel at m=1, where n_rho is unused; the polar J
+    form otherwise), plus half the analytic exterior tail.  Comparable to
+    |s - t|^(-2 gamma) from both sides.
     """
     s, t = p
     z = (zero_order_integral(kernel, s, t, R_out, rule, n_phi, n_rho)

@@ -12,9 +12,10 @@ with the interaction
 
 kbar*_ij = kbar(x_i, x_j^star).  Cells are midpoint squares in (s, t), and
 `total_energy` adds two corrections to the I sums.  2 sum_in w^2 mu (Z - P mu)
-swaps the midpoint zero-order mass (P mu)_i of a node for Z_i: the polar
-integral around the reflected corner that defines `zero_order_coefficient`
-(`doubly_radial.zero_order_integral`) inside R_out, plus the analytic
+swaps the midpoint zero-order mass (P mu)_i of a node for Z_i: the integral
+that defines `zero_order_coefficient` (`doubly_radial.zero_order_integral`:
+exact rays from x_i for the power kernel at m=1, a polar integral of J
+around the reflected corner otherwise) inside R_out, plus the analytic
 power-law tail beyond it.  (1/2) w^T C w, C from `self_cell_matrix`,
 reinstates the self-cell part of the quadratic term (the only sub-h pairs
 on the lattice), ~ |grad w|^2 h^(2-2 gamma) per node with constants
@@ -240,9 +241,10 @@ class KernelTable:
     D[i,j]   kbar(x_i, x_j) - kbar(x_i, x_j*)   (0 on the diagonal)
     P[i,j]   kbar(x_i, x_j*)                     (finite for all pairs)
     zcol[i]  int kbar(x_i, y*) dy over the outer octant truncated at
-             R_out, integrated in polar coordinates around the singular
-             reflected corner (t_i, s_i) by `zero_order_integral`, the
-             integrator of `zero_order_coefficient`
+             R_out, by `zero_order_integral`, the integrator of
+             `zero_order_coefficient`: for the power kernel at m=1 the
+             planar integral of K along exact rays from x_i, otherwise J
+             in polar coordinates around the reflected corner (t_i, s_i)
     ztail[i] analytic zero-order tail, (1/2) int_{|y|>R_out} K_env(|x_i-y|) dy
     cs, ct   self-cell correction coefficients: the omitted quadratic-term
              mass is cs_i (dw_s)^2 + ct_i (dw_t)^2 with one-sided dw

@@ -7,7 +7,9 @@ from scipy import integrate
 
 from nlsaddle.errors import (ConvergenceError, DomainError, PreconditionError,
                              SingularityError)
-from nlsaddle.kernels import eval_kernel, fractional_kernel, tabulated_kernel
+from nlsaddle import doubly_radial
+from nlsaddle.kernels import (counterexample_kernel, eval_kernel, fractional_kernel,
+                              tabulated_kernel)
 from nlsaddle.doubly_radial import (appell_f2, appell_prefactor, exterior_tail_coefficient,
                                     f2_arguments, gauss_jacobi_rule, j_kernel_appell,
                                     j_values, kernel_difference, omega_sphere,
@@ -20,6 +22,8 @@ K1 = fractional_kernel(0.5, 1)
 RULE1 = gauss_jacobi_rule(2, 1)
 K2 = fractional_kernel(0.25, 2)
 RULE2 = gauss_jacobi_rule(32, 2)
+K3 = fractional_kernel(0.5, 3)
+RULE3 = gauss_jacobi_rule(4, 3)
 
 
 def J(kernel, p, q, rule):
@@ -52,10 +56,17 @@ def test_negative_coordinates_rejected():
             f2_arguments(p, q)
         with pytest.raises(DomainError):
             j_kernel_appell(0.5, 2, p, q)
+        # every J path checks the radii: the exact m=1 sum, the closed m=2
+        # inner angle and the m >= 3 tensor rule
+        for kernel, rule in ((K1, RULE1), (K2, RULE2), (K3, RULE3)):
+            with pytest.raises(DomainError):
+                J(kernel, p, q, rule)
+    for kernel, rule in ((K1, RULE1), (K2, RULE2), (K3, RULE3)):
         with pytest.raises(DomainError):
-            J(K2, p, q, RULE2)
+            J(kernel, (math.nan, 0.5), (3.0, 1.0), rule)
+    # in an array call, one bad radius is enough
     with pytest.raises(DomainError):
-        J(K2, (math.nan, 0.5), (3.0, 1.0), RULE2)
+        j_values(K1, np.array([3.0, 2.0]), 1.0, np.array([[1.0], [-1e-300]]), 0.5, RULE1)
 
 
 # --- quadrature rules --------------------------------------------------------
@@ -396,6 +407,57 @@ def test_zero_order_integral_domain_errors():
         zero_order_integral(K1, np.array([3.0, 2.0, 1.5]), np.array([1.0, 2.0, 0.5]), 50.0)
     with pytest.raises(PreconditionError):
         zero_order_integral(K1, np.array([3.0, 40.0]), np.array([1.0, 30.0]), 50.0)
+
+
+def _wedge_dblquad(gamma, s, t, R_out):
+    """Independent oracle: int |x - z|^(-2-2 gamma) dz over the double wedge
+    {|z_1| < |z_2|, |z| < R_out} of R^2, x = (s, t), by adaptive Cartesian
+    quadrature.  The z_2 < 0 wedge is the z_2 > 0 one seen from (s, -t); each
+    is cut at z_2 = R_out/sqrt(2), where the z_1 limits change from the cone
+    lines to the rim.
+    """
+    c = R_out / math.sqrt(2.0)
+    total = 0.0
+    for tt in (t, -t):
+        def f(z1, z2):
+            return ((s - z1) ** 2 + (tt - z2) ** 2) ** (-1.0 - gamma)
+        for lo, hi, half in ((0.0, c, lambda z2: z2),
+                             (c, R_out, lambda z2: math.sqrt(R_out ** 2 - z2 ** 2))):
+            total += integrate.dblquad(f, lo, hi, lambda z2: -half(z2), half,
+                                       epsabs=0.0, epsrel=1e-11)[0]
+    return total
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+def test_m1_zero_order_column_matches_cartesian_quadrature(gamma):
+    # near the origin, an interior node, near the cone, in the band, near the
+    # cone at the rim
+    nodes = np.array([(0.375, 0.125), (3.0, 1.0), (5.125, 4.875), (16.875, 1.875),
+                      (12.625, 12.375)])
+    z = zero_order_integral(fractional_kernel(gamma, 1), nodes[:, 0], nodes[:, 1], 18.0)
+    ref = [_wedge_dblquad(gamma, s, t, 18.0) for s, t in nodes]
+    assert np.allclose(z, ref, rtol=1e-7, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_m1_zero_order_column_is_converged_in_the_angle(gamma):
+    g = build_grid(R=12.0, h=0.25, m=1, R_out=18.0)
+    kernel = fractional_kernel(gamma, 1)
+    z = zero_order_integral(kernel, g.s, g.t, g.R_out)
+    ref = zero_order_integral(kernel, g.s, g.t, g.R_out, n_phi=320)
+    assert np.max(np.abs(z - ref) / ref) <= 1e-7
+
+
+def test_m1_power_zero_order_column_makes_no_j_call(small_grid, monkeypatch):
+    def no_j(*args, **kwargs):
+        raise AssertionError("j_values was called")
+
+    monkeypatch.setattr(doubly_radial, "j_values", no_j)
+    z = zero_order_integral(K1, small_grid.s, small_grid.t, small_grid.R_out)
+    assert np.all(np.isfinite(z) & (z > 0.0))
+    # the counterexample kernel keeps the polar J form
+    with pytest.raises(AssertionError, match="j_values"):
+        zero_order_integral(counterexample_kernel(0.5, 1), 3.0, 1.0, small_grid.R_out)
 
 
 def test_exterior_tail_closed_form_at_origin():

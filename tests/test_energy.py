@@ -342,9 +342,12 @@ def test_refinement_consistency():
 # (default_rng(11)) at S = R/3, R/2 and R, computed by the chunked sums
 # that total_energy used before it was written through interaction
 PINNED_BREAKDOWNS = {
-    "small": [(0.8906887397010335, 2.8250033935570453, 0.34017680033013675),
-              (3.938168229892497, 7.014384358704649, 0.8651474722119264),
-              (29.33493137876974, 23.926682965058873, 2.945076397774623)],
+    # small: kinetic_in_out from the exact-ray zero-order column; the polar
+    # column it replaced gives 2.8250034, 2.8250044, 2.8250040, 2.8250039 at
+    # S = R/3 for n_phi/n_rho = 160/24, 320/48, 640/96, 1280/192
+    "small": [(0.8906887397010335, 2.8250039114781, 0.34017680033013675),
+              (3.938168229892497, 7.014377525870256, 0.8651474722119264),
+              (29.33493137876974, 23.926693562824816, 2.945076397774623)],
     # m2: J with the closed inner angle and the order-32 outer rule; at
     # S = R, kinetic_in_in refines to 77.5154, 77.5169, 77.51705, 77.51708
     # at orders 64, 128, 256, 512
