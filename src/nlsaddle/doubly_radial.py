@@ -3,10 +3,10 @@
 Everything in R^(2m) that is invariant under O(m)xO(m) reduces to the two
 orbit radii (s, t) = (|x'|, |x''|).  This module provides the (s,t)-variable
 kernel J obtained by integrating K over the two spheres (`j_values`, the one
-evaluator of J: for the fractional kernel at m=2, whose spherical weight is
-constant, one sphere angle is integrated in closed form and only the other
-goes through the rule), the odd-sector kernel difference kbar(x,y) - kbar(x,y*) of
-the rotation average kbar = J / |S^(m-1)|^2, its closed hypergeometric form
+evaluator of J: one blocked loop over r^2 = a + B(1 - theta), the inner
+angle on the rule or, for the fractional kernel at m=2, in closed form), the
+odd-sector kernel difference kbar(x,y) - kbar(x,y*) of the rotation average
+kbar = J / |S^(m-1)|^2, its closed hypergeometric form
 for the pure power kernel (m >= 2), the zero-order coefficient of the
 odd-sector operator (for the power kernel at m=1 a planar integral along
 exact rays, which needs no J; otherwise a polar integral of J), and a
@@ -22,17 +22,17 @@ import numpy as np
 from scipy.special import gammaln, hyp2f1, roots_jacobi
 
 from .errors import ConvergenceError, DomainError, PreconditionError, SingularityError
-from .kernels import RadialKernel, eval_kernel
+from .kernels import RadialKernel, _h
 
 # orbits per block of the polar zero-order integral
 _ZERO_ORDER_CHUNK = 16
 # Gauss-Legendre nodes per phi panel of the polar zero-order integral
 _ZERO_ORDER_PHI_ORDER = 4
-# values per block of the vectorized loops, 2 MiB per float array: kernel
-# evaluations of j_values on the tensor path (the closed m=2 path keeps a
-# quarter of them in each (points x nodes) array), (node, radius, angle)
-# points of the exterior tail and (node, angle) rays of the m=1 zero-order
-# column; a few such arrays are live at once
+# values per block of the vectorized loops, 2 MiB per float array: in
+# j_values points times the inner integrator's width (its kernel values,
+# order^2 on the rule; 4 order on the closed form, whose arrays hold a
+# quarter), (node, radius, angle) points of the exterior tail and (node,
+# angle) rays of the m=1 zero-order column; a few such arrays are live at once
 _J_CHUNK = 2 ** 18
 # angular and radial nodes of the exterior tail's sphere-slice rule
 _TAIL_N_THETA = 48
@@ -61,10 +61,9 @@ class QuadratureRule:
     For m = 1 the sphere S^0 is two points and the rule is exact by
     construction.  For m >= 2 these are Gauss-Jacobi nodes; `prefactor`
     carries the constant c_m^2 = |S^(m-2)|^2 of the double spherical integral.
-    `order` counts nodes per angle: one J costs order^2 kernel values on
-    the tensor path, and `order` values where `j_values` integrates the
-    inner angle in closed form (fractional kernel, m=2), since `order` then
-    counts the outer angle's nodes only.
+    `order` is the number of nodes: `j_values` puts them on the outer angle
+    and, unless it integrates the inner angle in closed form (fractional
+    kernel, m=2), on the inner angle too.
     """
 
     order: int
@@ -93,19 +92,19 @@ def weight_integral(m: int) -> float:
 def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.ndarray:
     """Vectorized J(s,t,sigma,tau) over broadcastable arrays.
 
-    J is the double spherical integral of K; for m=1 it is the exact 4-term
-    sum over the sign choices, for m>=2 the tensor Gauss-Jacobi sum
-    c_m^2 * sum_ij w_i w_j K(r_ij) with the squared distance evaluated as
-    r_ij^2 = (s-sig)^2 + (t-tau)^2 + 2 s sig (1-th_i) + 2 t tau (1-th_j).
+    J is the double spherical integral of K: the exact 4-term sum over the
+    sign choices for m=1, a Gauss-Jacobi sum over both sphere angles for
+    m>=2.  One blocked loop forms, with u = 2 s sig, v = 2 t tau and
+    B = max(u, v), the outer-angle part
+        a_j = (s-sig)^2 + (t-tau)^2 + min(u, v)(1 - th_j)
+    of r^2 = a_j + B(1 - th_i), and an inner integrator sums h(r^2) = K(r)
+    over th_i: the rule (`_inner_rule`) or, for the fractional kernel at
+    m=2, whose weight is constant, the closed form (`_inner_closed`).
     Every term is nonnegative, so nothing cancels near the diagonal, the
     form is exact at th = +-1, and it is bit-for-bit symmetric under
-    (s,t) <-> (sig,tau).  The 1e-60 floor only keeps exact zeros finite: the
-    diagonal entries that `build_kernel_table` computes and then overwrites.
-
-    For the fractional kernel at m=2 the rule's weight is constant (the
-    Jacobi exponent (m-2)/2 is 0), so the angle with the larger product
-    B = max(2 s sig, 2 t tau) is integrated exactly and only the other one
-    goes through the rule: see `_j_power_m2`.
+    (s,t) <-> (sig,tau).  The 1e-60 floor on a_j only keeps exact zeros
+    finite: the diagonal entries that `build_kernel_table` computes and
+    then overwrites.
     """
     radii = [np.asarray(a, float) for a in (s, t, sig, tau)]
     # checked before broadcasting, so that an n x n pair call checks O(n) values
@@ -114,71 +113,52 @@ def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.n
     s, t, sig, tau = np.broadcast_arrays(*radii)
     flat = [a.reshape(-1) for a in (s, t, sig, tau)]
     if kernel.family == "fractional" and kernel.m == 2:
-        out = _j_power_m2(kernel, *flat, rule)
+        inner, width = _inner_closed, 4 * rule.order
     else:
-        out = _j_tensor(kernel, *flat, rule)
+        inner, width = _inner_rule, rule.order ** 2
+    out = np.empty(s.size)
+    step = max(1, _J_CHUNK // width)
+    for lo in range(0, s.size, step):
+        S, T, SIG, TAU = (a[lo:lo + step] for a in flat)
+        u, v = 2.0 * S * SIG, 2.0 * T * TAU
+        a = np.multiply.outer(1.0 - rule.nodes, np.minimum(u, v))
+        a += (S - SIG) ** 2 + (T - TAU) ** 2
+        np.maximum(a, 1e-60, out=a)
+        out[lo:lo + step] = inner(kernel, a, np.maximum(u, v), rule)
     out *= rule.prefactor
     return out.reshape(s.shape)
 
 
-def _j_tensor(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.ndarray:
-    """sum_ij w_i w_j K(r_ij) over flat arrays, in blocks of _J_CHUNK values."""
-    out = np.empty(s.size)
-    th = rule.nodes
-    ww = np.outer(rule.weights, rule.weights).reshape(-1)
-    one_minus = 1.0 - th
-    c_i = 2.0 * np.repeat(one_minus, th.size)
-    c_j = 2.0 * np.tile(one_minus, th.size)
-    step = max(1, _J_CHUNK // th.size ** 2)
-    for lo in range(0, s.size, step):
-        blk = slice(lo, lo + step)
-        S, T, SIG, TAU = (a[blk][:, None] for a in (s, t, sig, tau))
-        base = (S - SIG) ** 2 + (T - TAU) ** 2
-        r2 = base + (S * SIG) * c_i[None, :] + (T * TAU) * c_j[None, :]
-        np.maximum(r2, 1e-60, out=r2)
-        out[blk] = eval_kernel(kernel, np.sqrt(r2)) @ ww
-    return out
+def _inner_rule(kernel: RadialKernel, a, B, rule: QuadratureRule) -> np.ndarray:
+    """sum_ij w_i w_j h(a_j + B(1 - th_i)) per point; a is (nodes, points)."""
+    r2 = a[:, None, :] + np.multiply.outer(1.0 - rule.nodes, B)
+    return rule.weights @ (rule.weights @ _h(kernel, r2))
 
 
-def _j_power_m2(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.ndarray:
-    """sum_j w_j I_j for K = c_norm r^(-2k), k = m + gamma, over flat arrays.
+def _inner_closed(kernel: RadialKernel, a, B, rule: QuadratureRule) -> np.ndarray:
+    """sum_j w_j I_j per point for h(x) = c_norm x^(-k), k = m + gamma, with
+    the inner angle integrated exactly; a is (nodes, points).
 
-    With a_j = (s-sig)^2 + (t-tau)^2 + min(2 s sig, 2 t tau)(1 - th_j) and
-    b_j = a_j + 2B, the squared distance is a_j + B(1 - th) on the exact
-    angle, and
-        I_j = c_norm int_{-1}^{1} (a_j + B(1 - th))^(-k) dth
-            = c_norm (a_j^q - b_j^q) / ((k-1) B),      q = 1 - k,
-    evaluated as b_j^q expm1((k-1) log1p(2B/a_j)) / ((k-1) B), which has no
-    cancellation for any ratio a_j/b_j; I_j = 2 c_norm a_j^(-k) at B = 0.
-    The rule serves the outer angle only and must have a constant weight.
+    With b_j = a_j + 2B and x h(x) = c_norm x^(1-k),
+        I_j = int_{-1}^{1} h(a_j + B(1 - th)) dth
+            = (a_j h(a_j) - b_j h(b_j)) / ((k-1) B),
+    evaluated as b_j h(b_j) expm1((k-1) log1p(2B/a_j)) / ((k-1) B), which has
+    no cancellation for any ratio a_j/b_j; I_j = 2 h(a_j) at B = 0.  The
+    rule serves the outer angle only and must have a constant weight.
     """
     k = kernel.power / 2.0
-    one_minus = 1.0 - rule.nodes
-    out = np.empty(s.size)
-    step = max(1, _J_CHUNK // (4 * rule.nodes.size))
-    for lo in range(0, s.size, step):
-        blk = slice(lo, lo + step)
-        S, T, SIG, TAU = (a[blk] for a in (s, t, sig, tau))
-        u, v = 2.0 * S * SIG, 2.0 * T * TAU
-        B = np.maximum(u, v)
-        a = np.multiply.outer(np.minimum(u, v), one_minus)
-        a += ((S - SIG) ** 2 + (T - TAU) ** 2)[:, None]
-        np.maximum(a, 1e-60, out=a)
-        const = B == 0.0  # the distance does not depend on the exact angle
-        lim = 2.0 * a[const] ** -k @ rule.weights
-        x = np.divide(2.0 * B[:, None], a)
-        np.log1p(x, out=x)
-        x *= k - 1.0
-        np.expm1(x, out=x)
-        a += 2.0 * B[:, None]
-        np.power(a, 1.0 - k, out=a)
-        x *= a
-        vals = x @ rule.weights
-        vals /= (k - 1.0) * np.where(const, 1.0, B)
-        vals[const] = lim
-        out[blk] = vals
-    out *= kernel.c_norm
-    return out
+    const = B == 0.0  # the distance does not depend on the inner angle
+    lim = 2.0 * (rule.weights @ _h(kernel, a[:, const]))
+    x = np.divide(2.0 * B, a)
+    np.log1p(x, out=x)
+    x *= k - 1.0
+    np.expm1(x, out=x)
+    a += 2.0 * B
+    x *= a * _h(kernel, a)
+    vals = rule.weights @ x
+    vals /= (k - 1.0) * np.where(const, 1.0, B)
+    vals[const] = lim
+    return vals
 
 
 def _check_pair(p, q):

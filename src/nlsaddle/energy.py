@@ -44,6 +44,8 @@ from .doubly_radial import (QuadratureRule, exterior_tail_coefficient,
                             zero_order_integral)
 
 _ROW_CHUNK = 512
+# largest D and P pair tables build_kernel_table allocates, together
+_TABLE_MEM_CAP_GB = 6.0
 # polar angles and radial nodes of the self-cell quadrature
 _SELF_CELL_N_THETA = 16
 _SELF_CELL_N_RAD = 12
@@ -198,19 +200,16 @@ class Potential:
 
     G: Callable
     f: Callable
-    name: str = "custom"
 
 
 def allen_cahn() -> Potential:
     return Potential(G=lambda u: 0.25 * (1.0 - np.asarray(u) ** 2) ** 2,
-                     f=lambda u: np.asarray(u) - np.asarray(u) ** 3,
-                     name="allen-cahn")
+                     f=lambda u: np.asarray(u) - np.asarray(u) ** 3)
 
 
 def zero_potential() -> Potential:
     return Potential(G=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                     f=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                     name="zero")
+                     f=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
 
 
 @dataclass
@@ -324,19 +323,18 @@ def _one_sided_neighbors(grid: Grid):
 
 def build_kernel_table(grid: Grid, kernel: RadialKernel,
                        rule: QuadratureRule | None = None,
-                       assume_positive: bool = False,
-                       mem_cap_gb: float = 6.0) -> KernelTable:
+                       assume_positive: bool = False) -> KernelTable:
     """Cache kbar, kbar-star and their difference over all node pairs.
 
     Refuses kernels that fail the sqrt-convexity check unless
     assume_positive=True, and refuses grids whose dense pair tables would
-    exceed mem_cap_gb (use a larger h).
+    exceed _TABLE_MEM_CAP_GB (use a larger h).
     """
     n = grid.n_nodes
     need_gb = 2.0 * n * n * 8.0 / 2 ** 30
-    if need_gb > mem_cap_gb:
+    if need_gb > _TABLE_MEM_CAP_GB:
         raise TableError(
-            f"pair tables need {need_gb:.1f} GiB > cap {mem_cap_gb} GiB; increase h")
+            f"pair tables need {need_gb:.1f} GiB > cap {_TABLE_MEM_CAP_GB} GiB; increase h")
     if not assume_positive:
         tau_hi = min(4.0 * grid.R_out ** 2, 1e3)
         report = check_sqrt_convexity(kernel, np.geomspace(1e-3, tau_hi, 256))

@@ -4,7 +4,9 @@ A kernel here is a 1-D radial profile r -> K(r) in even dimension n = 2m,
 assumed comparable to the standard power law r^(-2m-2*gamma).  The central
 question the rest of the package builds on is whether tau -> K(sqrt(tau)) is
 strictly convex: that is exactly the condition under which the averaged
-kernel of the odd-sector operator is positive.
+kernel of the odd-sector operator is positive.  Every kernel value comes
+from the one evaluator `_h` of h(tau) = K(sqrt(tau)): `eval_kernel` calls it
+on r^2, `sqrt_profile` on tau, and J on the squared distances it forms.
 """
 
 from __future__ import annotations
@@ -107,38 +109,44 @@ def tabulated_kernel(r: Sequence[float], k: Sequence[float], gamma: float, m: in
                         table=(np.asarray(r, float), np.asarray(k, float)))
 
 
-def eval_kernel(kernel: RadialKernel, r):
-    """Evaluate K(r) for r > 0 (scalar or array).
+def _h(kernel: RadialKernel, tau: np.ndarray) -> np.ndarray:
+    """h(tau) = K(sqrt(tau)) over an array of checked tau > 0 (q = m + gamma).
 
-    fractional                c_norm * r^(-2m-2*gamma)
-    piecewise-counterexample  r^(-2m-2*gamma) on (0,1), 1/(10 r^(2m+2*gamma) - 9) on [1,inf)
+    fractional                c_norm * tau^(-q)
+    piecewise-counterexample  tau^(-q) on (0,1), 1/(10 tau^q - 9) on [1,inf)
     tabulated                 log-log linear interpolation; outside the table -> DomainError
     """
+    q = kernel.power / 2.0
+    if kernel.family == "fractional":
+        return kernel.c_norm * tau ** -q
+    if kernel.family == "piecewise-counterexample":
+        tq = tau ** q
+        return kernel.c_norm * np.where(tau < 1.0, 1.0 / tq, 1.0 / (10.0 * tq - 9.0))
+    r = np.sqrt(tau)
+    rt, kt = kernel.table
+    if np.any(r < rt[0]) or np.any(r > rt[-1]):
+        raise DomainError(
+            f"tabulated kernel queried at r outside [{rt[0]}, {rt[-1]}]; "
+            "extrapolation is refused")
+    return kernel.c_norm * np.exp(np.interp(np.log(r), np.log(rt), np.log(kt)))
+
+
+def eval_kernel(kernel: RadialKernel, r):
+    """Evaluate K(r) = h(r^2) for r > 0 (scalar or array); see `_h`."""
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("kernel argument must be positive and finite")
-    p = kernel.power
-    if kernel.family == "fractional":
-        out = kernel.c_norm * arr ** (-p)
-    elif kernel.family == "piecewise-counterexample":
-        rp = arr ** p
-        out = kernel.c_norm * np.where(arr < 1.0, 1.0 / rp, 1.0 / (10.0 * rp - 9.0))
-    else:
-        rt, kt = kernel.table
-        if np.any(arr < rt[0]) or np.any(arr > rt[-1]):
-            raise DomainError(
-                f"tabulated kernel queried at r outside [{rt[0]}, {rt[-1]}]; "
-                "extrapolation is refused")
-        out = kernel.c_norm * np.exp(np.interp(np.log(arr), np.log(rt), np.log(kt)))
+    out = _h(kernel, arr * arr)
     return out if arr.ndim else float(out)
 
 
 def sqrt_profile(kernel: RadialKernel, tau):
     """h(tau) = K(sqrt(tau)), the profile whose convexity is being certified."""
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0.0):
-        raise DomainError("tau must be positive")
-    return eval_kernel(kernel, np.sqrt(tau))
+    if np.any(tau <= 0.0) or not np.all(np.isfinite(tau)):
+        raise DomainError("tau must be positive and finite")
+    out = _h(kernel, tau)
+    return out if tau.ndim else float(out)
 
 
 def ellipticity_margins(kernel: RadialKernel, r_samples) -> tuple[float, float]:

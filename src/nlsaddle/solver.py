@@ -48,6 +48,8 @@ class SolverConfig:
             raise DomainError("solver config requires positive numeric fields")
         if not (0.0 < self.gamma < 1.0):
             raise DomainError("gamma must lie in (0,1)")
+        if not (0.0 < self.mu0 < math.inf):
+            raise DomainError("mu0 must be positive and finite")
         sched = tuple(self.R_schedule)
         if sched and not (sched[-1] == self.R and all(b > a for a, b in zip(sched, sched[1:]))):
             raise DomainError("R_schedule must be strictly increasing and end at R")
@@ -97,8 +99,9 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
     (trace.pg_norms; the gradient over 2 mu, so the orbit weight does not
     scale it) falls to grad_tol times its initial value.
     Aborts with ConvergenceError on NaN or if backtracking cannot produce a
-    non-increasing step.  An init on another grid with the same h and m is
-    carried over by lattice cell (`_transfer`); any other is refused.
+    non-increasing step.  A table on another grid than the config's (R, h,
+    m, and R_out when set) is refused; an init on another grid with the same
+    h and m is carried over by lattice cell (`_transfer`), any other refused.
     """
     if (config.m, config.gamma) != (kernel.m, kernel.gamma):
         raise DomainError(f"solver config has m={config.m}, gamma={config.gamma} but the "
@@ -109,6 +112,11 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
         grid = build_grid(config.R, config.h, config.m, config.R_out)
         table = build_kernel_table(grid, kernel, assume_positive=config.assume_positive)
     grid = table.grid
+    have = (grid.R, grid.h, grid.m, grid.R_out)
+    want = (config.R, config.h, config.m, grid.R_out if config.R_out is None else config.R_out)
+    if have != want:
+        raise DomainError(f"the table's grid has (R, h, m, R_out) = {have}; "
+                          f"the config asks for {want}")
     model = EnergyModel(table, potential)
     if init is None:
         init = initial_guess(grid, config.mu0)

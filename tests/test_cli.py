@@ -231,6 +231,18 @@ def test_schedule_not_ending_at_r_is_a_solver_violation(tmp_path):
                                     "and end at R"]
 
 
+@pytest.mark.parametrize("mu0", ["0", "-1", "nan", "inf"])
+def test_bad_mu0_is_one_solver_violation(tmp_path, capsys, mu0):
+    # solve used to build the table first and then exit 1 with a diagnostic
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI + f"\n[solver]\nmu0 = {mu0}\n")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: solver: mu0 must be positive and finite"]
+    assert not (out / "diagnostic.json").exists()
+
+
 def test_output_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
     (tmp_path / "afile").write_text("")
     code, errors = _kernel_check_errors(tmp_path, capsys, INI, "--out",

@@ -164,9 +164,11 @@ def test_table_entry_accessors(small_table, m2_table):
 
 
 def test_table_memory_cap():
-    g = build_grid(R=8, h=0.1, m=1, R_out=12.0)
-    with pytest.raises(TableError, match="increase h"):
-        build_kernel_table(g, K1, mem_cap_gb=0.05)
+    # 22535 nodes: the two pair tables would need 7.6 GiB, refused before
+    # anything is allocated
+    g = build_grid(R=40, h=0.25, m=1)
+    with pytest.raises(TableError, match="7.6 GiB .* increase h"):
+        build_kernel_table(g, K1)
 
 
 def test_table_positivity_gate(small_grid):

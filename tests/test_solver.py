@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlsaddle.errors import DomainError
+from nlsaddle.errors import ConvergenceError, DomainError
 from nlsaddle.kernels import fractional_kernel, standard_c_norm
-from nlsaddle.energy import (EnergyModel, OddProfile, allen_cahn, build_grid,
+from nlsaddle.energy import (EnergyModel, OddProfile, Potential, allen_cahn, build_grid,
                              build_kernel_table, total_energy, zero_potential,
                              zero_profile)
 from nlsaddle.solver import (SolverConfig, _sup_diff, _transfer, continuation,
@@ -37,6 +37,9 @@ def test_config_validation():
         SolverConfig(R=8, h=0.5, gamma=1.5, m=1)
     with pytest.raises(DomainError):
         SolverConfig(R=8, h=0.5, gamma=0.5, m=1, grad_tol=float("nan"))
+    for mu0 in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="mu0"):
+            SolverConfig(R=8, h=0.5, gamma=0.5, m=1, mu0=mu0)
 
 
 def test_zero_potential_zero_init_is_stationary(small_table):
@@ -195,3 +198,87 @@ def test_minimize_refuses_a_config_for_another_kernel():
                    fractional_kernel(0.5, 2)):
         with pytest.raises(DomainError, match="kernel"):
             minimize(cfg, kernel)
+
+
+def test_minimize_refuses_a_table_for_another_grid(small_table):
+    # the table's grid used to be solved on silently
+    g = small_table.grid
+    k2 = fractional_kernel(0.5, 2)
+    for cfg, kernel in ((SolverConfig(R=3.0, h=g.h, gamma=0.5, m=1), KSTD),
+                        (SolverConfig(R=g.R, h=0.25, gamma=0.5, m=1), KSTD),
+                        (SolverConfig(R=g.R, h=g.h, gamma=0.5, m=2), k2),
+                        (SolverConfig(R=g.R, h=g.h, gamma=0.5, m=1, R_out=5.0), KSTD)):
+        with pytest.raises(DomainError, match="table"):
+            minimize(cfg, kernel, table=small_table)
+    # R_out is compared only when the config sets it
+    for R_out in (None, g.R_out):
+        cfg = SolverConfig(R=g.R, h=g.h, gamma=0.5, m=1, R_out=R_out, max_iters=1)
+        assert minimize(cfg, KSTD, table=small_table).table is small_table
+
+
+# --- solver exits ------------------------------------------------------------------
+
+def _small_config(table, **kw):
+    return SolverConfig(R=table.grid.R, h=table.grid.h, gamma=0.5, m=1, **kw)
+
+
+def test_minimize_raises_on_a_non_finite_energy(small_table):
+    nan_G = Potential(G=lambda u: np.full(np.shape(u), np.nan), f=allen_cahn().f)
+    with pytest.raises(ConvergenceError, match="non-finite at iteration 0"):
+        minimize(_small_config(small_table), KSTD, nan_G, table=small_table)
+
+
+def _uphill(c):
+    """G = c u, with f = +c where -G' = -c: every step the model takes raises E."""
+    return Potential(G=lambda u: c * np.asarray(u), f=lambda u: np.full(np.shape(u), c))
+
+
+def test_minimize_accepts_a_flat_step_when_backtracking_is_exhausted(small_table):
+    # from u = 5e-4 the slope along the step is about 2000 |E|, so the last
+    # trial step 2^-59 raises E by about 4e-15 |E|: above rounding, below the
+    # 1e-14 |E| that the solver accepts as flat
+    model = EnergyModel(small_table, _uphill(100.0))
+    init = model.embed(np.full(model.mu.size, 5e-4))
+    res = minimize(_small_config(small_table), KSTD, _uphill(100.0), init=init,
+                   table=small_table)
+    E0, E1 = res.trace.energies
+    assert res.trace.converged and res.trace.n_iters == 1 and res.trace.steps == []
+    assert E0 < E1 <= E0 + 1e-14 * abs(E0)
+    assert len(res.trace.pg_norms) == 2
+
+
+def test_minimize_raises_when_backtracking_cannot_lower_the_energy(small_table):
+    # from u = 0, E = 0, so even the last step of 2^-59 raises E above the flat slack
+    with pytest.raises(ConvergenceError, match="backtracking exhausted .* iteration 0"):
+        minimize(_small_config(small_table), KSTD, _uphill(100.0),
+                 init=zero_profile(small_table.grid), table=small_table)
+
+
+def test_minimize_stops_when_the_projected_step_rounds_away(small_table):
+    # f cancels L u at the init to within rounding, leaving a residual of 1e-9
+    # at every free node but one, which sits at 1 and is pushed up by 1e8:
+    # the spectral step 1 / max|g| moves no free node, nor does a tenth of it
+    zero = EnergyModel(small_table, zero_potential())
+    u0 = np.full(zero.mu.size, 0.5)
+    u0[0] = 1.0
+    lu0 = zero.value_and_grad(u0)[1] / (2.0 * zero.mu)
+    t = np.full(u0.size, 1e-9)
+    t[0] = -1e8
+    skew = Potential(G=zero_potential().G, f=lambda u: lu0 - t)
+    res = minimize(_small_config(small_table), KSTD, skew, init=zero.embed(u0),
+                   table=small_table)
+    assert res.trace.converged and res.trace.n_iters == 0
+    assert res.trace.pg_norms[0] == pytest.approx(1e-9, rel=1e-6)
+    assert np.array_equal(res.profile.values, zero.embed(u0).values)
+
+
+def test_minimize_doubles_the_step_on_negative_curvature(small_table):
+    # G = -c u^2 / 2 makes the energy concave, so s . y < 0 after each step;
+    # the descent still ends at the corner u = 1 with a non-increasing trace
+    c = 1e3
+    concave = Potential(G=lambda u: -0.5 * c * np.asarray(u) ** 2, f=lambda u: c * np.asarray(u))
+    res = minimize(_small_config(small_table), KSTD, concave, table=small_table)
+    assert res.trace.converged
+    assert np.all(np.diff(res.trace.energies) <= 0.0)
+    model = EnergyModel(small_table, concave)
+    assert np.all(model.restrict(res.profile) == 1.0)
