@@ -14,7 +14,7 @@ energy trace is non-increasing by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -91,6 +91,16 @@ def _residual(u: np.ndarray, g: np.ndarray, model: EnergyModel) -> float:
     return float(np.abs(u - _project(u - g / (2.0 * model.mu))).max())
 
 
+def _same_kernel(a: RadialKernel, b: RadialKernel) -> bool:
+    """a == b field by field; `==` itself raises on two tabulated kernels,
+    whose table columns are arrays."""
+    if a.table is None or b.table is None:
+        return a == b
+    return (all(getattr(a, f.name) == getattr(b, f.name)
+                for f in fields(RadialKernel) if f.name != "table")
+            and all(np.array_equal(x, y) for x, y in zip(a.table, b.table)))
+
+
 def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | None = None,
              init: OddProfile | None = None, table: KernelTable | None = None) -> SolveResult:
     """Run the projected descent; the energy trace is strictly non-increasing.
@@ -99,9 +109,10 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
     (trace.pg_norms; the gradient over 2 mu, so the orbit weight does not
     scale it) falls to grad_tol times its initial value.
     Aborts with ConvergenceError on NaN or if backtracking cannot produce a
-    non-increasing step.  A table on another grid than the config's (R, h,
-    m, and R_out when set) is refused; an init on another grid with the same
-    h and m is carried over by lattice cell (`_transfer`), any other refused.
+    non-increasing step.  A table built for another kernel, or on another
+    grid than the config's (R, h, m, and R_out when set), is refused; an
+    init on another grid with the same h and m is carried over by lattice
+    cell (`_transfer`), any other refused.
     """
     if (config.m, config.gamma) != (kernel.m, kernel.gamma):
         raise DomainError(f"solver config has m={config.m}, gamma={config.gamma} but the "
@@ -111,6 +122,9 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
     if table is None:
         grid = build_grid(config.R, config.h, config.m, config.R_out)
         table = build_kernel_table(grid, kernel, assume_positive=config.assume_positive)
+    elif not _same_kernel(table.kernel, kernel):
+        raise DomainError(f"the table was built for another kernel ({table.kernel.family}) "
+                          f"than the solve's ({kernel.family})")
     grid = table.grid
     have = (grid.R, grid.h, grid.m, grid.R_out)
     want = (config.R, config.h, config.m, grid.R_out if config.R_out is None else config.R_out)

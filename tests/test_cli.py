@@ -28,7 +28,6 @@ R_out = 10.5
 
 [experiment]
 S_list = 2, 2.5, 2.75, 3
-mp_trials = 20
 """
 
 REPORTS = {"kernel-check": "convexity_report", "verify-inequality": "inequality_report",
@@ -126,7 +125,7 @@ def test_malformed_kernel_table_is_one_kernel_violation(tmp_path, capsys, table)
     ("solver", "mu0 = abc"), ("solver", "max_iters = many"), ("solver", "grad_tol = tiny"),
     ("solver", "R_schedule = 5, x"), ("solver", "assume_positive = perhaps"),
     ("solver", "seed = -1"), ("experiment", "zoc_nodes = abc"),
-    ("experiment", "mp_trials = 0"), ("experiment", "n_samples = 1e4"),
+    ("experiment", "zoc_nodes = 0"), ("experiment", "n_samples = 1e4"),
     ("experiment", "competitor_s = far"), ("experiment", "S_list = 2, three")])
 def test_bad_value_is_one_violation_naming_its_key(tmp_path, section, line):
     ini = tmp_path / "run.ini"
@@ -254,8 +253,11 @@ def test_output_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("ini, error", [
     (INI.replace("gamma = 0.5", "gamma = 0.5\ngama = 0.25"), "kernel: unknown key 'gama'"),
     (INI + "\n[solver]\nmax_iter = 1\n", "solver.max_iter: unknown key"),
+    # the trial count of check-operator's random solves, which its M-matrix
+    # certificate replaced
+    (INI + "mp_trials = 0\n", "experiment.mp_trials: unknown key"),
     (INI + "\n[experimnt]\nmp_trials = 5\n", "[experimnt]: unknown section")],
-    ids=["kernel-key", "solver-key", "section"])
+    ids=["kernel-key", "solver-key", "experiment-key", "section"])
 def test_unknown_section_or_key_is_a_config_error(tmp_path, capsys, ini, error):
     # each used to be ignored: kernel-check ran and exited 0
     code, errors = _kernel_check_errors(tmp_path, capsys, ini)

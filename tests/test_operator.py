@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nlsaddle.kernels import fractional_kernel
 from nlsaddle.doubly_radial import zero_order_coefficient
@@ -85,20 +87,28 @@ def test_strong_maximum_principle_probe(op_small, small_grid, small_table):
 
 
 def test_max_principle_structure_report(tables_and_ops):
+    # the certificate on the assembled operators: every off-diagonal entry
+    # strictly negative, every row sum positive, and nothing else reported
     for table, op in tables_and_ops:
-        rep = check_max_principle_structure(op, n_trials=25, seed=1)
+        off = op[~np.eye(op.shape[0], dtype=bool)]
+        rep = check_max_principle_structure(op)
         assert rep.z_pattern and rep.row_sums_positive and rep.monotone_probe, table.grid.m
-        assert rep.max_offdiag <= 0.0 + 1e-15, table.grid.m
-        assert rep.min_solution_value >= -1e-10, table.grid.m
-        assert rep.solve_failures == 0, table.grid.m
+        assert (rep.min_offdiag, rep.max_offdiag) == (off.min(), off.max()), table.grid.m
+        assert rep.max_offdiag < 0.0, table.grid.m
+        assert set(rep.as_dict()) == {"z_pattern", "row_sums_positive", "monotone_probe",
+                                      "min_offdiag", "max_offdiag"}
 
 
-def test_adversarial_positive_offdiagonal_detected(op_small):
-    bad = op_small.copy()
-    i, j = 0, 1
-    bad[i, j] = abs(bad[i, j]) + 1e-3 * abs(bad[i, i])
-    rep = check_max_principle_structure(bad, n_trials=2, seed=0)
-    assert rep.z_pattern is False
+def test_adversarial_positive_offdiagonal_detected(tables_and_ops):
+    # one positive off-diagonal entry breaks the Z pattern, though the row
+    # sums stay positive, and the certificate then fails
+    for table, op in tables_and_ops:
+        bad = op.copy()
+        bad[0, 1] = 1e-3 * abs(bad[0, 0])
+        rep = check_max_principle_structure(bad)
+        assert rep.row_sums_positive, table.grid.m
+        assert not rep.z_pattern and not rep.monotone_probe, table.grid.m
+        assert rep.max_offdiag == bad[0, 1], table.grid.m
 
 
 def test_zero_rhs_unit_c_gives_zero_solution(op_small):
@@ -124,10 +134,51 @@ def test_probe_nodes_exclusions(medium_grid):
     assert (medium_grid.radius[pr] < medium_grid.R - 2 * medium_grid.h).all()
 
 
-def test_weak_maximum_principle_trials(op_small):
-    rep = check_max_principle_structure(op_small, n_trials=100, seed=3)
-    assert rep.monotone_probe
-    assert rep.min_solution_value >= -1e-10
+def test_weak_maximum_principle_trials(tables_and_ops):
+    # the independent reference for the certificate: random monotone solves
+    # (M + diag(c)) u = g with c >= 0 and g >= 0 give u >= 0
+    rng = np.random.default_rng(3)
+    for table, op in tables_and_ops:
+        assert check_max_principle_structure(op).monotone_probe, table.grid.m
+        n = op.shape[0]
+        scale = np.abs(np.diag(op)).max()
+        for _ in range(20):
+            c = rng.uniform(0.0, 0.1 * scale, n)
+            u = np.linalg.solve(op + np.diag(c), rng.uniform(0.0, 1.0, n))
+            assert u.min() >= -1e-10, table.grid.m
+
+
+@st.composite
+def _z_matrices(draw):
+    """A small Z-matrix M with M 1 >= 0.1, and c >= 0, g >= 0 for a solve."""
+    n = draw(st.integers(2, 6))
+    M = draw(arrays(float, (n, n), elements=st.floats(-1.0, 0.0)))
+    np.fill_diagonal(M, 0.0)
+    margin = draw(arrays(float, n, elements=st.floats(0.1, 2.0)))
+    np.fill_diagonal(M, margin - M.sum(axis=1))
+    c = draw(arrays(float, n, elements=st.floats(0.0, 10.0)))
+    g = draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+    return M, c, g
+
+
+@given(case=_z_matrices())
+@settings(max_examples=150, deadline=None)
+def test_certificate_holds_and_monotone_solves_agree_on_random_z_matrices(case):
+    M, c, g = case
+    assert check_max_principle_structure(M).monotone_probe
+    assert np.linalg.solve(M + np.diag(c), g).min() >= -1e-10
+
+
+@given(case=_z_matrices(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_positive_offdiagonal_entry_fails_the_certificate(case, data):
+    M = case[0]
+    n = M.shape[0]
+    i = data.draw(st.integers(0, n - 1))
+    j = (i + data.draw(st.integers(1, n - 1))) % n
+    M[i, j] = data.draw(st.floats(5e-324, 1.0))
+    rep = check_max_principle_structure(M)
+    assert not rep.z_pattern and not rep.monotone_probe
 
 
 @pytest.mark.parametrize("name", ["small", "m2"])
@@ -148,10 +199,10 @@ def test_solver_gradient_is_assembled_operator(name, request):
     assert np.abs(grad[at] / (2.0 * model.mu[at]) - lf[probes]).max() <= 1e-12 * scale
 
 
-def test_no_successful_probe_gives_a_null_minimum(op_small):
-    # a zero matrix makes every probe solve singular; the minimum is then
-    # None (null in the report), not NaN, which JSON cannot carry
-    rep = check_max_principle_structure(np.zeros_like(op_small), n_trials=3, seed=0)
-    assert rep.solve_failures == 3 and not rep.monotone_probe
-    assert rep.min_solution_value is None
-    assert json.loads(json.dumps(rep.as_dict(), allow_nan=False))["min_solution_value"] is None
+def test_zero_matrix_fails_the_certificate(op_small):
+    # a Z pattern with zero row sums: singular, so no certificate; the
+    # report stays plain JSON
+    for n in (2, op_small.shape[0]):
+        rep = check_max_principle_structure(np.zeros((n, n)))
+        assert rep.z_pattern and not rep.row_sums_positive and not rep.monotone_probe, n
+        assert json.loads(json.dumps(rep.as_dict(), allow_nan=False)) == rep.as_dict()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nlsaddle.errors import ConvergenceError, DomainError
-from nlsaddle.kernels import fractional_kernel, standard_c_norm
+from nlsaddle.kernels import (counterexample_kernel, fractional_kernel, standard_c_norm,
+                              tabulated_kernel)
 from nlsaddle.energy import (EnergyModel, OddProfile, Potential, allen_cahn, build_grid,
                              build_kernel_table, total_energy, zero_potential,
                              zero_profile)
@@ -12,6 +13,7 @@ from nlsaddle.solver import (SolverConfig, _sup_diff, _transfer, continuation,
                              initial_guess, minimize)
 
 KSTD = fractional_kernel(0.5, 1, c_norm=standard_c_norm(0.5, 1))
+K1 = fractional_kernel(0.5, 1)  # the kernel of the small_table fixture
 
 
 def test_initial_guess_values(medium_grid):
@@ -189,7 +191,7 @@ def test_minimize_refuses_an_init_with_another_h_or_m(small_table):
     cfg = SolverConfig(R=R, h=h, gamma=0.5, m=1)
     for grid in (build_grid(R, 0.25, 1), build_grid(R, h, 2)):
         with pytest.raises(DomainError, match="init"):
-            minimize(cfg, KSTD, init=zero_profile(grid), table=small_table)
+            minimize(cfg, K1, init=zero_profile(grid), table=small_table)
 
 
 def test_minimize_refuses_a_config_for_another_kernel():
@@ -204,16 +206,37 @@ def test_minimize_refuses_a_table_for_another_grid(small_table):
     # the table's grid used to be solved on silently
     g = small_table.grid
     k2 = fractional_kernel(0.5, 2)
-    for cfg, kernel in ((SolverConfig(R=3.0, h=g.h, gamma=0.5, m=1), KSTD),
-                        (SolverConfig(R=g.R, h=0.25, gamma=0.5, m=1), KSTD),
+    for cfg, kernel in ((SolverConfig(R=3.0, h=g.h, gamma=0.5, m=1), K1),
+                        (SolverConfig(R=g.R, h=0.25, gamma=0.5, m=1), K1),
                         (SolverConfig(R=g.R, h=g.h, gamma=0.5, m=2), k2),
-                        (SolverConfig(R=g.R, h=g.h, gamma=0.5, m=1, R_out=5.0), KSTD)):
+                        (SolverConfig(R=g.R, h=g.h, gamma=0.5, m=1, R_out=5.0), K1)):
         with pytest.raises(DomainError, match="table"):
             minimize(cfg, kernel, table=small_table)
     # R_out is compared only when the config sets it
     for R_out in (None, g.R_out):
         cfg = SolverConfig(R=g.R, h=g.h, gamma=0.5, m=1, R_out=R_out, max_iters=1)
-        assert minimize(cfg, KSTD, table=small_table).table is small_table
+        assert minimize(cfg, K1, table=small_table).table is small_table
+
+
+def test_minimize_refuses_a_table_for_another_kernel(small_table):
+    # the table's kernel used to be solved on silently: the config's m and
+    # gamma were the only kernel fields compared
+    cfg = _small_config(small_table, max_iters=1)
+    for kernel in (KSTD, counterexample_kernel(0.5, 1)):
+        with pytest.raises(DomainError, match="another kernel"):
+            minimize(cfg, kernel, table=small_table)
+    # two tabulated kernels compare their columns (== on them raises ValueError)
+    r = np.geomspace(1e-32, 1e4, 65)
+    tab = tabulated_kernel(r, r ** -3.0, gamma=0.5, m=1)
+    table = build_kernel_table(small_table.grid, tab)
+    same = tabulated_kernel(r.copy(), r ** -3.0, gamma=0.5, m=1)
+    assert minimize(cfg, same, table=table).table is table
+    for kernel in (tabulated_kernel(r, 2.0 * r ** -3.0, gamma=0.5, m=1),
+                   tabulated_kernel(r[:-1], r[:-1] ** -3.0, gamma=0.5, m=1), K1):
+        with pytest.raises(DomainError, match="another kernel"):
+            minimize(cfg, kernel, table=table)
+    with pytest.raises(DomainError, match="another kernel"):
+        minimize(cfg, tab, table=small_table)
 
 
 # --- solver exits ------------------------------------------------------------------
@@ -225,7 +248,7 @@ def _small_config(table, **kw):
 def test_minimize_raises_on_a_non_finite_energy(small_table):
     nan_G = Potential(G=lambda u: np.full(np.shape(u), np.nan), f=allen_cahn().f)
     with pytest.raises(ConvergenceError, match="non-finite at iteration 0"):
-        minimize(_small_config(small_table), KSTD, nan_G, table=small_table)
+        minimize(_small_config(small_table), K1, nan_G, table=small_table)
 
 
 def _uphill(c):
@@ -239,7 +262,7 @@ def test_minimize_accepts_a_flat_step_when_backtracking_is_exhausted(small_table
     # 1e-14 |E| that the solver accepts as flat
     model = EnergyModel(small_table, _uphill(100.0))
     init = model.embed(np.full(model.mu.size, 5e-4))
-    res = minimize(_small_config(small_table), KSTD, _uphill(100.0), init=init,
+    res = minimize(_small_config(small_table), K1, _uphill(100.0), init=init,
                    table=small_table)
     E0, E1 = res.trace.energies
     assert res.trace.converged and res.trace.n_iters == 1 and res.trace.steps == []
@@ -250,7 +273,7 @@ def test_minimize_accepts_a_flat_step_when_backtracking_is_exhausted(small_table
 def test_minimize_raises_when_backtracking_cannot_lower_the_energy(small_table):
     # from u = 0, E = 0, so even the last step of 2^-59 raises E above the flat slack
     with pytest.raises(ConvergenceError, match="backtracking exhausted .* iteration 0"):
-        minimize(_small_config(small_table), KSTD, _uphill(100.0),
+        minimize(_small_config(small_table), K1, _uphill(100.0),
                  init=zero_profile(small_table.grid), table=small_table)
 
 
@@ -265,7 +288,7 @@ def test_minimize_stops_when_the_projected_step_rounds_away(small_table):
     t = np.full(u0.size, 1e-9)
     t[0] = -1e8
     skew = Potential(G=zero_potential().G, f=lambda u: lu0 - t)
-    res = minimize(_small_config(small_table), KSTD, skew, init=zero.embed(u0),
+    res = minimize(_small_config(small_table), K1, skew, init=zero.embed(u0),
                    table=small_table)
     assert res.trace.converged and res.trace.n_iters == 0
     assert res.trace.pg_norms[0] == pytest.approx(1e-9, rel=1e-6)
@@ -277,7 +300,7 @@ def test_minimize_doubles_the_step_on_negative_curvature(small_table):
     # the descent still ends at the corner u = 1 with a non-increasing trace
     c = 1e3
     concave = Potential(G=lambda u: -0.5 * c * np.asarray(u) ** 2, f=lambda u: c * np.asarray(u))
-    res = minimize(_small_config(small_table), KSTD, concave, table=small_table)
+    res = minimize(_small_config(small_table), K1, concave, table=small_table)
     assert res.trace.converged
     assert np.all(np.diff(res.trace.energies) <= 0.0)
     model = EnergyModel(small_table, concave)
