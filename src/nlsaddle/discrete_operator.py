@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .energy import Grid, KernelTable, operator_diagonal, self_cell_matrix
 
 # cells kept between the probe nodes and both the cone and |x| = R
@@ -68,7 +69,11 @@ def check_max_principle_structure(M: np.ndarray) -> MaxPrincipleReport:
     (Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
     1994, Ch. 6): (M + diag(c)) u = g >= 0 gives u >= 0.
     monotone_probe is that conclusion, z_pattern and row_sums_positive.
+    A one-node grid has no off-diagonal entry to certify: DomainError.
     """
+    if M.shape[0] < 2:
+        raise DomainError(f"the operator certificate needs at least 2 nodes, "
+                          f"the grid has {M.shape[0]}")
     off = M[~np.eye(M.shape[0], dtype=bool)]
     z_pattern = bool(off.max() <= 0.0)
     row_sums_positive = bool(M.sum(axis=1).min() > 0.0)

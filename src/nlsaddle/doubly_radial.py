@@ -10,7 +10,10 @@ kbar = J / |S^(m-1)|^2, its closed hypergeometric form
 for the pure power kernel (m >= 2), the zero-order coefficient of the
 odd-sector operator (for the power kernel at m=1 a planar integral along
 exact rays, which needs no J; otherwise a polar integral of J), and a
-randomized verifier for the kernel inequality.
+randomized verifier for the kernel inequality.  `energy.build_kernel_table`
+calls `j_values` for its pair tables at m >= 2 only: at m=1, J is the 4-term
+sum over the sign reflections, each lattice distance is h sqrt(a^2 + b^2)
+for integers a, b, and the tables gather one kernel value per offset (a, b).
 """
 
 from __future__ import annotations
@@ -103,8 +106,8 @@ def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.n
     Every term is nonnegative, so nothing cancels near the diagonal, the
     form is exact at th = +-1, and it is bit-for-bit symmetric under
     (s,t) <-> (sig,tau).  The 1e-60 floor on a_j only keeps exact zeros
-    finite: the diagonal entries that `build_kernel_table` computes and
-    then overwrites.
+    finite: the diagonal entries that `build_kernel_table` computes at m >= 2
+    and then overwrites.
     """
     radii = [np.asarray(a, float) for a in (s, t, sig, tau)]
     # checked before broadcasting, so that an n x n pair call checks O(n) values

@@ -10,7 +10,12 @@ with the interaction
     I(A, B) = 2 sum |w_i - w_j|^2 (kbar_ij - kbar*_ij) mu_i mu_j
             + 4 sum (w_i^2 + w_j^2) kbar*_ij mu_i mu_j,
 
-kbar*_ij = kbar(x_i, x_j^star).  Cells are midpoint squares in (s, t), and
+kbar*_ij = kbar(x_i, x_j^star).  `build_kernel_table` holds kbar - kbar* and
+kbar* over all node pairs as the tables D and P.  At m=1, kbar is the 4-term
+sum of K over the sign reflections and each of its distances on the
+cell-centred lattice is h sqrt(a^2 + b^2) for integers a, b, so both tables
+gather from one kernel value per offset (a, b); at m >= 2 they come from
+`doubly_radial.j_values`.  Cells are midpoint squares in (s, t), and
 `total_energy` adds two corrections to the I sums.  2 sum_in w^2 mu (Z - P mu)
 swaps the midpoint zero-order mass (P mu)_i of a node for Z_i: the integral
 that defines `zero_order_coefficient` (`doubly_radial.zero_order_integral`:
@@ -38,12 +43,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, PreconditionError, TableError
-from .kernels import RadialKernel, check_sqrt_convexity
+from .kernels import RadialKernel, _h, check_sqrt_convexity
 from .doubly_radial import (QuadratureRule, exterior_tail_coefficient,
                             gauss_jacobi_rule, j_values, omega_sphere,
                             zero_order_integral)
 
 _ROW_CHUNK = 512
+# rows per block of the m=1 lattice pair build, whose int32 offsets and
+# gathered values then stay in cache
+_PAIR_BLOCK = 32
 # largest D and P pair tables build_kernel_table allocates, together
 _TABLE_MEM_CAP_GB = 6.0
 # polar angles and radial nodes of the self-cell quadrature
@@ -239,6 +247,9 @@ class KernelTable:
 
     D[i,j]   kbar(x_i, x_j) - kbar(x_i, x_j*)   (0 on the diagonal)
     P[i,j]   kbar(x_i, x_j*)                     (finite for all pairs)
+             both symmetric; at m=1 gathered from one kernel value per
+             lattice offset (the 4-term sums at exact distances
+             h sqrt(a^2 + b^2)), at m >= 2 from `j_values`
     zcol[i]  int kbar(x_i, y*) dy over the outer octant truncated at
              R_out, by `zero_order_integral`, the integrator of
              `zero_order_coefficient`: for the power kernel at m=1 the
@@ -321,15 +332,64 @@ def _one_sided_neighbors(grid: Grid):
     return es, et
 
 
+def _lattice_pairs(grid: Grid, kernel: RadialKernel, D: np.ndarray, P: np.ndarray) -> None:
+    """Fill the m=1 pair tables D and P from one kernel value per lattice offset.
+
+    At m=1, J is the 4-term sum of K over the sign reflections, and on the
+    cell-centred lattice each of its distances is h sqrt(a^2 + b^2) for
+    integers a, b: node (i, j) sees node (i', j') at a in {|i - i'|,
+    i + i' + 1} and b in {|j - j'|, j + j' + 1}, and the mirror (j', i') at
+    a in {|i - j'|, i + j' + 1} and b in {|j - i'|, j + i' + 1}.  So both
+    tables gather from G[a, b] = h(h^2 (a^2 + b^2)) / |S^0|^2, evaluated only
+    at the offsets some pair reaches (|(a, b)| <= max |(2i + 1, 2j + 1)|, as
+    2(a, b) is a sum of two such vectors) and never at (0, 0): that is the
+    diagonal's direct term, which D overwrites with 0.  Rows go in blocks of
+    _PAIR_BLOCK, each built from its diagonal rightwards and mirrored, so D
+    and P come out bitwise symmetric.
+    """
+    n = grid.n_nodes
+    ii, jj = grid.ii.astype(np.int32), grid.jj.astype(np.int32)
+    W = 2 * int(ii[-1]) + 2  # every offset is at most 2 max(i) + 1
+    a = np.arange(W, dtype=np.int64)
+    q = a[:, None] ** 2 + a[None, :] ** 2
+    reach = (q > 0) & (q <= ((2 * grid.ii + 1) ** 2 + (2 * grid.jj + 1) ** 2).max())
+    G = np.full(W * W, np.nan)
+    G[reach.ravel()] = _h(kernel, grid.h ** 2 * q[reach]) / omega_sphere(1) ** 2
+
+    def gather(i, j, k, l):
+        """G summed over a in {|i - k|, i + k + 1}, b in {|j - l|, j + l + 1}."""
+        a1, a2 = np.abs(i - k) * W, (i + k + 1) * W
+        b1, b2 = np.abs(j - l), j + l + 1
+        return G[a1 + b1] + G[a1 + b2] + G[a2 + b1] + G[a2 + b2]
+
+    for lo in range(0, n, _PAIR_BLOCK):
+        hi = min(n, lo + _PAIR_BLOCK)
+        i, j = ii[lo:hi, None], jj[lo:hi, None]
+        star = gather(i, j, jj[lo:], ii[lo:])
+        diff = gather(i, j, ii[lo:], jj[lo:]) - star
+        sq = hi - lo
+        diff[np.arange(sq), np.arange(sq)] = 0.0
+        low = np.tril_indices(sq, -1)
+        for table, block in ((D, diff), (P, star)):
+            block[:, :sq][low] = block[:, :sq].T[low]
+            table[lo:hi, lo:] = block
+            table[hi:, lo:hi] = block[:, sq:].T
+
+
 def build_kernel_table(grid: Grid, kernel: RadialKernel,
                        rule: QuadratureRule | None = None,
                        assume_positive: bool = False) -> KernelTable:
     """Cache kbar, kbar-star and their difference over all node pairs.
 
-    Refuses kernels that fail the sqrt-convexity check unless
-    assume_positive=True, and refuses grids whose dense pair tables would
-    exceed _TABLE_MEM_CAP_GB (use a larger h).
+    At m=1 the pair tables gather from one kernel value per lattice offset
+    (`_lattice_pairs`); at m >= 2 they are `j_values` over blocks of rows,
+    and `rule` serves them, the zero-order column and the self-cell
+    constants.  Refuses a kernel of another m than the grid's, kernels that
+    fail the sqrt-convexity check unless assume_positive=True, and grids
+    whose dense pair tables would exceed _TABLE_MEM_CAP_GB (use a larger h).
     """
+    if kernel.m != grid.m:
+        raise DomainError(f"the kernel has m={kernel.m}, the grid m={grid.m}")
     n = grid.n_nodes
     need_gb = 2.0 * n * n * 8.0 / 2 ** 30
     if need_gb > _TABLE_MEM_CAP_GB:
@@ -345,23 +405,26 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
     if rule is None:
         rule = gauss_jacobi_rule(32, kernel.m)
 
-    om2 = omega_sphere(grid.m) ** 2
     # one block for both tables: past the C allocator's mmap ceiling (32 MiB
     # in glibc) a block is always mapped on its own and given back when the
     # table is dropped, whereas two n x n blocks of just under it can land
     # in the heap, where a dropped pair may stay resident under the next
     # build's tables and raise its peak memory by a table's size
     D, P = np.empty((2, n, n))
-    for lo in range(0, n, _ROW_CHUNK):
-        hi = min(n, lo + _ROW_CHUNK)
-        S = grid.s[lo:hi][:, None]
-        T = grid.t[lo:hi][:, None]
-        direct = j_values(kernel, S, T, grid.s[None, :], grid.t[None, :], rule)
-        swapped = j_values(kernel, S, T, grid.t[None, :], grid.s[None, :], rule)
-        P[lo:hi] = swapped / om2
-        diag = np.arange(lo, hi)
-        direct[diag - lo, diag] = swapped[diag - lo, diag]  # zero difference on the diagonal
-        D[lo:hi] = (direct - swapped) / om2
+    if grid.m == 1:
+        _lattice_pairs(grid, kernel, D, P)
+    else:
+        om2 = omega_sphere(grid.m) ** 2
+        for lo in range(0, n, _ROW_CHUNK):
+            hi = min(n, lo + _ROW_CHUNK)
+            S = grid.s[lo:hi][:, None]
+            T = grid.t[lo:hi][:, None]
+            direct = j_values(kernel, S, T, grid.s[None, :], grid.t[None, :], rule)
+            swapped = j_values(kernel, S, T, grid.t[None, :], grid.s[None, :], rule)
+            P[lo:hi] = swapped / om2
+            diag = np.arange(lo, hi)
+            direct[diag - lo, diag] = swapped[diag - lo, diag]  # zero difference on the diagonal
+            D[lo:hi] = (direct - swapped) / om2
 
     zcol = zero_order_integral(kernel, grid.s, grid.t, grid.R_out, rule)
     ztail = 0.5 * exterior_tail_coefficient(kernel, grid.s, grid.t, grid.R_out)

@@ -107,7 +107,9 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
 
     Converges when the projected residual sup |u - proj(u - (L u - f(u)))|
     (trace.pg_norms; the gradient over 2 mu, so the orbit weight does not
-    scale it) falls to grad_tol times its initial value.
+    scale it) falls to grad_tol times its initial value; trace.converged
+    says whether the final residual meets that, also when the descent stops
+    early on a flat step or a degenerate direction.
     Aborts with ConvergenceError on NaN or if backtracking cannot produce a
     non-increasing step.  A table built for another kernel, or on another
     grid than the config's (R, h, m, and R_out when set), is refused; an
@@ -149,7 +151,6 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
         pg = _residual(u, g, model)
         trace.pg_norms.append(pg)
         if pg <= tol:
-            trace.converged = True
             break
         d = _project(u - alpha * g) - u
         gd = float(g @ d)
@@ -159,7 +160,6 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
             d = _project(u - alpha * g) - u
             gd = float(g @ d)
             if gd >= 0.0:
-                trace.converged = True
                 break
         lam = 1.0
         accepted = False
@@ -176,7 +176,6 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
             if E_new <= E + 1e-14 * abs(E):
                 u, E, g = u_new, E_new, g_new
                 trace.energies.append(E)
-                trace.converged = True
                 break
             raise ConvergenceError(
                 f"backtracking exhausted with increasing energy at iteration {it}")
@@ -194,6 +193,7 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
     if len(trace.pg_norms) < len(trace.energies):
         # stopped right after a step (max_iters, or a flat final step)
         trace.pg_norms.append(_residual(u, g, model))
+    trace.converged = trace.pg_norms[-1] <= tol
     trace.n_iters = len(trace.energies) - 1
 
     profile = model.embed(u)

@@ -75,6 +75,19 @@ def test_check_operator_runs_at_m2(tmp_path):
     assert (body["m"], body["n_zoc_reference_nodes"]) == (2, 29)
 
 
+def test_check_operator_on_a_one_node_grid_gives_a_diagnostic(tmp_path):
+    # R_out = 0.9 holds only the cell (1, 0): no off-diagonal entry to certify
+    ini = tmp_path / "run.ini"
+    ini.write_text("[kernel]\nfamily = fractional\ngamma = 0.5\nm = 1\n\n"
+                   "[grid]\nR = 0.6\nh = 0.5\n")
+    out = tmp_path / "out"
+    assert cli.main(["check-operator", "--config", str(ini), "--out", str(out)]) == 1
+    diag = json.loads((out / "diagnostic.json").read_text())
+    jsonschema.validate(diag, json.loads((SCHEMAS / "diagnostic.schema.json").read_text()))
+    assert diag["error"] == "DomainError" and "has 1" in diag["message"]
+    assert not (out / "operator_report.json").exists()
+
+
 def test_kernel_section_is_checked_by_the_kernel(tmp_path):
     # the piecewise counterexample defaults lambda to 0.1, so Lambda = 0.5 is valid
     ini = tmp_path / "run.ini"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nlsaddle.errors import DomainError, PreconditionError, TableError
-from nlsaddle.kernels import counterexample_kernel, fractional_kernel
+from nlsaddle import energy
+from nlsaddle.kernels import counterexample_kernel, fractional_kernel, tabulated_kernel
 from nlsaddle.doubly_radial import (gauss_jacobi_rule, j_values, kernel_difference,
                                     omega_sphere, zero_order_coefficient)
 from nlsaddle.energy import (EnergyModel, Grid, OddProfile, allen_cahn, build_grid,
@@ -161,6 +162,64 @@ def test_table_entry_accessors(small_table, m2_table):
                                                   rel=1e-12)
             star = float(j_values(kernel, g.s[a], g.t[a], g.t[b], g.s[b], rule)) / om2
             assert table.P[a, b] == pytest.approx(star, rel=1e-12)
+
+
+LATTICE_GRIDS = {
+    "R12-h0.5": (12.0, 0.5, None),
+    # R_out is not a multiple of h
+    "10x10": (10 / 3, 1 / 3, 10 * (1 / 3) * math.sqrt(2.01)),
+}
+
+
+@pytest.mark.parametrize("kernel", [K1, counterexample_kernel(0.5, 1)],
+                         ids=["fractional", "counterexample"])
+@pytest.mark.parametrize("grid_args", LATTICE_GRIDS.values(), ids=LATTICE_GRIDS.keys())
+def test_m1_lattice_table_matches_the_four_term_sums(kernel, grid_args):
+    g = build_grid(grid_args[0], grid_args[1], 1, grid_args[2])
+    tab = build_kernel_table(g, kernel, assume_positive=True)
+    rule = gauss_jacobi_rule(32, 1)
+    S, T = g.s[:, None], g.t[:, None]
+    direct = j_values(kernel, S, T, g.s, g.t, rule) / 4.0
+    star = j_values(kernel, S, T, g.t, g.s, rule) / 4.0
+    diff = direct - star
+    np.fill_diagonal(diff, 0.0)
+    assert np.max(np.abs(tab.P - star) / star) <= 1e-14
+    assert np.max(np.abs(tab.D - diff) / (diff + star)) <= 1e-14
+    assert np.all(np.diag(tab.D) == 0.0)
+    assert np.array_equal(tab.D, tab.D.T) and np.array_equal(tab.P, tab.P.T)
+
+
+def test_m1_table_makes_no_pair_j_call(small_grid, monkeypatch):
+    # only the self-cell constants call J, over (rows, angles, radii) blocks
+    shapes = []
+
+    def spy(kernel, s, t, sig, tau, rule):
+        shapes.append(np.broadcast_shapes(*(np.shape(a) for a in (s, t, sig, tau))))
+        return j_values(kernel, s, t, sig, tau, rule)
+
+    monkeypatch.setattr(energy, "j_values", spy)
+    build_kernel_table(small_grid, K1)
+    cell = (energy._SELF_CELL_N_THETA, energy._SELF_CELL_N_RAD)
+    assert shapes and all(len(sh) == 3 and sh[1:] == cell for sh in shapes)
+
+
+def test_m1_tabulated_power_law_builds_the_fractional_table():
+    # the lattice build never asks for the diagonal's zero distance, which a
+    # tabulated kernel refuses
+    g = build_grid(4, 0.5, 1)
+    r = np.geomspace(1e-3, 1e3, 400)
+    tab = build_kernel_table(g, tabulated_kernel(r, r ** -3, 0.5, 1))
+    ref = build_kernel_table(g, K1)
+    assert np.max(np.abs(tab.P - ref.P) / ref.P) <= 1e-12
+    assert np.max(np.abs(tab.D - ref.D) / (ref.D + ref.P)) <= 1e-12
+    # nor for the offsets no pair reaches, out to sqrt(2) (2 max(i) + 1) h = 16.3
+    r = np.geomspace(1e-6, 2 * g.R_out + 1, 400)
+    build_kernel_table(g, tabulated_kernel(r, r ** -3, 0.5, 1))
+
+
+def test_table_refuses_a_kernel_of_another_m(small_grid):
+    with pytest.raises(DomainError, match="m=2, the grid m=1"):
+        build_kernel_table(small_grid, fractional_kernel(0.5, 2))
 
 
 def test_table_memory_cap():

@@ -265,7 +265,8 @@ def test_minimize_accepts_a_flat_step_when_backtracking_is_exhausted(small_table
     res = minimize(_small_config(small_table), K1, _uphill(100.0), init=init,
                    table=small_table)
     E0, E1 = res.trace.energies
-    assert res.trace.converged and res.trace.n_iters == 1 and res.trace.steps == []
+    # the step is taken, but the residual stays at 0.9995, far above the tolerance
+    assert not res.trace.converged and res.trace.n_iters == 1 and res.trace.steps == []
     assert E0 < E1 <= E0 + 1e-14 * abs(E0)
     assert len(res.trace.pg_norms) == 2
 
@@ -290,7 +291,8 @@ def test_minimize_stops_when_the_projected_step_rounds_away(small_table):
     skew = Potential(G=zero_potential().G, f=lambda u: lu0 - t)
     res = minimize(_small_config(small_table), K1, skew, init=zero.embed(u0),
                    table=small_table)
-    assert res.trace.converged and res.trace.n_iters == 0
+    # the residual stays above the tolerance, so the solve is not converged
+    assert not res.trace.converged and res.trace.n_iters == 0
     assert res.trace.pg_norms[0] == pytest.approx(1e-9, rel=1e-6)
     assert np.array_equal(res.profile.values, zero.embed(u0).values)
 
