@@ -70,11 +70,13 @@ def check_max_principle_structure(M: np.ndarray) -> MaxPrincipleReport:
     1994, Ch. 6): (M + diag(c)) u = g >= 0 gives u >= 0.
     monotone_probe is that conclusion, z_pattern and row_sums_positive.
     A one-node grid has no off-diagonal entry to certify: DomainError.
+    The off-diagonal entries are the strided view of M in C order whose row
+    k runs from M[k, k + 1] up to M[k + 1, k].
     """
-    if M.shape[0] < 2:
-        raise DomainError(f"the operator certificate needs at least 2 nodes, "
-                          f"the grid has {M.shape[0]}")
-    off = M[~np.eye(M.shape[0], dtype=bool)]
+    n = M.shape[0]
+    if n < 2:
+        raise DomainError(f"the operator certificate needs at least 2 nodes, the grid has {n}")
+    off = np.ascontiguousarray(M).ravel()[1:].reshape(n - 1, n + 1)[:, :n]
     z_pattern = bool(off.max() <= 0.0)
     row_sums_positive = bool(M.sum(axis=1).min() > 0.0)
     return MaxPrincipleReport(

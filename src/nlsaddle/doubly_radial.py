@@ -27,22 +27,25 @@ from scipy.special import gammaln, hyp2f1, roots_jacobi
 from .errors import ConvergenceError, DomainError, PreconditionError, SingularityError
 from .kernels import RadialKernel, _h
 
-# orbits per block of the polar zero-order integral
-_ZERO_ORDER_CHUNK = 16
 # Gauss-Legendre nodes per phi panel of the polar zero-order integral
 _ZERO_ORDER_PHI_ORDER = 4
-# values per block of the vectorized loops, 2 MiB per float array: in
-# j_values points times the inner integrator's width (its kernel values,
-# order^2 on the rule; 4 order on the closed form, whose arrays hold a
-# quarter), (node, radius, angle) points of the exterior tail and (node,
-# angle) rays of the m=1 zero-order column; a few such arrays are live at once
-_J_CHUNK = 2 ** 18
+# values per scratch array of every blocked loop (512 KiB of float64), here
+# and in energy: small enough that the C allocator reuses heap pages from
+# block to block instead of mapping, zeroing and returning fresh ones
+_BLOCK_VALUES = 2 ** 16
 # angular and radial nodes of the exterior tail's sphere-slice rule
 _TAIL_N_THETA = 48
 _TAIL_N_RAD = 32
 # relative gap tolerance and order cap of the sampled inequality check
 _INEQUALITY_REL_TOL = 1e-8
 _INEQUALITY_MAX_ORDER = 256
+
+
+def _blocks(n: int, width: int, grain: int = 1):
+    """(lo, hi) of the blocks of n items holding `width` scratch values each:
+    _BLOCK_VALUES per block, in multiples of `grain` items."""
+    step = max(grain, _BLOCK_VALUES // width // grain * grain)
+    return ((lo, min(n, lo + step)) for lo in range(0, n, step))
 
 
 def _coords(p) -> tuple[float, float]:
@@ -107,7 +110,10 @@ def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.n
     form is exact at th = +-1, and it is bit-for-bit symmetric under
     (s,t) <-> (sig,tau).  The 1e-60 floor on a_j only keeps exact zeros
     finite: the diagonal entries that `build_kernel_table` computes at m >= 2
-    and then overwrites.
+    and then overwrites.  A block holds order^2 values per point (order in
+    closed form), in multiples of 16 points: the BLAS sums over the rule
+    order a point's terms by its place among 16 (AVX-512), so no J depends
+    on the block size.
     """
     radii = [np.asarray(a, float) for a in (s, t, sig, tau)]
     # checked before broadcasting, so that an n x n pair call checks O(n) values
@@ -116,18 +122,17 @@ def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.n
     s, t, sig, tau = np.broadcast_arrays(*radii)
     flat = [a.reshape(-1) for a in (s, t, sig, tau)]
     if kernel.family == "fractional" and kernel.m == 2:
-        inner, width = _inner_closed, 4 * rule.order
+        inner, width = _inner_closed, rule.order
     else:
         inner, width = _inner_rule, rule.order ** 2
     out = np.empty(s.size)
-    step = max(1, _J_CHUNK // width)
-    for lo in range(0, s.size, step):
-        S, T, SIG, TAU = (a[lo:lo + step] for a in flat)
+    for lo, hi in _blocks(s.size, width, grain=16):
+        S, T, SIG, TAU = (a[lo:hi] for a in flat)
         u, v = 2.0 * S * SIG, 2.0 * T * TAU
         a = np.multiply.outer(1.0 - rule.nodes, np.minimum(u, v))
         a += (S - SIG) ** 2 + (T - TAU) ** 2
         np.maximum(a, 1e-60, out=a)
-        out[lo:lo + step] = inner(kernel, a, np.maximum(u, v), rule)
+        out[lo:hi] = inner(kernel, a, np.maximum(u, v), rule)
     out *= rule.prefactor
     return out.reshape(s.shape)
 
@@ -396,12 +401,11 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float) -> np.nd
     Rr = r[:, None]
     flat = a.reshape(-1)
     rad = np.empty(flat.size)
-    step = max(1, _J_CHUNK // (_TAIL_N_RAD * _TAIL_N_THETA))
-    for lo in range(0, flat.size, step):
-        A = flat[lo:lo + step, None, None]
+    for lo, hi in _blocks(flat.size, _TAIL_N_RAD * _TAIL_N_THETA):
+        A = flat[lo:hi, None, None]
         dist2 = Rr ** 2 + A ** 2 - 2.0 * A * Rr * th
         avg = (dist2 ** (-p / 2.0) * wth).sum(axis=-1)
-        rad[lo:lo + step] = (avg * wr).sum(axis=-1)
+        rad[lo:hi] = (avg * wr).sum(axis=-1)
     out = kernel.Lam * kernel.c_norm * omega_sphere(n - 1) * rad.reshape(a.shape)
     return out if a.ndim else float(out)
 
@@ -431,8 +435,8 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     nodes; along each ray the region is entered at the cone and left at
     b = 0 or at the rim, and log(rho) is integrated with n_rho
     Gauss-Legendre nodes.
-    Nodes are processed _ZERO_ORDER_CHUNK at a time, and only the
-    (node, phi) rays that cross the region are evaluated.
+    Nodes go in blocks of _BLOCK_VALUES (node, phi, rho) points, and only
+    the (node, phi) rays that cross the region are evaluated.
     """
     s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
     if not np.all((s > t) & (t >= 0.0)):
@@ -458,8 +462,7 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
 
     flat_s, flat_t = s.reshape(-1), t.reshape(-1)
     out = np.zeros(flat_s.size)
-    for lo in range(0, flat_s.size, _ZERO_ORDER_CHUNK):
-        hi = min(flat_s.size, lo + _ZERO_ORDER_CHUNK)
+    for lo, hi in _blocks(flat_s.size, phi.size * n_rho):
         S, T = flat_s[lo:hi, None], flat_t[lo:hi, None]
         delta = (S - T) / math.sqrt(2.0)
         with np.errstate(divide="ignore"):
@@ -508,9 +511,8 @@ def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np
     rim_z2 = R_out / math.sqrt(2.0) * np.array([1.0, 1.0, -1.0, -1.0])
     cone = math.pi / 4.0 * np.array([1.0, 3.0, 5.0, 7.0])
     out = np.empty(s.size)
-    step = max(1, _J_CHUNK // (9 * order))
-    for lo in range(0, s.size, step):
-        S, T = s[lo:lo + step, None], t[lo:lo + step, None]
+    for lo, hi in _blocks(s.size, 9 * order):
+        S, T = s[lo:hi, None], t[lo:hi, None]
         brk = np.concatenate([np.arctan2(-T, -S),
                               np.arctan2(rim_z2 - T, rim_z1 - S),
                               np.broadcast_to(cone, (S.shape[0], 4))], axis=1)
@@ -530,7 +532,7 @@ def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np
         rho_hi = np.minimum(np.maximum(rho_a, rho_b), rho_disk)
         # rays that miss W have rho_lo >= rho_hi and a nonpositive difference
         ray = np.maximum(rho_lo ** -two_g - rho_hi ** -two_g, 0.0)
-        out[lo:lo + step] = (ray * w).sum(axis=1)
+        out[lo:hi] = (ray * w).sum(axis=1)
     return out * (kernel.c_norm / two_g)
 
 

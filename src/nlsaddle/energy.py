@@ -44,14 +44,10 @@ import scipy.sparse as sp
 
 from .errors import DomainError, PreconditionError, TableError
 from .kernels import RadialKernel, _h, check_sqrt_convexity
-from .doubly_radial import (QuadratureRule, exterior_tail_coefficient,
+from .doubly_radial import (QuadratureRule, _blocks, exterior_tail_coefficient,
                             gauss_jacobi_rule, j_values, omega_sphere,
                             zero_order_integral)
 
-_ROW_CHUNK = 512
-# rows per block of the m=1 lattice pair build, whose int32 offsets and
-# gathered values then stay in cache
-_PAIR_BLOCK = 32
 # largest D and P pair tables build_kernel_table allocates, together
 _TABLE_MEM_CAP_GB = 6.0
 # polar angles and radial nodes of the self-cell quadrature
@@ -300,8 +296,7 @@ def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRu
     zt = rr * np.sin(theta)[:, None]
     cs = np.zeros(grid.n_nodes)
     ct = np.zeros(grid.n_nodes)
-    for lo in range(0, grid.n_nodes, _ROW_CHUNK):
-        hi = min(grid.n_nodes, lo + _ROW_CHUNK)
+    for lo, hi in _blocks(grid.n_nodes, zs.size):
         S = grid.s[lo:hi][:, None, None]
         T = grid.t[lo:hi][:, None, None]
         aa = S + zs[None, :, :]
@@ -343,9 +338,9 @@ def _lattice_pairs(grid: Grid, kernel: RadialKernel, D: np.ndarray, P: np.ndarra
     tables gather from G[a, b] = h(h^2 (a^2 + b^2)) / |S^0|^2, evaluated only
     at the offsets some pair reaches (|(a, b)| <= max |(2i + 1, 2j + 1)|, as
     2(a, b) is a sum of two such vectors) and never at (0, 0): that is the
-    diagonal's direct term, which D overwrites with 0.  Rows go in blocks of
-    _PAIR_BLOCK, each built from its diagonal rightwards and mirrored, so D
-    and P come out bitwise symmetric.
+    diagonal's direct term, which D overwrites with 0.  Row blocks are built
+    from their diagonal rightwards and mirrored, so D and P come out bitwise
+    symmetric.
     """
     n = grid.n_nodes
     ii, jj = grid.ii.astype(np.int32), grid.jj.astype(np.int32)
@@ -362,8 +357,7 @@ def _lattice_pairs(grid: Grid, kernel: RadialKernel, D: np.ndarray, P: np.ndarra
         b1, b2 = np.abs(j - l), j + l + 1
         return G[a1 + b1] + G[a1 + b2] + G[a2 + b1] + G[a2 + b2]
 
-    for lo in range(0, n, _PAIR_BLOCK):
-        hi = min(n, lo + _PAIR_BLOCK)
+    for lo, hi in _blocks(n, n):
         i, j = ii[lo:hi, None], jj[lo:hi, None]
         star = gather(i, j, jj[lo:], ii[lo:])
         diff = gather(i, j, ii[lo:], jj[lo:]) - star
@@ -381,12 +375,14 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
                        assume_positive: bool = False) -> KernelTable:
     """Cache kbar, kbar-star and their difference over all node pairs.
 
-    At m=1 the pair tables gather from one kernel value per lattice offset
-    (`_lattice_pairs`); at m >= 2 they are `j_values` over blocks of rows,
-    and `rule` serves them, the zero-order column and the self-cell
-    constants.  Refuses a kernel of another m than the grid's, kernels that
-    fail the sqrt-convexity check unless assume_positive=True, and grids
-    whose dense pair tables would exceed _TABLE_MEM_CAP_GB (use a larger h).
+    First the per-node layers (zero-order column, tail, self-cell, neighbors),
+    then D and P: at m=1 gathered from one kernel value per lattice offset
+    (`_lattice_pairs`), at m >= 2 `j_values` over row blocks; `rule` serves
+    J.  Scratch comes in blocks of `doubly_radial._BLOCK_VALUES`, so the build
+    peaks at the two n x n tables plus a few blocks.  Refuses a kernel of
+    another m than the grid's, kernels that fail the sqrt-convexity check
+    unless assume_positive=True, and grids whose dense pair tables would
+    exceed _TABLE_MEM_CAP_GB (use a larger h).
     """
     if kernel.m != grid.m:
         raise DomainError(f"the kernel has m={kernel.m}, the grid m={grid.m}")
@@ -404,19 +400,20 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
                 "to build the table anyway")
     if rule is None:
         rule = gauss_jacobi_rule(32, kernel.m)
+    zcol = zero_order_integral(kernel, grid.s, grid.t, grid.R_out, rule)
+    ztail = 0.5 * exterior_tail_coefficient(kernel, grid.s, grid.t, grid.R_out)
+    cs, ct = _self_cell_coefficients(grid, kernel, rule)
+    es, et = _one_sided_neighbors(grid)
 
-    # one block for both tables: past the C allocator's mmap ceiling (32 MiB
-    # in glibc) a block is always mapped on its own and given back when the
-    # table is dropped, whereas two n x n blocks of just under it can land
-    # in the heap, where a dropped pair may stay resident under the next
-    # build's tables and raise its peak memory by a table's size
+    # one block for both tables: past glibc's 32 MiB mmap ceiling it is mapped
+    # on its own and given back on drop, where two n x n blocks just under it
+    # could stay resident in the heap under the next build's tables
     D, P = np.empty((2, n, n))
     if grid.m == 1:
         _lattice_pairs(grid, kernel, D, P)
     else:
         om2 = omega_sphere(grid.m) ** 2
-        for lo in range(0, n, _ROW_CHUNK):
-            hi = min(n, lo + _ROW_CHUNK)
+        for lo, hi in _blocks(n, n):
             S = grid.s[lo:hi][:, None]
             T = grid.t[lo:hi][:, None]
             direct = j_values(kernel, S, T, grid.s[None, :], grid.t[None, :], rule)
@@ -425,11 +422,6 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
             diag = np.arange(lo, hi)
             direct[diag - lo, diag] = swapped[diag - lo, diag]  # zero difference on the diagonal
             D[lo:hi] = (direct - swapped) / om2
-
-    zcol = zero_order_integral(kernel, grid.s, grid.t, grid.R_out, rule)
-    ztail = 0.5 * exterior_tail_coefficient(kernel, grid.s, grid.t, grid.R_out)
-    cs, ct = _self_cell_coefficients(grid, kernel, rule)
-    es, et = _one_sided_neighbors(grid)
     return KernelTable(grid=grid, kernel=kernel, rule=rule, D=D, P=P,
                        zcol=zcol, ztail=np.asarray(ztail), cs=cs, ct=ct,
                        es=es, et=et)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -466,3 +467,64 @@ def test_exterior_tail_closed_form_at_origin():
         k = fractional_kernel(gamma, 1)
         val = float(exterior_tail_coefficient(k, 1e-9, 0.0, R))
         assert val == pytest.approx(math.pi * R ** (-2 * gamma) / gamma, rel=1e-9)
+
+
+# --- block budget and scratch memory ----------------------------------------------
+
+BUDGET_KERNELS = [(fractional_kernel(0.5, 1), RULE1), (counterexample_kernel(0.5, 1), RULE1),
+                  (fractional_kernel(0.5, 2), RULE2), (counterexample_kernel(0.5, 2), RULE2),
+                  (K3, gauss_jacobi_rule(8, 3))]
+
+
+@pytest.mark.parametrize("kernel, rule", BUDGET_KERNELS,
+                         ids=["m1-fractional", "m1-counterexample", "m2-closed", "m2-rule", "m3-rule"])
+def test_j_values_do_not_depend_on_the_block_budget(kernel, rule, monkeypatch):
+    rng = np.random.default_rng(17)
+    s, t, sig, tau = rng.uniform(0.0, 5.0, (4, 1001))
+    ref = j_values(kernel, s, t, sig, tau, rule)
+    monkeypatch.setattr(doubly_radial, "_BLOCK_VALUES", 64)
+    assert np.array_equal(j_values(kernel, s, t, sig, tau, rule), ref)
+
+
+def test_exterior_tail_does_not_depend_on_the_block_budget(monkeypatch):
+    g = build_grid(R=12.0, h=0.5, m=1)
+    refs = [exterior_tail_coefficient(kernel, g.s, g.t, g.R_out) for kernel in (K1, K2)]
+    monkeypatch.setattr(doubly_radial, "_BLOCK_VALUES", 64)
+    for kernel, ref in zip((K1, K2), refs):
+        assert np.array_equal(exterior_tail_coefficient(kernel, g.s, g.t, g.R_out), ref), kernel.m
+
+
+@pytest.mark.parametrize("kernel", [K1, counterexample_kernel(0.5, 1), fractional_kernel(0.5, 2)],
+                         ids=["rays", "polar-m1", "polar-m2"])
+def test_zero_order_reference_does_not_depend_on_the_block_budget(kernel, monkeypatch):
+    # the settings of the check-operator reference column
+    g = build_grid(R=3.0, h=0.5, m=kernel.m)
+    p = (g.s[::8], g.t[::8])
+    kw = dict(rule=gauss_jacobi_rule(64, kernel.m), n_phi=320, n_rho=48)
+    ref = zero_order_coefficient(kernel, p, g.R_out, **kw)
+    monkeypatch.setattr(doubly_radial, "_BLOCK_VALUES", 64)
+    assert np.array_equal(zero_order_coefficient(kernel, p, g.R_out, **kw), ref)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel, R", [(K1, 12.0), (counterexample_kernel(0.5, 1), 4.0)],
+                         ids=["rays", "polar"])
+def test_zero_order_scratch_does_not_grow_with_the_grid(kernel, R):
+    # numpy reports its buffers to tracemalloc; the scratch is a few blocks
+    # at any h once the coarse grid fills one, and only the O(n) input and
+    # output arrays grow with n
+    block = doubly_radial._BLOCK_VALUES * 8
+    peaks = []
+    for h in (0.5, 0.25):
+        g = build_grid(R=R, h=h, m=1)
+        peaks.append(_traced_peak(lambda: zero_order_integral(kernel, g.s, g.t, g.R_out)))
+    assert abs(peaks[1] - peaks[0]) <= block
+    assert max(peaks) <= 24 * block

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nlsaddle.errors import DomainError, PreconditionError, TableError
-from nlsaddle import energy
+from nlsaddle import doubly_radial, energy
 from nlsaddle.kernels import counterexample_kernel, fractional_kernel, tabulated_kernel
 from nlsaddle.doubly_radial import (gauss_jacobi_rule, j_values, kernel_difference,
                                     omega_sphere, zero_order_coefficient)
@@ -452,3 +453,42 @@ def test_model_gradient_matches_finite_differences(small_grid, small_table):
         um[idx] -= eps
         fd = (model.value_and_grad(up)[0] - model.value_and_grad(um)[0]) / (2 * eps)
         assert g[idx] == pytest.approx(fd, rel=2e-5, abs=1e-9)
+
+
+# --- block budget and scratch memory ----------------------------------------------
+
+TABLE_ARRAYS = ("D", "P", "zcol", "ztail", "cs", "ct", "es", "et")
+
+
+@pytest.mark.parametrize("m, family", [(1, "fractional"), (1, "counterexample"),
+                                       (1, "tabulated"), (2, "fractional"),
+                                       (2, "counterexample")])
+def test_tables_do_not_depend_on_the_block_budget(m, family, monkeypatch):
+    # every node and point is summed on its own, whatever block it falls in;
+    # at m=2 the fractional kernel takes the closed inner angle of j_values
+    # and the counterexample the rule
+    r = np.geomspace(1e-3, 1e3, 64)
+    kernel = {"fractional": fractional_kernel(0.5, m),
+              "counterexample": counterexample_kernel(0.5, m),
+              "tabulated": tabulated_kernel(r, r ** -3.0, 0.5, 1)}[family]
+    g = build_grid(R=3.0, h=0.5, m=1) if m == 1 else build_grid(R=1.5, h=0.5, m=2)
+    rule = gauss_jacobi_rule(8 if family == "counterexample" else 32, m)
+    ref = build_kernel_table(g, kernel, rule, assume_positive=True)
+    monkeypatch.setattr(doubly_radial, "_BLOCK_VALUES", 64)
+    tiny = build_kernel_table(g, kernel, rule, assume_positive=True)
+    for name in TABLE_ARRAYS:
+        assert np.array_equal(getattr(tiny, name), getattr(ref, name)), name
+
+
+def test_table_build_scratch_is_bounded_by_the_block_budget():
+    # numpy reports its buffers to tracemalloc: past the two n x n tables the
+    # build holds a few blocks of scratch, for any n
+    g = build_grid(R=12.0, h=0.5, m=1)
+    n = g.n_nodes
+    tracemalloc.start()
+    try:
+        build_kernel_table(g, fractional_kernel(0.5, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 8 + 12 * doubly_radial._BLOCK_VALUES * 8

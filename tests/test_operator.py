@@ -206,3 +206,19 @@ def test_zero_matrix_fails_the_certificate(op_small):
         rep = check_max_principle_structure(np.zeros((n, n)))
         assert rep.z_pattern and not rep.row_sums_positive and not rep.monotone_probe, n
         assert json.loads(json.dumps(rep.as_dict(), allow_nan=False)) == rep.as_dict()
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_offdiagonal_extremes_read_every_offdiagonal_entry(n, tables_and_ops):
+    # the strided off-diagonal view against the mask, on any memory order; a
+    # diagonal that dominates every entry never leaks into the extremes
+    rng = np.random.default_rng(n)
+    mats = [op for _, op in tables_and_ops] + [rng.standard_normal((n, n))]
+    for M in mats:
+        M = M + np.diag(np.full(M.shape[0], 1e6 + np.abs(M).max()))
+        off = M[~np.eye(M.shape[0], dtype=bool)]
+        wide = np.zeros((M.shape[0], 2 * M.shape[0]))
+        wide[:, ::2] = M
+        for view in (M, np.asfortranarray(M), wide[:, ::2]):
+            rep = check_max_principle_structure(view)
+            assert (rep.min_offdiag, rep.max_offdiag) == (off.min(), off.max())
