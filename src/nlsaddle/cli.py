@@ -6,9 +6,17 @@ files shipped under nlsaddle/schemas):
     kernel-check        convexity_report.json
     verify-inequality   inequality_report.json
     check-operator      operator_report.json
-    solve               profile.csv, solve_report.json, profile.svg
+    solve               profile.csv, table.npz, solve_report.json, profile.svg
     energy-scan         scan.csv, scan_report.json, scan.svg
     competitor          competitor_report.json
+
+table.npz holds the per-node columns of the kernel table of the last solve
+stage (energy.save_node_columns).  energy-scan, competitor and check-operator
+read it from the output directory and build only the table's pair pass when
+its key (kernel fields, R, h, m, R_out, node count, rule order) matches their
+own kernel and grid; when the file is missing, unreadable or written for
+another key they build the whole table.  Their reports say which in
+table_source ("table.npz" or "built").  solve never reads it.
 
 INI sections and keys, with the one place that writes their defaults; each
 section is checked by building what it configures, and an unknown section
@@ -232,6 +240,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
             last = stages[-1].result
             prof, converged = last.profile, all(st.result.trace.converged for st in stages)
             en.save_profile(prof, out / "profile.csv")
+            en.save_node_columns(last.table, out / "table.npz")
             report("solve", {
                 "breakdown": last.breakdown.as_dict(),
                 "converged": converged,
@@ -253,7 +262,9 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
         if subcommand != "check-operator":
             profile = en.load_profile(cfg.value("output", "profile") or out / "profile.csv",
                                       grid)
-        table = en.build_kernel_table(grid, kern, assume_positive=True)
+        nodes = en.load_node_columns(out / "table.npz", grid, kern)
+        table = en.build_kernel_table(grid, kern, assume_positive=True, nodes=nodes)
+        source = "built" if nodes is None else "table.npz"
 
         if subcommand == "check-operator":
             op = dop.assemble(table)
@@ -271,7 +282,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
             max_err = float(np.max(np.abs(op.sum(axis=1)[ref_idx] - 2 * zoc) / (2 * zoc)))
             rep = dop.check_max_principle_structure(op)
             report("operator", {**rep.as_dict(), "max_row_sum_error": max_err,
-                                "n_zoc_reference_nodes": int(n_ref)})
+                                "n_zoc_reference_nodes": int(n_ref), "table_source": source})
             return 0 if rep.monotone_probe and max_err <= 1e-3 else 2
 
         if subcommand == "energy-scan":
@@ -279,7 +290,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
             rows = zip(rep.S_values, rep.energies, rep.kinetic, rep.potential)
             (out / "scan.csv").write_text("S,E_total,E_kin,E_pot\n" + "".join(
                 f"{S!r},{e!r},{kk!r},{p!r}\n" for S, e, kk, p in rows))
-            report("scan", rep.as_dict())
+            report("scan", {**rep.as_dict(), "table_source": source})
             svgplot.line_plot(out / "scan.svg", rep.S_values,
                               {"E_total": rep.energies, "E_kin": rep.kinetic,
                                "E_pot": rep.potential},
@@ -292,7 +303,8 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
         e_w = en.total_energy(w, grid.R, table).total
         not_below = bool(e_w >= e_u - 1e-9 * abs(e_u))
         report("competitor", {**rep.as_dict(), "energy_minimizer": e_u,
-                              "energy_competitor": e_w, "competitor_not_below": not_below})
+                              "energy_competitor": e_w, "competitor_not_below": not_below,
+                              "table_source": source})
         return 0 if rep.all_pass() and not_below else 2
     except (NlsaddleError, OSError) as exc:
         write_json(out / "diagnostic.json", {"error": type(exc).__name__, "message": str(exc),

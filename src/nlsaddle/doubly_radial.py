@@ -503,7 +503,8 @@ def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np
     / (2 gamma) is exact.  The angle goes through Gauss-Legendre panels of
     `order` nodes, split per node where the interval's ends change formula:
     at the directions to the origin and to the rim points
-    (+-R_out, +-R_out)/sqrt(2), and along the cone lines.
+    (+-R_out, +-R_out)/sqrt(2), and along the cone lines.  A block holds five
+    scratch arrays: the weights and four updated in place.
     """
     two_g = 2.0 * kernel.gamma
     gl, wgl = np.polynomial.legendre.leggauss(order)
@@ -518,21 +519,42 @@ def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np
                               np.broadcast_to(cone, (S.shape[0], 4))], axis=1)
         rel = np.sort(np.mod(brk - brk[:, :1], 2.0 * math.pi), axis=1)
         edges = brk[:, :1] + np.concatenate([rel, np.full_like(S, 2.0 * math.pi)], axis=1)
-        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-        th = (mid[:, :, None] + half[:, :, None] * gl).reshape(S.shape[0], -1)
-        w = (half[:, :, None] * wgl).reshape(S.shape[0], -1)
-        c, sn = np.cos(th), np.sin(th)
-        with np.errstate(divide="ignore"):
-            rho_a = np.where(sn > c, (S - T) / (sn - c), np.inf)
-            rho_b = np.where(sn < -c, (S + T) / -(sn + c), np.inf)
-        pe = S * c + T * sn
-        rho_disk = np.sqrt(pe ** 2 + (R_out ** 2 - S ** 2 - T ** 2)) - pe
-        rho_lo = np.minimum(rho_a, rho_b)
-        rho_hi = np.minimum(np.maximum(rho_a, rho_b), rho_disk)
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
+        w = (half * wgl).reshape(S.shape[0], -1)
+        sn = half * gl  # the angles, then their sines
+        sn += mid
+        sn = sn.reshape(w.shape)
+        c = np.cos(sn)
+        np.sin(sn, out=sn)
+        # rho_a = (S - T) / (sn - c) where sn > c and rho_b = (S + T) / -(sn + c)
+        # where sn < -c: the roots of z_2^2 - z_1^2, infinite where there is none
+        rho_a = np.subtract(sn, c)
+        rho_b = np.add(sn, c)
+        np.negative(rho_b, out=rho_b)
+        for rho, num in ((rho_a, S - T), (rho_b, S + T)):
+            root = rho > 0.0
+            np.divide(num, rho, out=rho, where=root)
+            np.copyto(rho, np.inf, where=~root)
+        # pe = S c + T sn, then rho_disk = sqrt(pe^2 + R_out^2 - |x|^2) - pe in sn
+        c *= S
+        sn *= T
+        c += sn
+        np.multiply(c, c, out=sn)
+        sn += R_out ** 2 - S ** 2 - T ** 2
+        np.sqrt(sn, out=sn)
+        sn -= c
+        # rho_lo in c, rho_hi in rho_a
+        np.minimum(rho_a, rho_b, out=c)
+        np.maximum(rho_a, rho_b, out=rho_a)
+        np.minimum(rho_a, sn, out=rho_a)
         # rays that miss W have rho_lo >= rho_hi and a nonpositive difference
-        ray = np.maximum(rho_lo ** -two_g - rho_hi ** -two_g, 0.0)
-        out[lo:hi] = (ray * w).sum(axis=1)
+        c **= -two_g
+        rho_a **= -two_g
+        c -= rho_a
+        np.maximum(c, 0.0, out=c)
+        c *= w
+        out[lo:hi] = c.sum(axis=1)
     return out * (kernel.c_norm / two_g)
 
 

@@ -35,8 +35,10 @@ B_R and `discrete_operator.assemble` over every node.
 from __future__ import annotations
 
 import csv
+import json
 import math
-from dataclasses import asdict, dataclass
+import zipfile
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -53,6 +55,10 @@ _TABLE_MEM_CAP_GB = 6.0
 # polar angles and radial nodes of the self-cell quadrature
 _SELF_CELL_N_THETA = 16
 _SELF_CELL_N_RAD = 12
+# the per-node columns of a KernelTable that `save_node_columns` keeps, and
+# the version of that file's key (raise it when a column changes meaning)
+NODE_COLUMNS = ("zcol", "ztail", "cs", "ct")
+_NODE_FILE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -255,6 +261,11 @@ class KernelTable:
     cs, ct   self-cell correction coefficients: the omitted quadratic-term
              mass is cs_i (dw_s)^2 + ct_i (dw_t)^2 with one-sided dw
     es, et   one-sided neighbor node index per axis (-1 when absent)
+
+    zcol, ztail, cs and ct (NODE_COLUMNS) carry most of a build's time and
+    only O(n) memory: `save_node_columns` keeps them, and passing them back
+    as `build_kernel_table(..., nodes=...)` rebuilds the same table from the
+    neighbors and the pair pass alone.
     """
 
     grid: Grid
@@ -372,17 +383,21 @@ def _lattice_pairs(grid: Grid, kernel: RadialKernel, D: np.ndarray, P: np.ndarra
 
 def build_kernel_table(grid: Grid, kernel: RadialKernel,
                        rule: QuadratureRule | None = None,
-                       assume_positive: bool = False) -> KernelTable:
+                       assume_positive: bool = False,
+                       nodes: dict | None = None) -> KernelTable:
     """Cache kbar, kbar-star and their difference over all node pairs.
 
     First the per-node layers (zero-order column, tail, self-cell, neighbors),
     then D and P: at m=1 gathered from one kernel value per lattice offset
     (`_lattice_pairs`), at m >= 2 `j_values` over row blocks; `rule` serves
-    J.  Scratch comes in blocks of `doubly_radial._BLOCK_VALUES`, so the build
-    peaks at the two n x n tables plus a few blocks.  Refuses a kernel of
-    another m than the grid's, kernels that fail the sqrt-convexity check
-    unless assume_positive=True, and grids whose dense pair tables would
-    exceed _TABLE_MEM_CAP_GB (use a larger h).
+    J.  `nodes` maps each name of NODE_COLUMNS to that column of a table
+    built before for the same grid, kernel and rule (`load_node_columns`
+    checks this); they are taken as given, and only the neighbors and D, P
+    are computed.  Scratch comes in blocks of `doubly_radial._BLOCK_VALUES`,
+    so the build peaks at the two n x n tables plus a few blocks.  Refuses a
+    kernel of another m than the grid's, kernels that fail the
+    sqrt-convexity check unless assume_positive=True, and grids whose dense
+    pair tables would exceed _TABLE_MEM_CAP_GB (use a larger h).
     """
     if kernel.m != grid.m:
         raise DomainError(f"the kernel has m={kernel.m}, the grid m={grid.m}")
@@ -398,11 +413,13 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
             raise PreconditionError(
                 "kernel failed the sqrt-convexity check; pass assume_positive=True "
                 "to build the table anyway")
-    if rule is None:
-        rule = gauss_jacobi_rule(32, kernel.m)
-    zcol = zero_order_integral(kernel, grid.s, grid.t, grid.R_out, rule)
-    ztail = 0.5 * exterior_tail_coefficient(kernel, grid.s, grid.t, grid.R_out)
-    cs, ct = _self_cell_coefficients(grid, kernel, rule)
+    rule = _table_rule(kernel, rule)
+    if nodes is None:
+        zcol = zero_order_integral(kernel, grid.s, grid.t, grid.R_out, rule)
+        ztail = 0.5 * exterior_tail_coefficient(kernel, grid.s, grid.t, grid.R_out)
+        cs, ct = _self_cell_coefficients(grid, kernel, rule)
+    else:
+        zcol, ztail, cs, ct = (nodes[name] for name in NODE_COLUMNS)
     es, et = _one_sided_neighbors(grid)
 
     # one block for both tables: past glibc's 32 MiB mmap ceiling it is mapped
@@ -425,6 +442,50 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
     return KernelTable(grid=grid, kernel=kernel, rule=rule, D=D, P=P,
                        zcol=zcol, ztail=np.asarray(ztail), cs=cs, ct=ct,
                        es=es, et=et)
+
+
+def _table_rule(kernel: RadialKernel, rule: QuadratureRule | None) -> QuadratureRule:
+    return gauss_jacobi_rule(32, kernel.m) if rule is None else rule
+
+
+def _node_key(grid: Grid, kernel: RadialKernel, rule: QuadratureRule) -> str:
+    """Everything the node columns depend on, as JSON: every kernel field
+    (a tabulated kernel's samples in full), (R, h, m, R_out), n_nodes and
+    the rule order.  Floats are written by repr, which round-trips, so equal
+    keys mean equal values."""
+    kern = {f.name: getattr(kernel, f.name) for f in fields(RadialKernel)}
+    if kernel.table is not None:
+        kern["table"] = [col.tolist() for col in kernel.table]
+    return json.dumps({"version": _NODE_FILE_VERSION, "kernel": kern,
+                       "grid": [grid.R, grid.h, grid.m, grid.R_out], "n_nodes": grid.n_nodes,
+                       "rule_order": rule.order}, sort_keys=True, default=float)
+
+
+def save_node_columns(table: KernelTable, path) -> None:
+    """Write the table's NODE_COLUMNS and their key to an .npz file."""
+    with open(path, "wb") as fh:
+        np.savez(fh, key=np.array(_node_key(table.grid, table.kernel, table.rule)),
+                 **{name: getattr(table, name) for name in NODE_COLUMNS})
+
+
+def load_node_columns(path, grid: Grid, kernel: RadialKernel,
+                      rule: QuadratureRule | None = None) -> dict | None:
+    """The `nodes` argument of `build_kernel_table` from a `save_node_columns`
+    file, or None when the file is missing or unreadable, holds anything but
+    n_nodes float64 values per column, or was written for another key: then
+    the caller builds the columns.  Nothing is unpickled."""
+    key = _node_key(grid, kernel, _table_rule(kernel, rule))
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile) or str(data["key"]) != key:
+                return None
+            nodes = {name: data[name] for name in NODE_COLUMNS}
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    if any(col.shape != (grid.n_nodes,) or col.dtype != np.float64 for col in nodes.values()):
+        return None
+    return nodes
 
 
 # ---------------------------------------------------------------------------

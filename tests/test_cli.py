@@ -1,12 +1,14 @@
 """The command line run from a plain INI file: exit statuses and reports."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from nlsaddle import cli
+from nlsaddle import cli, doubly_radial as dr, energy as en, kernels as K, solver as sv
 from nlsaddle.errors import ConfigError
 
 SCHEMAS = Path(cli.__file__).with_name("schemas")
@@ -181,7 +183,6 @@ def test_missing_or_malformed_profile_gives_a_diagnostic(tmp_path, profile):
 def test_r_schedule_solve_matches_continuation_with_r_out_unset(tmp_path):
     # continuation takes R_out = 1.5 R at each stage; the grid's own R_out
     # (1.5 x 6) would move the first stage
-    from nlsaddle import kernels as K, solver as sv
     ini = tmp_path / "run.ini"
     ini.write_text(INI.split("[grid]")[0]
                    + "[grid]\nR = 6\nh = 0.5\n\n[solver]\nR_schedule = 5, 6\n")
@@ -197,8 +198,6 @@ def test_r_schedule_solve_matches_continuation_with_r_out_unset(tmp_path):
 
 def test_stage_el_residual_is_that_of_the_returned_profile(tmp_path):
     # the projected sup |u - proj(u - (L u - f(u)))| that each stage stopped on
-    import numpy as np
-    from nlsaddle import energy as en, kernels as K, solver as sv
     ini = tmp_path / "run.ini"
     ini.write_text(INI.split("[grid]")[0]
                    + "[grid]\nR = 6\nh = 0.5\n\n[solver]\nR_schedule = 5, 6\n")
@@ -293,3 +292,128 @@ def test_reports_refuse_nan_and_infinity(tmp_path):
         with pytest.raises(ValueError):
             cli.write_json(tmp_path / "report.json", {"value": bad})
         assert not (tmp_path / "report.json").exists()
+
+
+# the subcommands that read the node columns `solve` writes to table.npz, and
+# every file they write
+READERS = ("energy-scan", "competitor", "check-operator")
+READER_OUTPUTS = ("scan.csv", "scan.svg", "scan_report.json", "competitor_report.json",
+                  "operator_report.json")
+
+
+def _solved(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(ini), "--out", str(out)]) == 0
+    assert (out / "table.npz").is_file()
+    return ini, out
+
+
+def _table_source(out, sub):
+    body = json.loads((out / f"{REPORTS[sub]}.json").read_text(), parse_constant=_no_constant)
+    jsonschema.validate(body, json.loads((SCHEMAS / f"{REPORTS[sub]}.schema.json").read_text()))
+    return body["table_source"]
+
+
+def test_table_npz_changes_no_output_but_the_table_source(tmp_path):
+    ini, out = _solved(tmp_path)
+    runs = {}
+    for source in ("table.npz", "built"):
+        if source == "built":
+            (out / "table.npz").unlink()
+        for sub in READERS:
+            assert cli.main([sub, "--config", str(ini), "--out", str(out)]) == 0, sub
+            assert _table_source(out, sub) == source, sub
+        runs[source] = {name: (out / name).read_bytes() for name in READER_OUTPUTS}
+    for name in READER_OUTPUTS:
+        loaded = runs["table.npz"][name].replace(b'"table_source": "table.npz"',
+                                                 b'"table_source": "built"')
+        assert loaded == runs["built"][name], name
+
+
+def test_table_npz_of_another_gamma_is_rebuilt(tmp_path):
+    ini, out = _solved(tmp_path)
+    scan = ["energy-scan", "--config", str(ini), "--out", str(out), "--gamma", "0.25"]
+    assert cli.main(scan) == 0
+    assert _table_source(out, "energy-scan") == "built"
+    first = (out / "scan.csv").read_bytes()
+    (out / "table.npz").unlink()
+    assert cli.main(scan) == 0
+    assert (out / "scan.csv").read_bytes() == first
+
+
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _with_column(zcol):
+    def write(path):
+        with np.load(path) as data:
+            cols = dict(data)
+        cols["zcol"] = zcol(cols["zcol"])
+        with path.open("wb") as fh:
+            np.savez(fh, **cols)
+    return write
+
+
+def _pickle_file(path):
+    import pickle
+    path.write_bytes(pickle.dumps({"key": "nlsaddle", "zcol": [0.0]}))
+
+
+@pytest.mark.parametrize("spoil", [
+    _truncated,
+    _with_column(lambda z: z[:-1]),
+    _with_column(lambda z: z.reshape(-1, 1)),
+    _with_column(lambda z: z.astype("float32")),
+    _with_column(lambda z: np.array([{"zcol": z}], dtype=object)),
+    _pickle_file],
+    ids=["truncated", "short", "two-dim", "float32", "pickled-column", "pickle-file"])
+def test_unreadable_table_npz_is_rebuilt_without_error(tmp_path, spoil):
+    ini, out = _solved(tmp_path)
+    spoil(out / "table.npz")
+    for sub in READERS:
+        assert cli.main([sub, "--config", str(ini), "--out", str(out)]) == 0, sub
+        assert _table_source(out, sub) == "built", sub
+    assert not (out / "diagnostic.json").exists()
+
+
+@pytest.mark.parametrize("fixture", ["medium_table", "m2_table"])
+def test_table_from_loaded_node_columns_is_bitwise_a_fresh_build(tmp_path, request, fixture):
+    table = request.getfixturevalue(fixture)
+    en.save_node_columns(table, tmp_path / "table.npz")
+    nodes = en.load_node_columns(tmp_path / "table.npz", table.grid, table.kernel)
+    assert nodes is not None
+    again = en.build_kernel_table(table.grid, table.kernel, assume_positive=True, nodes=nodes)
+    for name in ("D", "P", "zero_order", *en.NODE_COLUMNS, "es", "et"):
+        assert getattr(again, name).tobytes() == getattr(table, name).tobytes(), name
+
+
+@pytest.mark.parametrize("change", ["gamma", "R_out", "sample"])
+def test_node_columns_of_another_key_are_not_loaded(tmp_path, small_grid, change):
+    # 1501 samples: numpy's repr of a column that long elides the middle,
+    # where the changed sample sits
+    r = np.geomspace(1e-32, 1e4, 1501)
+    kern = K.tabulated_kernel(r, r ** -3.0, gamma=0.5, m=1)
+    en.save_node_columns(en.build_kernel_table(small_grid, kern), tmp_path / "table.npz")
+    assert en.load_node_columns(tmp_path / "table.npz", small_grid, kern) is not None
+    grid, other = small_grid, kern
+    if change == "gamma":
+        other = replace(kern, gamma=0.25)
+    elif change == "R_out":
+        grid = en.build_grid(small_grid.R, small_grid.h, 1, small_grid.R_out + 1e-9)
+        assert grid.n_nodes == small_grid.n_nodes
+    elif change == "sample":
+        k = r ** -3.0
+        k[750] = np.nextafter(k[750], np.inf)
+        other = K.tabulated_kernel(r, k, gamma=0.5, m=1)
+        assert repr(other.table) == repr(kern.table)
+    assert en.load_node_columns(tmp_path / "table.npz", grid, other) is None
+
+
+def test_node_columns_of_another_rule_are_not_loaded(tmp_path, m2_table):
+    en.save_node_columns(m2_table, tmp_path / "table.npz")
+    rule = dr.gauss_jacobi_rule(16, 2)
+    assert en.load_node_columns(tmp_path / "table.npz", m2_table.grid, m2_table.kernel,
+                                rule) is None

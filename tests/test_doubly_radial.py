@@ -528,3 +528,51 @@ def test_zero_order_scratch_does_not_grow_with_the_grid(kernel, R):
         peaks.append(_traced_peak(lambda: zero_order_integral(kernel, g.s, g.t, g.R_out)))
     assert abs(peaks[1] - peaks[0]) <= block
     assert max(peaks) <= 24 * block
+
+
+def _rays_out_of_place(kernel, s, t, R_out, order):
+    """`doubly_radial._zero_order_rays` written with a fresh array per step,
+    all blocks at once: the reference for the in-place form."""
+    two_g = 2.0 * kernel.gamma
+    gl, wgl = np.polynomial.legendre.leggauss(order)
+    rim_z1 = R_out / math.sqrt(2.0) * np.array([1.0, -1.0, 1.0, -1.0])
+    rim_z2 = R_out / math.sqrt(2.0) * np.array([1.0, 1.0, -1.0, -1.0])
+    cone = math.pi / 4.0 * np.array([1.0, 3.0, 5.0, 7.0])
+    S, T = s[:, None], t[:, None]
+    brk = np.concatenate([np.arctan2(-T, -S), np.arctan2(rim_z2 - T, rim_z1 - S),
+                          np.broadcast_to(cone, (S.shape[0], 4))], axis=1)
+    rel = np.sort(np.mod(brk - brk[:, :1], 2.0 * math.pi), axis=1)
+    edges = brk[:, :1] + np.concatenate([rel, np.full_like(S, 2.0 * math.pi)], axis=1)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    th = (mid[:, :, None] + half[:, :, None] * gl).reshape(S.shape[0], -1)
+    w = (half[:, :, None] * wgl).reshape(S.shape[0], -1)
+    c, sn = np.cos(th), np.sin(th)
+    with np.errstate(divide="ignore"):
+        rho_a = np.where(sn > c, (S - T) / (sn - c), np.inf)
+        rho_b = np.where(sn < -c, (S + T) / -(sn + c), np.inf)
+    pe = S * c + T * sn
+    rho_disk = np.sqrt(pe ** 2 + (R_out ** 2 - S ** 2 - T ** 2)) - pe
+    rho_lo = np.minimum(rho_a, rho_b)
+    rho_hi = np.minimum(np.maximum(rho_a, rho_b), rho_disk)
+    ray = np.maximum(rho_lo ** -two_g - rho_hi ** -two_g, 0.0)
+    return (ray * w).sum(axis=1) * (kernel.c_norm / two_g)
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("h", [0.5, 0.25])
+def test_zero_order_rays_in_place_match_the_out_of_place_form(h, gamma):
+    # the R=12 grids of the m1-pipeline (h = 0.5) and m1-fine (h = 0.25) benchmarks
+    g = build_grid(R=12.0, h=h, m=1)
+    kernel = fractional_kernel(gamma, 1)
+    for order in (32, 64):  # the table's and the check-operator reference's
+        got = doubly_radial._zero_order_rays(kernel, g.s, g.t, g.R_out, order)
+        assert got.tobytes() == _rays_out_of_place(kernel, g.s, g.t, g.R_out, order).tobytes()
+
+
+def test_zero_order_rays_scratch_is_a_few_blocks():
+    # the weights and four arrays updated in place per block, plus the next
+    # block's first array and the masks; the out-of-place form held 13 blocks
+    g = build_grid(R=12.0, h=0.5, m=1)
+    peak = _traced_peak(lambda: zero_order_integral(K1, g.s, g.t, g.R_out))
+    assert peak <= 8 * doubly_radial._BLOCK_VALUES * 8
