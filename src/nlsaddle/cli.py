@@ -267,18 +267,17 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
         source = "built" if nodes is None else "table.npz"
 
         if subcommand == "check-operator":
-            op = dop.assemble(table)
             n_ref = min(grid.n_nodes, cfg.value("experiment", "zoc_nodes"))
             rng = np.random.default_rng(seed)
             ref_idx = np.sort(rng.choice(grid.n_nodes, size=n_ref, replace=False))
-            # the table's zero-order column comes from the same integrator at
-            # its default settings; the reference doubles the angular nodes
-            # (at m=1, 64 instead of 32 per ray panel for the power kernel,
-            # where n_rho and the rule are unused) and, on the polar J form,
-            # the radial nodes and for m >= 2 the J rule
-            zoc = dr.zero_order_coefficient(kern, (grid.s[ref_idx], grid.t[ref_idx]),
-                                            grid.R_out, rule=dr.gauss_jacobi_rule(64, kern.m),
-                                            n_phi=320, n_rho=48)
+            # the table's zero-order integrator with doubled angular nodes (m=1
+            # power kernel: 64 per ray panel; n_rho, rule unused) and, on the
+            # polar J form, doubled radial nodes and m >= 2 J order, plus the
+            # table's own tail; L is assembled after it and reuses its scratch
+            zoc = dr.zero_order_integral(kern, grid.s[ref_idx], grid.t[ref_idx], grid.R_out,
+                                         rule=dr.gauss_jacobi_rule(64, kern.m),
+                                         n_phi=320, n_rho=48) + table.ztail[ref_idx]
+            op = dop.assemble(table)
             max_err = float(np.max(np.abs(op.sum(axis=1)[ref_idx] - 2 * zoc) / (2 * zoc)))
             rep = dop.check_max_principle_structure(op)
             report("operator", {**rep.as_dict(), "max_row_sum_error": max_err,

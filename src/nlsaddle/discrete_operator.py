@@ -40,7 +40,7 @@ def assemble(table: KernelTable) -> np.ndarray:
     """
     grid = table.grid
     mu = grid.weights
-    M = -table.D * mu[None, :]
+    M = table.D * -mu
     np.fill_diagonal(M, operator_diagonal(table))
     C = self_cell_matrix(table, np.arange(grid.n_nodes)).tocoo()
     M[C.row, C.col] += C.data / (2.0 * mu[C.row])

@@ -10,10 +10,10 @@ kbar = J / |S^(m-1)|^2, its closed hypergeometric form
 for the pure power kernel (m >= 2), the zero-order coefficient of the
 odd-sector operator (for the power kernel at m=1 a planar integral along
 exact rays, which needs no J; otherwise a polar integral of J), and a
-randomized verifier for the kernel inequality.  `energy.build_kernel_table`
-calls `j_values` for its pair tables at m >= 2 only: at m=1, J is the 4-term
-sum over the sign reflections, each lattice distance is h sqrt(a^2 + b^2)
-for integers a, b, and the tables gather one kernel value per offset (a, b).
+randomized verifier for the kernel inequality.  An m=1 table build makes
+no J call for its pairs and self-cell (nor, for the power kernel, its
+zero-order column): J is the 4-term sum over the sign reflections, each
+lattice distance is h sqrt(a^2 + b^2), and both sum K per offset (a, b).
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ kbar*_ij = kbar(x_i, x_j^star).  `build_kernel_table` holds kbar - kbar* and
 kbar* over all node pairs as the tables D and P.  At m=1, kbar is the 4-term
 sum of K over the sign reflections and each of its distances on the
 cell-centred lattice is h sqrt(a^2 + b^2) for integers a, b, so both tables
-gather from one kernel value per offset (a, b); at m >= 2 they come from
-`doubly_radial.j_values`.  Cells are midpoint squares in (s, t), and
-`total_energy` adds two corrections to the I sums.  2 sum_in w^2 mu (Z - P mu)
+and the self-cell constants sum K per offset (a, b) and call no J; at m >= 2
+they come from `doubly_radial.j_values`.  Cells are midpoint squares in (s, t),
+and `total_energy` adds two corrections to the I sums.  2 sum_in w^2 mu (Z - P mu)
 swaps the midpoint zero-order mass (P mu)_i of a node for Z_i: the integral
 that defines `zero_order_coefficient` (`doubly_radial.zero_order_integral`:
 exact rays from x_i for the power kernel at m=1, a polar integral of J
@@ -43,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, PreconditionError, TableError
 from .kernels import RadialKernel, _h, check_sqrt_convexity
@@ -259,7 +260,8 @@ class KernelTable:
              in polar coordinates around the reflected corner (t_i, s_i)
     ztail[i] analytic zero-order tail, (1/2) int_{|y|>R_out} K_env(|x_i-y|) dy
     cs, ct   self-cell correction coefficients: the omitted quadratic-term
-             mass is cs_i (dw_s)^2 + ct_i (dw_t)^2 with one-sided dw
+             mass is cs_i (dw_s)^2 + ct_i (dw_t)^2 with one-sided dw; at
+             m=1 from kernel moments per lattice offset, at m >= 2 from J
     es, et   one-sided neighbor node index per axis (-1 when absent)
 
     zcol, ztail, cs and ct (NODE_COLUMNS) carry most of a build's time and
@@ -286,44 +288,59 @@ class KernelTable:
         return self.zcol + self.ztail
 
 
-def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRule):
-    """Exact constants of the omitted self-cell quadratic mass.
-
-    cs_i, ct_i with  (1/2) mu_i int_cell (dw . z)^2 D(x, x+z) d(orbit measure)
-    ~= cs_i (dw_s)^2 + ct_i (dw_t)^2, integrated in polar coordinates over
-    the square cell (integrand ~ |z|^(1 - 2 gamma + 2(m-1)), integrable).
-    """
-    h = grid.h
-    m = grid.m
+def _self_cell_rule(h: float):
+    """Points (zs, zt) and weights of the polar rule on the cell [-h/2, h/2]^2."""
     n_theta = _SELF_CELL_N_THETA
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     rmax = 0.5 * h / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
     gx, gw = np.polynomial.legendre.leggauss(_SELF_CELL_N_RAD)
-    r01 = 0.5 * (gx + 1.0)
-    w01 = 0.5 * gw
-    rr = rmax[:, None] * r01[None, :]              # (n_theta, n_rad)
-    wr = rmax[:, None] * w01[None, :]
-    zs = rr * np.cos(theta)[:, None]
-    zt = rr * np.sin(theta)[:, None]
-    cs = np.zeros(grid.n_nodes)
-    ct = np.zeros(grid.n_nodes)
-    for lo, hi in _blocks(grid.n_nodes, zs.size):
-        S = grid.s[lo:hi][:, None, None]
-        T = grid.t[lo:hi][:, None, None]
-        aa = S + zs[None, :, :]
-        bb = T + zt[None, :, :]
-        ok = (aa > 0.0) & (bb >= 0.0) & (aa > bb)
-        aa_safe = np.where(ok, aa, S)
-        bb_safe = np.where(ok, bb, 0.0)
-        with np.errstate(invalid="ignore"):
-            direct = j_values(kernel, S, T, aa_safe, bb_safe, rule)
-            swapped = j_values(kernel, S, T, bb_safe, aa_safe, rule)
-        dens = np.where(ok, direct - swapped, 0.0)
-        if m > 1:
-            dens = dens * aa_safe ** (m - 1) * bb_safe ** (m - 1)
-        meas = (rr * wr)[None, :, :] * (2.0 * math.pi / n_theta)
-        cs[lo:hi] = (dens * zs[None] ** 2 * meas).sum(axis=(1, 2))
-        ct[lo:hi] = (dens * zt[None] ** 2 * meas).sum(axis=(1, 2))
+    rr = rmax[:, None] * (0.5 * (gx + 1.0))[None, :]
+    meas = rr * (rmax[:, None] * (0.5 * gw)[None, :]) * (2.0 * math.pi / n_theta)
+    return rr * np.cos(theta)[:, None], rr * np.sin(theta)[:, None], meas
+
+
+def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRule):
+    """Exact constants of the omitted self-cell quadratic mass.
+
+    cs_i, ct_i with  (1/2) mu_i int_cell (dw . z)^2 D(x, x+z) d(orbit measure)
+    ~= cs_i (dw_s)^2 + ct_i (dw_t)^2 on `_self_cell_rule` (integrand ~
+    |z|^(1 - 2 gamma + 2(m-1)), integrable; every x + z has 0 < b < a).  At
+    m >= 2 the density is J(x, x+z) - J(x, (x+z)*).  At m=1, node (i, j), its
+    eight images are K(|(a h + u, b h + v)|), integer a, b in {0, 2i+1, 2j+1,
+    i-j, i+j+1}, (u, v) = z sign-flipped and, in the four of (x+z)*, swapped.
+    The rule maps onto itself under both, so cs gains (or loses) F_s[a, b] =
+    sum meas zs^2 K(|(a h + zs, b h + zt)|) (F_s[b, a] if swapped), ct the
+    same with a, b exchanged; F_s and F_t = F_s transposed are summed once per
+    offset a >= b that some node reaches, with no J call.
+    """
+    h, m = grid.h, grid.m
+    zs, zt, meas = _self_cell_rule(h)
+    if m == 1:
+        i, j = grid.ii, grid.jj
+        z, d, e = 0 * i, i - j, i + j + 1
+        # the four direct images, then the swapped ones with a and b exchanged
+        a = np.stack([z, 2 * i + 1, z, 2 * i + 1, d, d, e, e])
+        b = np.stack([z, z, 2 * j + 1, 2 * j + 1, d, e, d, e])
+        W = 2 * int(i[-1]) + 2  # every offset is at most 2 max(i) + 1
+        keys, inv = np.unique(np.maximum(a, b) * W + np.minimum(a, b), return_inverse=True)
+        A, B = (h * c[:, None, None] for c in np.divmod(keys, W))
+        F = np.empty((2, keys.size))
+        for lo, hi in _blocks(keys.size, 2 * zs.size):
+            k = _h(kernel, (A[lo:hi] + zs) ** 2 + (B[lo:hi] + zt) ** 2)
+            F[0, lo:hi] = (k * (zs ** 2 * meas)).sum(axis=(1, 2))
+            F[1, lo:hi] = (k * (zt ** 2 * meas)).sum(axis=(1, 2))
+        sign = np.repeat([1.0, -1.0], 4)[:, None]
+        cs, ct = ((sign * F[np.where(a < b, 1 - c, c), inv.reshape(a.shape)]).sum(axis=0)
+                  for c in (0, 1))
+    else:
+        cs, ct = np.zeros((2, grid.n_nodes))
+        for lo, hi in _blocks(grid.n_nodes, zs.size):
+            S, T = grid.s[lo:hi, None, None], grid.t[lo:hi, None, None]
+            aa, bb = S + zs, T + zt
+            dens = j_values(kernel, S, T, aa, bb, rule) - j_values(kernel, S, T, bb, aa, rule)
+            dens = dens * aa ** (m - 1) * bb ** (m - 1)
+            cs[lo:hi] = (dens * zs ** 2 * meas).sum(axis=(1, 2))
+            ct[lo:hi] = (dens * zt ** 2 * meas).sum(axis=(1, 2))
     scale = 0.5 * grid.weights / h ** 2
     return np.maximum(cs, 0.0) * scale, np.maximum(ct, 0.0) * scale
 
@@ -343,42 +360,45 @@ def _lattice_pairs(grid: Grid, kernel: RadialKernel, D: np.ndarray, P: np.ndarra
 
     At m=1, J is the 4-term sum of K over the sign reflections, and on the
     cell-centred lattice each of its distances is h sqrt(a^2 + b^2) for
-    integers a, b: node (i, j) sees node (i', j') at a in {|i - i'|,
-    i + i' + 1} and b in {|j - j'|, j + j' + 1}, and the mirror (j', i') at
-    a in {|i - j'|, i + j' + 1} and b in {|j - i'|, j + i' + 1}.  So both
-    tables gather from G[a, b] = h(h^2 (a^2 + b^2)) / |S^0|^2, evaluated only
-    at the offsets some pair reaches (|(a, b)| <= max |(2i + 1, 2j + 1)|, as
-    2(a, b) is a sum of two such vectors) and never at (0, 0): that is the
-    diagonal's direct term, which D overwrites with 0.  Row blocks are built
-    from their diagonal rightwards and mirrored, so D and P come out bitwise
-    symmetric.
+    integers a, b: node (i, j) sees node (k, l) at a in {|i - k|, i + k + 1}
+    and b in {|j - l|, j + l + 1}.  With G[a, b] = h(h^2 (a^2 + b^2)) / |S^0|^2,
+    even in b, and per lattice column i the table Q_i[x, y] = G[|i - x|, y] +
+    G[i + x + 1, y], kbar = Q_i[k, j - l] + Q_i[k, j + l + 1] and kbar* =
+    Q_i[l, j - k] + Q_i[l, j + k + 1].  Column i's rows are its nodes j = 0,
+    1, ... in node order, and each term sits in Q_i flattened at j plus an
+    offset fixed per node (k, l): one gather from row j of the J + 1 sliding
+    windows over Q_i (J = max j), with no index arithmetic per entry.  G is
+    evaluated only at offsets some pair reaches (|(a, b)| <= max |(2i + 1,
+    2j + 1)|) and never at (0, 0), the diagonal's direct term, which D
+    overwrites with 0.  Row blocks are built from their diagonal rightwards
+    and mirrored: D and P are bitwise symmetric.
     """
     n = grid.n_nodes
-    ii, jj = grid.ii.astype(np.int32), grid.jj.astype(np.int32)
-    W = 2 * int(ii[-1]) + 2  # every offset is at most 2 max(i) + 1
-    a = np.arange(W, dtype=np.int64)
-    q = a[:, None] ** 2 + a[None, :] ** 2
-    reach = (q > 0) & (q <= ((2 * grid.ii + 1) ** 2 + (2 * grid.jj + 1) ** 2).max())
-    G = np.full(W * W, np.nan)
-    G[reach.ravel()] = _h(kernel, grid.h ** 2 * q[reach]) / omega_sphere(1) ** 2
-
-    def gather(i, j, k, l):
-        """G summed over a in {|i - k|, i + k + 1}, b in {|j - l|, j + l + 1}."""
-        a1, a2 = np.abs(i - k) * W, (i + k + 1) * W
-        b1, b2 = np.abs(j - l), j + l + 1
-        return G[a1 + b1] + G[a1 + b2] + G[a2 + b1] + G[a2 + b2]
-
-    for lo, hi in _blocks(n, n):
-        i, j = ii[lo:hi, None], jj[lo:hi, None]
-        star = gather(i, j, jj[lo:], ii[lo:])
-        diff = gather(i, j, ii[lo:], jj[lo:]) - star
-        sq = hi - lo
-        diff[np.arange(sq), np.arange(sq)] = 0.0
-        low = np.tril_indices(sq, -1)
-        for table, block in ((D, diff), (P, star)):
-            block[:, :sq][low] = block[:, :sq].T[low]
-            table[lo:hi, lo:] = block
-            table[hi:, lo:hi] = block[:, sq:].T
+    ii, jj = grid.ii, grid.jj
+    I, J = int(ii[-1]), int(jj.max())
+    Y = 2 * I + J + 2  # Q_i's columns: y in [-I, I + J + 1] at y + I
+    q = np.arange(2 * I + 2)[:, None] ** 2 + (np.arange(Y) - I)[None, :] ** 2
+    reach = (q > 0) & (q <= ((2 * ii + 1) ** 2 + (2 * jj + 1) ** 2).max())
+    G = np.full(q.shape, np.nan)
+    G[reach] = _h(kernel, grid.h ** 2 * q[reach]) / omega_sphere(1) ** 2
+    x = np.arange(I + 1)
+    offsets = (ii * Y + I - jj, ii * Y + I + jj + 1, jj * Y + I - ii, jj * Y + I + ii + 1)
+    starts = np.searchsorted(ii, np.arange(I + 2)).tolist()
+    for i in range(1, I + 1):
+        window = sliding_window_view((G[np.abs(i - x)] + G[i + x + 1]).reshape(-1), x.size * Y - J)
+        for lo, hi in _blocks(starts[i + 1] - starts[i], n - starts[i]):
+            rows, lo, hi = window[lo:hi], lo + starts[i], hi + starts[i]
+            o1, o2, o3, o4 = (o[lo:] for o in offsets)
+            star = rows[:, o3] + rows[:, o4]
+            diff = rows[:, o1] + rows[:, o2]
+            diff -= star
+            sq = hi - lo
+            diff[np.arange(sq), np.arange(sq)] = 0.0
+            low = np.tril_indices(sq, -1)
+            for table, block in ((D, diff), (P, star)):
+                block[:, :sq][low] = block[:, :sq].T[low]
+                table[lo:hi, lo:] = block
+                table[hi:, lo:hi] = block[:, sq:].T
 
 
 def build_kernel_table(grid: Grid, kernel: RadialKernel,
@@ -390,14 +410,15 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
     First the per-node layers (zero-order column, tail, self-cell, neighbors),
     then D and P: at m=1 gathered from one kernel value per lattice offset
     (`_lattice_pairs`), at m >= 2 `j_values` over row blocks; `rule` serves
-    J.  `nodes` maps each name of NODE_COLUMNS to that column of a table
-    built before for the same grid, kernel and rule (`load_node_columns`
-    checks this); they are taken as given, and only the neighbors and D, P
-    are computed.  Scratch comes in blocks of `doubly_radial._BLOCK_VALUES`,
-    so the build peaks at the two n x n tables plus a few blocks.  Refuses a
-    kernel of another m than the grid's, kernels that fail the
-    sqrt-convexity check unless assume_positive=True, and grids whose dense
-    pair tables would exceed _TABLE_MEM_CAP_GB (use a larger h).
+    J, which the m=1 pairs and self-cell never call.  `nodes` maps each name
+    of NODE_COLUMNS to that column of a table built before for the same
+    grid, kernel and rule (`load_node_columns` checks this); they are taken
+    as given, and only the neighbors and D, P are computed.  Scratch comes in
+    blocks of `doubly_radial._BLOCK_VALUES`, so the build peaks at the two
+    n x n tables plus a few blocks.  Refuses a kernel of another m than the
+    grid's, kernels that fail the sqrt-convexity check unless
+    assume_positive=True, and grids whose dense pair tables would exceed
+    _TABLE_MEM_CAP_GB (use a larger h).
     """
     if kernel.m != grid.m:
         raise DomainError(f"the kernel has m={kernel.m}, the grid m={grid.m}")

@@ -8,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from nlsaddle import cli, doubly_radial as dr, energy as en, kernels as K, solver as sv
+from nlsaddle import cli, discrete_operator as dop, doubly_radial as dr, energy as en
+from nlsaddle import kernels as K, solver as sv
 from nlsaddle.errors import ConfigError
 
 SCHEMAS = Path(cli.__file__).with_name("schemas")
@@ -330,6 +331,30 @@ def test_table_npz_changes_no_output_but_the_table_source(tmp_path):
         loaded = runs["table.npz"][name].replace(b'"table_source": "table.npz"',
                                                  b'"table_source": "built"')
         assert loaded == runs["built"][name], name
+
+
+def test_check_operator_takes_the_reference_tail_from_the_table(tmp_path, monkeypatch):
+    # the reference row sums add the table's exterior tail, which is bitwise
+    # the one zero_order_coefficient would recompute at those nodes
+    ini, out = _solved(tmp_path)
+
+    def no_tail(*args, **kwargs):
+        raise AssertionError("the exterior tail was recomputed")
+
+    monkeypatch.setattr(dr, "exterior_tail_coefficient", no_tail)
+    monkeypatch.setattr(en, "exterior_tail_coefficient", no_tail)
+    assert cli.main(["check-operator", "--config", str(ini), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    body = json.loads((out / "operator_report.json").read_text())
+    kern = K.fractional_kernel(0.5, 1, c_norm=K.standard_c_norm(0.5, 1))
+    grid = en.build_grid(7.0, 0.5, 1, 10.5)
+    rows = dop.assemble(en.build_kernel_table(grid, kern)).sum(axis=1)
+    n_ref = min(grid.n_nodes, 200)
+    idx = np.sort(np.random.default_rng(0).choice(grid.n_nodes, size=n_ref, replace=False))
+    zoc = dr.zero_order_coefficient(kern, (grid.s[idx], grid.t[idx]), grid.R_out,
+                                    rule=dr.gauss_jacobi_rule(64, 1), n_phi=320, n_rho=48)
+    assert body["n_zoc_reference_nodes"] == n_ref
+    assert body["max_row_sum_error"] == float(np.max(np.abs(rows[idx] - 2 * zoc) / (2 * zoc)))
 
 
 def test_table_npz_of_another_gamma_is_rebuilt(tmp_path):

@@ -190,18 +190,62 @@ def test_m1_lattice_table_matches_the_four_term_sums(kernel, grid_args):
     assert np.array_equal(tab.D, tab.D.T) and np.array_equal(tab.P, tab.P.T)
 
 
-def test_m1_table_makes_no_pair_j_call(small_grid, monkeypatch):
-    # only the self-cell constants call J, over (rows, angles, radii) blocks
-    shapes = []
+def test_m1_table_makes_no_j_call(small_grid, monkeypatch):
+    # pairs, self-cell and, for the power kernel, the zero-order column all
+    # come from the lattice offsets and exact rays
+    def no_j(*args, **kwargs):
+        raise AssertionError("j_values was called")
 
-    def spy(kernel, s, t, sig, tau, rule):
-        shapes.append(np.broadcast_shapes(*(np.shape(a) for a in (s, t, sig, tau))))
-        return j_values(kernel, s, t, sig, tau, rule)
+    monkeypatch.setattr(energy, "j_values", no_j)
+    monkeypatch.setattr(doubly_radial, "j_values", no_j)
+    tab = build_kernel_table(small_grid, K1)
+    assert np.all(tab.cs > 0.0) and np.all(tab.ct > 0.0)
+    # the counterexample kernel's zero-order column keeps the polar J form,
+    # and its pairs and self-cell call no J either
+    monkeypatch.setattr(doubly_radial, "j_values", j_values)
+    build_kernel_table(small_grid, counterexample_kernel(0.5, 1), assume_positive=True)
 
-    monkeypatch.setattr(energy, "j_values", spy)
-    build_kernel_table(small_grid, K1)
-    cell = (energy._SELF_CELL_N_THETA, energy._SELF_CELL_N_RAD)
-    assert shapes and all(len(sh) == 3 and sh[1:] == cell for sh in shapes)
+
+def _self_cell_by_j(grid, kernel):
+    """The m=1 self-cell constants from the density J(x, x + z) - J(x, (x + z)*)
+    at each point z of the polar cell rule: the reference for the moments per
+    lattice offset that the table sums."""
+    zs, zt, meas = energy._self_cell_rule(grid.h)
+    S, T = grid.s[:, None, None], grid.t[:, None, None]
+    rule = gauss_jacobi_rule(2, 1)
+    dens = (j_values(kernel, S, T, S + zs, T + zt, rule)
+            - j_values(kernel, S, T, T + zt, S + zs, rule))
+    scale = 0.5 * grid.weights / grid.h ** 2
+    return [np.maximum((dens * z ** 2 * meas).sum(axis=(1, 2)), 0.0) * scale for z in (zs, zt)]
+
+
+@pytest.mark.parametrize("family", ["fractional", "counterexample", "tabulated"])
+@pytest.mark.parametrize("grid_args", LATTICE_GRIDS.values(), ids=LATTICE_GRIDS.keys())
+def test_m1_self_cell_moments_match_the_j_density(family, grid_args):
+    r = np.geomspace(1e-3, 1e3, 400)
+    kernel = {"fractional": K1, "counterexample": counterexample_kernel(0.5, 1),
+              "tabulated": tabulated_kernel(r, r ** -3.0, 0.5, 1)}[family]
+    g = build_grid(grid_args[0], grid_args[1], 1, grid_args[2])
+    cs, ct = energy._self_cell_coefficients(g, kernel, gauss_jacobi_rule(32, 1))
+    for got, ref in zip((cs, ct), _self_cell_by_j(g, kernel)):
+        assert np.all(ref > 0.0)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+
+SELF_CELL_GRIDS = {"m1-R12-h0.25": (12.0, 0.25, 1, None), "m1-R12-h0.5": (12.0, 0.5, 1, None),
+                   "m1-10x10": (10 / 3, 1 / 3, 1, LATTICE_GRIDS["10x10"][2]),
+                   "m2-R4": (4.0, 0.5, 2, None), "m2-R1.5": (1.5, 0.5, 2, None)}
+
+
+@pytest.mark.parametrize("grid_args", SELF_CELL_GRIDS.values(), ids=SELF_CELL_GRIDS.keys())
+def test_self_cell_rule_points_lie_strictly_outside_the_cone(grid_args):
+    # every point x + z of a node's cell rule has 0 < b < a, so the m >= 2
+    # density needs no mask: the cell is [-h/2, h/2]^2 about x and s - t >= h
+    g = build_grid(*grid_args)
+    zs, zt, _ = energy._self_cell_rule(g.h)
+    aa, bb = g.s[:, None, None] + zs, g.t[:, None, None] + zt
+    assert bb.min() > 0.0
+    assert ((aa - bb) / g.h).min() >= 0.17
 
 
 def test_m1_tabulated_power_law_builds_the_fractional_table():
@@ -492,3 +536,25 @@ def test_table_build_scratch_is_bounded_by_the_block_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * n * n * 8 + 12 * doubly_radial._BLOCK_VALUES * 8
+
+
+def test_m1_layer_scratch_is_bounded_when_a_column_exceeds_a_block():
+    # R = 24, h = 0.25: n = 8095 and lattice columns of up to 101 rows, so a
+    # column times n is 12 blocks; the pair pass gathers it in row blocks and
+    # the self-cell sums its offsets in blocks.  The pair tables are stood in
+    # for by n values each (row stride 0), so that only the scratch counts
+    g = build_grid(R=24.0, h=0.25, m=1)
+    n = g.n_nodes
+    assert np.bincount(g.ii).max() * n > 12 * doubly_radial._BLOCK_VALUES
+    kernel = fractional_kernel(0.5, 1)
+    D, P = (np.lib.stride_tricks.as_strided(np.empty(n), (n, n), (0, 8)) for _ in range(2))
+    peaks = []
+    for layer in (lambda: energy._lattice_pairs(g, kernel, D, P),
+                  lambda: energy._self_cell_coefficients(g, kernel, gauss_jacobi_rule(32, 1))):
+        tracemalloc.start()
+        try:
+            layer()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 16 * doubly_radial._BLOCK_VALUES * 8, peaks
