@@ -27,7 +27,8 @@ or key is an error:
     [grid]        R, h (required), R_out (1.5 R): energy.build_grid
     [solver]      max_iters, grad_tol, mu0, R_schedule (strictly increasing,
                   ending at R), assume_positive: solver.SolverConfig; seed: _KEYS
-    [experiment]  S_list, n_samples, zoc_nodes, competitor_s: _KEYS
+    [experiment]  S_list (five radii from R/3 to R - 4; set it for R <= 6),
+                  n_samples, zoc_nodes, competitor_s: _KEYS
     [output]      dir, profile: _KEYS
 
 `solve` runs solver.continuation over R_schedule (unset, R alone); the
@@ -78,6 +79,12 @@ def _at_least(lo: int):
     return parse
 
 
+def _default_s_list(R: float) -> tuple:
+    """Five radii evenly spaced from R/3 to R - 4 (4, 5, 6, 7, 8 at R = 12);
+    none for R <= 6, where the two ends meet."""
+    return tuple(np.linspace(R / 3.0, R - 4.0, 5).tolist()) if R > 6.0 else ()
+
+
 # section -> key -> (parser, default or a function of the RunConfig giving it);
 # the [solver] keys but seed go to SolverConfig only when set: it holds their defaults
 _KEYS = {
@@ -86,7 +93,7 @@ _KEYS = {
                "R_schedule": (_floats, None), "assume_positive":
                (lambda raw: {"true": True, "false": False}[str(raw).strip().lower()], None),
                "seed": (_at_least(0), 0)},
-    "experiment": {"S_list": (_floats, (4.0, 6.0, 8.0, 10.0, 12.0)),
+    "experiment": {"S_list": (_floats, lambda c: _default_s_list(c.value("grid", "R"))),
                    "n_samples": (_at_least(1), 10000), "zoc_nodes": (_at_least(1), 200),
                    "competitor_s": (float, lambda c: max(2.0, c.value("grid", "R") - 6.0))},
     "output": {"dir": (str, "out"), "profile": (str, None)},
@@ -140,7 +147,11 @@ class RunConfig:
                                R_out=self.value("grid", "R_out"), **given)
 
     def s_list(self) -> list:
-        return list(self.value("experiment", "S_list"))
+        S_list = list(self.value("experiment", "S_list"))
+        if not S_list:
+            raise ConfigError(["experiment.S_list: no radii (the default, five from "
+                               "R/3 to R - 4, needs R > 6); set S_list"])
+        return S_list
 
     def check(self) -> RunConfig:
         """Parse every key and build what each section configures; raise one
@@ -164,7 +175,7 @@ class RunConfig:
         if kern is not None and not problems:
             grid = attempt("grid", lambda: self.make_grid(kern))
             attempt("solver", lambda: self.solver_config(kern))
-            # the default S_list is energy_scan's, which checks its own precondition
+            # the default S_list lies in [R/3, R - 4] by construction
             if grid is not None and "S_list" in self.experiment and any(
                     not 2.0 <= S <= grid.R - 4.0 for S in self.s_list()):
                 problems.append(f"experiment.S_list: need 2 <= S <= R - 4 (R={grid.R})")

@@ -5,12 +5,13 @@ The operator on grid node values is the L of `energy`'s one quadratic form,
     (L u)_k = sum_{j != k} (u_k - u_j) D_kj mu_j + 2 u_k Z_k + (C u)_k / (2 mu_k),
 
 with D the tabulated kernel difference, Z the zero-order coefficient
-(polar integral + tail) and C = `self_cell_matrix` over every node cell.
-`assemble` returns L as a plain array, the one the checks take.  Row sums
-equal 2 Z_k exactly (the difference and self-cell parts annihilate
-constants), and all off-diagonal entries are nonpositive when the kernel
-difference is nonnegative.  `check_max_principle_structure` certifies the
-discrete maximum principle from these two facts alone, with no solve.
+(polar integral + tail) and C = `self_cell_matrix` owned by the nodes in
+B_R, as in the energy.  `assemble` returns L as a plain array, the one the
+checks take.  Row sums equal 2 Z_k exactly (the difference and self-cell
+parts annihilate constants), and all off-diagonal entries are nonpositive
+when the kernel difference is nonnegative.  `check_max_principle_structure`
+certifies the discrete maximum principle from these two facts alone, with
+no solve.
 """
 
 from __future__ import annotations
@@ -20,29 +21,21 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .energy import Grid, KernelTable, operator_diagonal, self_cell_matrix
-
-# cells kept between the probe nodes and both the cone and |x| = R
-_PROBE_MARGIN_CELLS = 2.0
+from .energy import KernelTable, operator_diagonal, self_cell_matrix
 
 
 def assemble(table: KernelTable) -> np.ndarray:
     """Dense operator over all nodes of `table.grid` (band rows included).
 
-    Its rows at the nodes inside B_R are the solver's L (grad E / (2 mu) =
-    L u - f(u) from `EnergyModel`) except where a self-cell edge owned by a
-    band node reaches into B_R.  Band neighbors step outward unless the
-    outer node is missing: at the rim |x| ~ R_out, and on the cone row
-    j = i - 1, whose t-neighbor is (i, j - 1).  With R_out - R over a cell,
-    only cone-row rows within a cell of |x| = R differ (on the small test
-    grid, node (6, 4) by 4 % of sup |L u - f(u)|); the nodes of
-    `probe_nodes` are never such rows.
+    Its rows at the nodes inside B_R are the solver's L: grad E / (2 mu) =
+    L u - f(u) from `EnergyModel`.  Band rows carry only the self-cell edges
+    owned by those free nodes.
     """
     grid = table.grid
     mu = grid.weights
     M = table.D * -mu
     np.fill_diagonal(M, operator_diagonal(table))
-    C = self_cell_matrix(table, np.arange(grid.n_nodes)).tocoo()
+    C = self_cell_matrix(table, grid.inside(grid.R)).tocoo()
     M[C.row, C.col] += C.data / (2.0 * mu[C.row])
     return M
 
@@ -83,15 +76,3 @@ def check_max_principle_structure(M: np.ndarray) -> MaxPrincipleReport:
         z_pattern=z_pattern, row_sums_positive=row_sums_positive,
         monotone_probe=z_pattern and row_sums_positive,
         min_offdiag=float(off.min()), max_offdiag=float(off.max()))
-
-
-def probe_nodes(grid: Grid) -> np.ndarray:
-    """Nodes away from the cone and from the support boundary.
-
-    Excludes nodes within _PROBE_MARGIN_CELLS * h of the cone and of the
-    sphere |x| = R (where the zero-order coefficient blows up, respectively
-    where the Dirichlet cut dominates).
-    """
-    margin = _PROBE_MARGIN_CELLS * grid.h
-    keep = (grid.cone_dist > margin) & (grid.radius < grid.R - margin)
-    return np.where(keep)[0]

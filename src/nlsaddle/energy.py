@@ -1,30 +1,31 @@
 """Discrete odd-sector energy on a triangle grid of orbit cells.
 
-The energy of a profile w supported in B_R, written only through its values
-on the outer octant {0 <= t < s}, is
+A profile w supported in B_R is written only through its values on the
+outer octant {0 <= t < s}.  `build_kernel_table` holds kbar - kbar* and kbar*
+over all node pairs as the tables D and P, kbar*_ij = kbar(x_i, x_j^star).
+At m=1, kbar is the 4-term sum of K over the sign reflections and each of
+its distances on the cell-centred lattice is h sqrt(a^2 + b^2) for integers
+a, b, so both tables and the self-cell constants sum K per offset (a, b) and
+call no J; at m >= 2 they come from `doubly_radial.j_values`.  Folded onto
+the octant, the double sum over the odd extension weighs each pair of nodes
+by (w_i - w_j)^2 D_ij + 2 (w_i^2 + w_j^2) P_ij.  Cells are midpoint squares
+in (s, t), with two corrections.  Z_i replaces the midpoint mass (P mu)_i
+of the pairs reflected across the cone: the integral that defines
+`zero_order_coefficient` (`doubly_radial.zero_order_integral`: exact rays
+from x_i for the power kernel at m=1, a polar integral of J around the
+reflected corner otherwise) inside R_out, plus the analytic power-law tail
+beyond it.  (1/2) w^T C w, C from `self_cell_matrix`, reinstates the
+self-cell part of the quadratic term (the only sub-h pairs on the lattice),
+~ |grad w|^2 h^(2-2 gamma) per node with constants integrated exactly.
+With x = mu 1_{B_S}, y = mu - x, w^2 = w o w and C_S the C owned by the
+nodes in B_S, the one quadratic form is
 
-    E(w, B_S) = (1/4) { I(in, in) + 2 I(in, outer \\ B_S) } + 2 sum_in G(w) mu
+    E(w, B_S) = kinetic_in_in + kinetic_in_out + 2 sum_{B_S} G(w) mu,
+    kinetic_in_in  = (w^2 x).Dx - (w x).D(w x) + 2 (w^2 x).Px + (1/2) w^T C_S w,
+    kinetic_in_out = (w^2 x).Dy - 2 (w x).D(w y) + (w^2 y).Dx
+                     + 2 (w^2 x).(Z - Px) + 2 (w^2 y).Px.
 
-with the interaction
-
-    I(A, B) = 2 sum |w_i - w_j|^2 (kbar_ij - kbar*_ij) mu_i mu_j
-            + 4 sum (w_i^2 + w_j^2) kbar*_ij mu_i mu_j,
-
-kbar*_ij = kbar(x_i, x_j^star).  `build_kernel_table` holds kbar - kbar* and
-kbar* over all node pairs as the tables D and P.  At m=1, kbar is the 4-term
-sum of K over the sign reflections and each of its distances on the
-cell-centred lattice is h sqrt(a^2 + b^2) for integers a, b, so both tables
-and the self-cell constants sum K per offset (a, b) and call no J; at m >= 2
-they come from `doubly_radial.j_values`.  Cells are midpoint squares in (s, t),
-and `total_energy` adds two corrections to the I sums.  2 sum_in w^2 mu (Z - P mu)
-swaps the midpoint zero-order mass (P mu)_i of a node for Z_i: the integral
-that defines `zero_order_coefficient` (`doubly_radial.zero_order_integral`:
-exact rays from x_i for the power kernel at m=1, a polar integral of J
-around the reflected corner otherwise) inside R_out, plus the analytic
-power-law tail beyond it.  (1/2) w^T C w, C from `self_cell_matrix`,
-reinstates the self-cell part of the quadratic term (the only sub-h pairs
-on the lattice), ~ |grad w|^2 h^(2-2 gamma) per node with constants
-integrated exactly.  At S = R this one form is E = mu . (u o L u) + 2 mu . G(u),
+At S = R, where w y = 0, it is E = mu . (u o L u) + 2 mu . G(u) with
 
     L u = (D mu + 2 Z) u - D (mu u) + C u / (2 mu),
 
@@ -69,8 +70,8 @@ class Grid:
     Node k sits at ((i_k + 1/2) h, (j_k + 1/2) h) with j_k < i_k and carries
     the orbit-cell volume weight omega^2 s^(m-1) t^(m-1) h^2.  Nodes are
     sorted by (i, j), i first, which `locate` relies on.  Profiles on the
-    grid vanish outside B_R; the band R < |x| <= R_out only mediates
-    interactions.
+    grid vanish outside B_R; the band R < |x| <= R_out enters only as the
+    partner of pairs.
     """
 
     R: float
@@ -249,7 +250,8 @@ class KernelTable:
     """Pairwise averaged-kernel data over all grid node pairs.
 
     D[i,j]   kbar(x_i, x_j) - kbar(x_i, x_j*)   (0 on the diagonal)
-    P[i,j]   kbar(x_i, x_j*)                     (finite for all pairs)
+    P[i,j]   kbar(x_i, x_j*)                     (finite for all pairs;
+             only `total_energy` reads it, for the reflected pairs)
              both symmetric; at m=1 gathered from one kernel value per
              lattice offset (the 4-term sums at exact distances
              h sqrt(a^2 + b^2)), at m >= 2 from `j_values`
@@ -510,7 +512,7 @@ def load_node_columns(path, grid: Grid, kernel: RadialKernel,
 
 
 # ---------------------------------------------------------------------------
-# Interactions and the total energy
+# The quadratic form: self-cell part, operator diagonal and total energy
 # ---------------------------------------------------------------------------
 
 def _as_index(grid: Grid, sel) -> np.ndarray:
@@ -523,29 +525,6 @@ def _as_index(grid: Grid, sel) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >= grid.n_nodes):
         raise TableError("node index outside the table")
     return idx
-
-
-def interaction(profile: OddProfile, A, B, table: KernelTable) -> float:
-    """Discrete I(A, B): pairwise over A x B with the tabulated kernels.
-
-    With x = mu 1_A and y = mu 1_B (an index listed twice counts twice),
-    I = 2 [(w^2 x).Dy - 2 (w x).D(w y) + x.D(w^2 y)] + 4 [(w^2 x).Py + x.P(w^2 y)].
-    The quadratic term skips the self pairs through D's zero diagonal (they
-    are the form of `self_cell_matrix`, added by `total_energy`); the
-    squared term includes them.
-    """
-    grid = profile.grid
-    n = grid.n_nodes
-    mu = grid.weights
-    ia = _as_index(grid, A)
-    ib = _as_index(grid, B)
-    x = np.bincount(ia, weights=mu[ia], minlength=n)
-    y = np.bincount(ib, weights=mu[ib], minlength=n)
-    w = profile.values
-    w2 = w * w
-    D, P = table.D, table.P
-    quad = (w2 * x) @ (D @ y) - 2.0 * (w * x) @ (D @ (w * y)) + x @ (D @ (w2 * y))
-    return float(2.0 * quad + 4.0 * ((w2 * x) @ (P @ y) + x @ (P @ (w2 * y))))
 
 
 def self_cell_matrix(table: KernelTable, owners) -> sp.csr_matrix:
@@ -574,9 +553,8 @@ def operator_diagonal(table: KernelTable) -> np.ndarray:
 
 def total_energy(profile: OddProfile, S: float, table: KernelTable,
                  potential: Potential | None = None) -> EnergyBreakdown:
-    """E(w, B_S) of the module docstring: (1/4) I(in, in) plus the self-cell
-    form of the nodes in B_S, and (1/2) I(in, out) plus the zero-order
-    correction; the exterior band carries the profile's implicit zeros."""
+    """E(w, B_S) of the module docstring, from three products with D and one
+    with P; the exterior band carries the profile's implicit zeros."""
     if potential is None:
         potential = allen_cahn()
     grid = profile.grid
@@ -585,12 +563,16 @@ def total_energy(profile: OddProfile, S: float, table: KernelTable,
     w = profile.values
     mu = grid.weights
     inside = grid.inside(S)
-    zero = 2.0 * float((w ** 2 * mu * (table.zero_order - table.P @ mu))[inside].sum())
+    x = np.where(inside, mu, 0.0)
+    y = mu - x
+    w2x, w2y, wx, wy = w * w * x, w * w * y, w * x, w * y
+    Dx, Dy, Dwx, Px = table.D @ x, table.D @ y, table.D @ wx, table.P @ x
     self_cell = 0.5 * float(w @ (self_cell_matrix(table, inside) @ w))
     pot = 2.0 * float((np.asarray(potential.G(w[inside])) * mu[inside]).sum())
     return EnergyBreakdown(
-        kinetic_in_in=0.25 * interaction(profile, inside, inside, table) + self_cell,
-        kinetic_in_out=0.5 * interaction(profile, inside, ~inside, table) + zero,
+        kinetic_in_in=float(w2x @ Dx - wx @ Dwx + 2.0 * w2x @ Px) + self_cell,
+        kinetic_in_out=float(w2x @ Dy - 2.0 * wy @ Dwx + w2y @ Dx
+                             + 2.0 * w2x @ (table.zero_order - Px) + 2.0 * w2y @ Px),
         potential=pot,
         S=float(S), h=grid.h, R=grid.R)
 

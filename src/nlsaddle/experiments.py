@@ -17,10 +17,12 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .doubly_radial import omega_sphere
-from .energy import Grid, KernelTable, OddProfile, Potential, allen_cahn, total_energy
+from .energy import Grid, KernelTable, OddProfile, total_energy
 
 # lower bound of the measured Lipschitz constant
 _LIPSCHITZ_FLOOR = 0.1
+# smallest evaluation radii that energy_scan leaves out of its fit
+_FIT_SKIP = 2
 
 
 def radial_ramp(radius, S: float):
@@ -234,26 +236,22 @@ def theoretical_growth(gamma: float, m: int) -> tuple[float, str]:
     return 2.0 * m - 1.0, "supercritical"
 
 
-def energy_scan(profile: OddProfile, S_list, table: KernelTable,
-                potential: Potential | None = None,
-                exclude_smallest: int = 2) -> ScalingReport:
-    """Energies over B_S and the log-log growth fit (the exclude_smallest
-    smallest S are left out of the fit to suppress near-core transients, and
-    at least two radii must remain for it)."""
-    if potential is None:
-        potential = allen_cahn()
+def energy_scan(profile: OddProfile, S_list, table: KernelTable) -> ScalingReport:
+    """Allen-Cahn energies over B_S and the log-log growth fit (the
+    _FIT_SKIP smallest S are left out of the fit to suppress near-core
+    transients, and at least two radii must remain for it)."""
     S_list = sorted(float(S) for S in S_list)
     if max(S_list, default=0.0) > profile.grid.R - 4.0:
         raise PreconditionError("max S must satisfy S <= R - 4")
-    if len(S_list) < exclude_smallest + 2:
-        raise DomainError(f"need at least {exclude_smallest + 2} evaluation radii "
-                          f"({exclude_smallest} are left out of the fit)")
-    breakdowns = [total_energy(profile, S, table, potential) for S in S_list]
+    if len(S_list) < _FIT_SKIP + 2:
+        raise DomainError(f"need at least {_FIT_SKIP + 2} evaluation radii "
+                          f"({_FIT_SKIP} are left out of the fit)")
+    breakdowns = [total_energy(profile, S, table) for S in S_list]
     totals = [b.total for b in breakdowns]
     kin = [b.kinetic_in_in + b.kinetic_in_out for b in breakdowns]
     pot = [b.potential for b in breakdowns]
-    fit_S = np.log(S_list[exclude_smallest:])
-    fit_E = np.log(totals[exclude_smallest:])
+    fit_S = np.log(S_list[_FIT_SKIP:])
+    fit_E = np.log(totals[_FIT_SKIP:])
     slope, intercept = np.polyfit(fit_S, fit_E, 1)
     resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], fit_S) - fit_E) ** 2)))
     gamma = table.kernel.gamma

@@ -119,6 +119,26 @@ def test_ini_without_s_list_runs_at_small_radius(tmp_path):
     assert (out / "convexity_report.json").exists()
 
 
+def test_energy_scan_without_s_list_takes_its_radii_from_r(tmp_path):
+    # the default S_list is five radii from R/3 to R - 4, which every R > 6
+    # admits: 4, 5, 6, 7, 8 at R = 12
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI.split("[experiment]")[0].replace("R = 7", "R = 12").replace(
+        "R_out = 10.5", "R_out = 18"))
+    out = tmp_path / "out"
+    for sub in ("solve", "energy-scan"):
+        assert cli.main([sub, "--config", str(ini), "--out", str(out)]) == 0, sub
+    body = json.loads((out / "scan_report.json").read_text())
+    assert body["S_values"] == [4.0, 5.0, 6.0, 7.0, 8.0]
+    # at R <= 6 no radius fits between R/3 and R - 4: the user is asked for S_list
+    ini.write_text(INI.split("[experiment]")[0].replace("R = 7", "R = 6").replace(
+        "R_out = 10.5", "R_out = 9"))
+    assert cli.main(["solve", "--config", str(ini), "--out", str(out)]) == 0
+    assert cli.main(["energy-scan", "--config", str(ini), "--out", str(out)]) == 1
+    diag = json.loads((out / "diagnostic.json").read_text())
+    assert diag["error"] == "ConfigError" and "set S_list" in diag["message"]
+
+
 def _kernel_check_errors(tmp_path, capsys, ini_text, *flags):
     ini = tmp_path / "run.ini"
     ini.write_text(ini_text)

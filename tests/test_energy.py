@@ -10,8 +10,8 @@ from nlsaddle.kernels import counterexample_kernel, fractional_kernel, tabulated
 from nlsaddle.doubly_radial import (gauss_jacobi_rule, j_values, kernel_difference,
                                     omega_sphere, zero_order_coefficient)
 from nlsaddle.energy import (EnergyModel, Grid, OddProfile, allen_cahn, build_grid,
-                             build_kernel_table, interaction, load_profile,
-                             save_profile, total_energy, truncate_profile,
+                             build_kernel_table, load_profile, save_profile,
+                             self_cell_matrix, total_energy, truncate_profile,
                              zero_potential, zero_profile)
 
 K1 = fractional_kernel(0.5, 1)
@@ -314,40 +314,15 @@ def test_table_zero_order_matches_refined_integral_m2():
     assert np.max(np.abs(table.zero_order[idx] - ref) / ref) <= 2e-5
 
 
-# --- interaction -------------------------------------------------------------------
-
-def test_interaction_zero_profile(small_table, small_grid):
-    p = zero_profile(small_grid)
-    A = np.arange(0, small_grid.n_nodes, 2)
-    B = np.arange(1, small_grid.n_nodes, 2)
-    assert interaction(p, A, B, small_table) == 0.0
-
-
-def test_interaction_symmetric(small_table, small_grid):
-    rng = np.random.default_rng(1)
-    p = OddProfile(small_grid, rng.uniform(0, 1, small_grid.n_nodes))
-    A = np.arange(0, small_grid.n_nodes, 2)
-    B = np.arange(1, small_grid.n_nodes, 2)
-    a = interaction(p, A, B, small_table)
-    b = interaction(p, B, A, small_table)
-    assert a == pytest.approx(b, rel=1e-12)
-
+# --- pair table entries and the self-cell form -------------------------------------
 
 def test_interaction_single_pair_example():
-    # A = {(2,1)}, B = {(3,1)}, w = 1 on A and 0 on B:
-    # I = 2 * diff * mu^2 + 4 * kbar_star * mu^2 with the tabulated entries
+    # the tabulated entries of the pair (2,1), (3,1) are the pointwise
+    # kernels, kbar = J / 4 at m = 1
     g = build_grid(R=4.2, h=1.0, m=1, R_out=6.0)
     tab = build_kernel_table(g, K1)
     ia = int(np.argmin(np.abs(g.s - 2.5) + np.abs(g.t - 0.5)))
     ib = int(np.argmin(np.abs(g.s - 3.5) + np.abs(g.t - 0.5)))
-    w = np.zeros(g.n_nodes)
-    w[ia] = 1.0
-    p = OddProfile(g, w)
-    got = interaction(p, np.array([ia]), np.array([ib]), tab)
-    mu2 = g.weights[ia] * g.weights[ib]
-    expected = 2.0 * tab.D[ia, ib] * mu2 + 4.0 * tab.P[ia, ib] * mu2
-    assert got == pytest.approx(expected, rel=1e-14)
-    # and the tabulated entries are the pointwise kernels, kbar = J / 4 at m = 1
     sa, ta = g.s[ia], g.t[ia]
     sb, tb = g.s[ib], g.t[ib]
     assert tab.D[ia, ib] == pytest.approx(
@@ -357,9 +332,10 @@ def test_interaction_single_pair_example():
 
 
 def test_interaction_index_validation(small_table, small_grid):
-    p = zero_profile(small_grid)
     with pytest.raises(TableError):
-        interaction(p, np.array([0, small_grid.n_nodes]), np.array([1]), small_table)
+        self_cell_matrix(small_table, np.array([0, small_grid.n_nodes]))
+    with pytest.raises(TableError):
+        self_cell_matrix(small_table, np.ones(small_grid.n_nodes - 1, dtype=bool))
 
 
 # --- total energy --------------------------------------------------------------------
@@ -410,15 +386,16 @@ def test_truncation_never_increases_energy(small_grid, small_table):
 
 
 def test_odd_rewriting_matches_full_plane_sum(small_grid, small_table):
-    """The interaction form equals the full-plane double sum over the
-    extension (outer nodes plus mirrored inner nodes with flipped sign)."""
+    """The tabulated pair form, 2 sum (w_i - w_j)^2 D_ij mu_i mu_j +
+    8 (w^2 mu).P mu, equals the full-plane double sum over the extension
+    (outer nodes plus mirrored inner nodes with flipped sign)."""
     g = small_grid
     rng = np.random.default_rng(9)
-    w = rng.uniform(0, 1, g.n_nodes)
-    p = OddProfile(g, w)
-    w = p.values
-    idx = np.arange(g.n_nodes)
-    lhs = interaction(p, idx, idx, small_table)
+    w = OddProfile(g, rng.uniform(0, 1, g.n_nodes)).values
+    mu = g.weights
+    D, P = small_table.D, small_table.P
+    lhs = 2.0 * float(((w[:, None] - w[None, :]) ** 2 * D * mu[:, None] * mu[None, :]).sum())
+    lhs += 8.0 * float((w * w * mu) @ (P @ mu))
 
     # full plane: nodes (s,t) with +w and (t,s) with -w
     S = np.concatenate([g.s, g.t])
@@ -446,7 +423,7 @@ def test_refinement_consistency():
 
 # kinetic_in_in, kinetic_in_out and potential of a uniform(0, 1) profile
 # (default_rng(11)) at S = R/3, R/2 and R, computed by the chunked sums
-# that total_energy used before it was written through interaction
+# that total_energy used before it was written as the one form on L's data
 PINNED_BREAKDOWNS = {
     # small: kinetic_in_out from the exact-ray zero-order column; the polar
     # column it replaced gives 2.8250034, 2.8250044, 2.8250040, 2.8250039 at
@@ -476,13 +453,14 @@ def test_total_energy_breakdown_pinned(name, request):
 
 # --- solver-facing model ----------------------------------------------------------
 
-def test_model_matches_total_energy(small_grid, small_table):
-    model = EnergyModel(small_table, allen_cahn())
-    rng = np.random.default_rng(4)
-    u = rng.uniform(0, 1, model.iin.size)
-    prof = model.embed(u)
-    assert model.value_and_grad(u)[0] == pytest.approx(
-        total_energy(prof, small_grid.R, small_table).total, rel=1e-12)
+def test_model_matches_total_energy(small_table, m2_table):
+    for table in (small_table, m2_table):
+        model = EnergyModel(table, allen_cahn())
+        rng = np.random.default_rng(4)
+        u = rng.uniform(0, 1, model.iin.size)
+        prof = model.embed(u)
+        assert model.value_and_grad(u)[0] == pytest.approx(
+            total_energy(prof, table.grid.R, table).total, rel=1e-12), table.grid.m
 
 
 def test_model_gradient_matches_finite_differences(small_grid, small_table):

@@ -176,8 +176,11 @@ def test_scan_validation(saddle_run, medium_table):
 
 
 def test_scan_needs_two_fitted_radii(saddle_run, medium_table):
-    # three radii leave one for the fit once the two smallest are excluded
+    # three radii leave one for the fit once the two smallest are excluded;
+    # with four, the fit is the line through the last two
     with pytest.raises(DomainError):
         energy_scan(saddle_run.profile, [2.0, 3.0, 4.0], medium_table)
-    rep = energy_scan(saddle_run.profile, [2.0, 3.0, 4.0], medium_table, exclude_smallest=1)
-    assert math.isfinite(rep.slope) and rep.fit_residual == pytest.approx(0.0, abs=1e-12)
+    rep = energy_scan(saddle_run.profile, [2.0, 3.0, 3.5, 4.0], medium_table)
+    E = rep.energies
+    assert rep.slope == pytest.approx(math.log(E[3] / E[2]) / math.log(4.0 / 3.5), rel=1e-12)
+    assert rep.fit_residual == pytest.approx(0.0, abs=1e-12)

@@ -8,8 +8,7 @@ from hypothesis.extra.numpy import arrays
 from nlsaddle.kernels import fractional_kernel
 from nlsaddle.doubly_radial import zero_order_coefficient
 from nlsaddle.energy import EnergyModel, OddProfile, allen_cahn, zero_profile
-from nlsaddle.discrete_operator import (assemble, check_max_principle_structure,
-                                        probe_nodes)
+from nlsaddle.discrete_operator import assemble, check_max_principle_structure
 
 K1 = fractional_kernel(0.5, 1)
 
@@ -127,13 +126,6 @@ def test_linear_solve_consistency(op_small, small_grid):
     assert np.abs(lu - g).max() <= 1e-10 * np.abs(g).max()
 
 
-def test_probe_nodes_exclusions(medium_grid):
-    pr = probe_nodes(medium_grid)
-    assert pr.size > 0
-    assert (medium_grid.cone_dist[pr] > 2 * medium_grid.h).all()
-    assert (medium_grid.radius[pr] < medium_grid.R - 2 * medium_grid.h).all()
-
-
 def test_weak_maximum_principle_trials(tables_and_ops):
     # the independent reference for the certificate: random monotone solves
     # (M + diag(c)) u = g with c >= 0 and g >= 0 give u >= 0
@@ -183,20 +175,14 @@ def test_one_positive_offdiagonal_entry_fails_the_certificate(case, data):
 
 @pytest.mark.parametrize("name", ["small", "m2"])
 def test_solver_gradient_is_assembled_operator(name, request):
-    # grad E / (2 mu) = L u - f(u) with the same L on the probe nodes
+    # grad E / (2 mu) = L u - f(u) with the same L at every free node
     table = request.getfixturevalue(f"{name}_table")
-    g = table.grid
     model = EnergyModel(table, allen_cahn())
     u = np.random.default_rng(6).uniform(0, 1, model.iin.size)
     _, grad = model.value_and_grad(u)
     w = model.embed(u).values
-    lf = assemble(table) @ w - allen_cahn().f(w)
-    probes = probe_nodes(g)
-    assert probes.size
-    at = np.searchsorted(model.iin, probes)
-    assert np.array_equal(model.iin[at], probes)
-    scale = np.abs(lf[model.iin]).max()
-    assert np.abs(grad[at] / (2.0 * model.mu[at]) - lf[probes]).max() <= 1e-12 * scale
+    lf = (assemble(table) @ w - allen_cahn().f(w))[model.iin]
+    assert np.abs(grad / (2.0 * model.mu) - lf).max() <= 1e-12 * np.abs(lf).max()
 
 
 def test_zero_matrix_fails_the_certificate(op_small):
