@@ -48,8 +48,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, PreconditionError, TableError
 from .kernels import RadialKernel, _h, check_sqrt_convexity
-from .doubly_radial import (QuadratureRule, _blocks, exterior_tail_coefficient,
-                            gauss_jacobi_rule, j_values, omega_sphere,
+from .doubly_radial import (QuadratureRule, _blocks, _default_rule,
+                            exterior_tail_coefficient, j_values, omega_sphere,
                             zero_order_integral)
 
 # largest D and P pair tables build_kernel_table allocates, together
@@ -163,15 +163,6 @@ class OddProfile:
 
 def zero_profile(grid: Grid) -> OddProfile:
     return OddProfile(grid, np.zeros(grid.n_nodes))
-
-
-def truncate_profile(profile: OddProfile) -> OddProfile:
-    """Sign rearrangement then cap at 1: values become min(1, |w|).
-
-    Both maps are energy-decreasing whenever the kernel table's difference
-    entries are nonnegative.
-    """
-    return profile.with_values(np.minimum(1.0, np.abs(profile.values)))
 
 
 def save_profile(profile: OddProfile, path) -> None:
@@ -436,7 +427,7 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
             raise PreconditionError(
                 "kernel failed the sqrt-convexity check; pass assume_positive=True "
                 "to build the table anyway")
-    rule = _table_rule(kernel, rule)
+    rule = _default_rule(kernel.m, rule)
     if nodes is None:
         zcol = zero_order_integral(kernel, grid.s, grid.t, grid.R_out, rule)
         ztail = 0.5 * exterior_tail_coefficient(kernel, grid.s, grid.t, grid.R_out)
@@ -467,18 +458,12 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
                        es=es, et=et)
 
 
-def _table_rule(kernel: RadialKernel, rule: QuadratureRule | None) -> QuadratureRule:
-    return gauss_jacobi_rule(32, kernel.m) if rule is None else rule
-
-
 def _node_key(grid: Grid, kernel: RadialKernel, rule: QuadratureRule) -> str:
     """Everything the node columns depend on, as JSON: every kernel field
     (a tabulated kernel's samples in full), (R, h, m, R_out), n_nodes and
     the rule order.  Floats are written by repr, which round-trips, so equal
     keys mean equal values."""
     kern = {f.name: getattr(kernel, f.name) for f in fields(RadialKernel)}
-    if kernel.table is not None:
-        kern["table"] = [col.tolist() for col in kernel.table]
     return json.dumps({"version": _NODE_FILE_VERSION, "kernel": kern,
                        "grid": [grid.R, grid.h, grid.m, grid.R_out], "n_nodes": grid.n_nodes,
                        "rule_order": rule.order}, sort_keys=True, default=float)
@@ -497,7 +482,7 @@ def load_node_columns(path, grid: Grid, kernel: RadialKernel,
     file, or None when the file is missing or unreadable, holds anything but
     n_nodes float64 values per column, or was written for another key: then
     the caller builds the columns.  Nothing is unpickled."""
-    key = _node_key(grid, kernel, _table_rule(kernel, rule))
+    key = _node_key(grid, kernel, _default_rule(kernel.m, rule))
     try:
         with open(path, "rb") as fh:
             data = np.load(fh, allow_pickle=False)
@@ -554,10 +539,17 @@ def operator_diagonal(table: KernelTable) -> np.ndarray:
 def total_energy(profile: OddProfile, S: float, table: KernelTable,
                  potential: Potential | None = None) -> EnergyBreakdown:
     """E(w, B_S) of the module docstring, from three products with D and one
-    with P; the exterior band carries the profile's implicit zeros."""
+    with P; the exterior band carries the profile's implicit zeros.  The
+    profile's grid must have the table grid's h, m and R_out, which fix the
+    node set."""
     if potential is None:
         potential = allen_cahn()
     grid = profile.grid
+    have = (grid.h, grid.m, grid.R_out)
+    want = (table.grid.h, table.grid.m, table.grid.R_out)
+    if have != want:
+        raise DomainError(f"the profile's grid has (h, m, R_out) = {have}, "
+                          f"the table's {want}")
     if S > grid.R_out:
         raise DomainError("evaluation radius exceeds the grid extent R_out")
     w = profile.values

@@ -1,5 +1,5 @@
-"""Desk-scale reproductions: energy-growth exponents, the cutoff
-competitor with its hypothesis checks, and the transition-region volume.
+"""Desk-scale reproductions: energy-growth exponents and the cutoff
+competitor with its hypothesis checks.
 
 The competitor caps the minimizer by a cone-adapted two-level ramp: outside
 radius S+2 it keeps u, inside B_S away from the cone it sits at the pure
@@ -16,8 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .doubly_radial import omega_sphere
-from .energy import Grid, KernelTable, OddProfile, total_energy
+from .energy import KernelTable, OddProfile, total_energy
 
 # lower bound of the measured Lipschitz constant
 _LIPSCHITZ_FLOOR = 0.1
@@ -44,16 +43,6 @@ def cone_ramp(s, t, S: float, mu: float):
     d = np.abs(s - t) / math.sqrt(2.0)
     r = np.hypot(s, t)
     return radial_ramp(r, S) * np.minimum(1.0, mu * d)
-
-
-def cutoff_distance(p, S: float, mu: float) -> float:
-    """min of the distance to the sphere |x| = S+1 and mu times the cone
-    distance, for |p| < S."""
-    s, t = p
-    r = math.hypot(s, t)
-    if r >= S:
-        raise DomainError("cutoff_distance is defined inside B_S")
-    return min(S + 1.0 - r, mu * abs(s - t) / math.sqrt(2.0))
 
 
 def measured_lipschitz(profile: OddProfile, radius: float) -> float:
@@ -178,36 +167,6 @@ def build_competitor(u: OddProfile, S: float, mu: float | None = None
                               lipschitz_measured=lip_u,
                               max_abs_near_cone=max_near, shell_mismatch=mismatch)
     return w, report
-
-
-def transition_region_volume(S: float, mu: float, grid: Grid) -> float:
-    """Volume of the annulus B_(S+2) minus B_S union the strip
-    {mu dist <= 1} inside B_(S+2) (both sides of the cone).
-
-    Sums the measure of the node cells and of the diagonal half-cells
-    {q h <= t < s <= (q+1) h} that the node cells leave uncovered along the
-    cone, each counted whole when its centre (centroid for a half-cell) is
-    in the region.  The remaining error is that O(h) cell-centre membership
-    at |x| = S and |x| = S+2.
-    """
-    if S < 2.0:
-        raise DomainError("S must be >= 2")
-    if mu <= 0.0:
-        raise DomainError("mu must be positive")
-
-    def measure(s, t, weights):
-        r = np.hypot(s, t)
-        d = (s - t) / math.sqrt(2.0)
-        member = (r <= S + 2.0) & ((r >= S) | (mu * d <= 1.0))
-        return weights[member].sum()
-
-    h, m = grid.h, grid.m
-    q = np.arange(math.ceil((S + 2.0) / h), dtype=float)
-    # orbit volume of half-cell q: half of omega^2 (int s^(m-1) ds)^2 over its square
-    half_w = (omega_sphere(m) ** 2 * ((q + 1.0) ** m - q ** m) ** 2
-              * h ** (2 * m) / (2.0 * m * m))
-    return float(2.0 * (measure(grid.s, grid.t, grid.weights)
-                        + measure((q + 2.0 / 3.0) * h, (q + 1.0 / 3.0) * h, half_w)))
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Radial kernels, the sqrt-convexity criterion, and the quadruple oracles.
+"""Radial kernels and the sqrt-convexity criterion.
 
 A kernel here is a 1-D radial profile r -> K(r) in even dimension n = 2m,
 assumed comparable to the standard power law r^(-2m-2*gamma).  The central
@@ -12,15 +12,13 @@ on r^2, `sqrt_profile` on tau, and J on the squared distances it forms.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 
 FAMILIES = ("fractional", "piecewise-counterexample", "tabulated")
 
@@ -44,8 +42,9 @@ class RadialKernel:
     lam, Lam  ellipticity constants, 0 < lam <= Lam
     c_norm    dimensionless normalizing multiplier (default 1; the standard
               fractional-Laplacian constant may be supplied instead)
-    table     (r, K) samples for family="tabulated"; interpolated
-              log-log linearly, never extrapolated
+    table     (r, K) samples for family="tabulated", stored as two tuples
+              of floats so that kernels compare and hash by value;
+              interpolated log-log linearly, never extrapolated
     """
 
     family: str
@@ -77,7 +76,7 @@ class RadialKernel:
                 raise DomainError("kernel table entries must be positive")
             if np.any(np.diff(r) <= 0):
                 raise DomainError("kernel table radii must be strictly increasing")
-            object.__setattr__(self, "table", (r, k))
+            object.__setattr__(self, "table", (tuple(r.tolist()), tuple(k.tolist())))
 
     @property
     def power(self) -> float:
@@ -105,8 +104,7 @@ def counterexample_kernel(gamma: float, m: int) -> RadialKernel:
 
 def tabulated_kernel(r: Sequence[float], k: Sequence[float], gamma: float, m: int,
                      lam: float = 1.0, Lam: float = 1.0, c_norm: float = 1.0) -> RadialKernel:
-    return RadialKernel("tabulated", gamma, m, lam, Lam, c_norm,
-                        table=(np.asarray(r, float), np.asarray(k, float)))
+    return RadialKernel("tabulated", gamma, m, lam, Lam, c_norm, table=(r, k))
 
 
 def _h(kernel: RadialKernel, tau: np.ndarray) -> np.ndarray:
@@ -292,72 +290,6 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None) -> ConvexityReport
         concavity_interval=bool(best >= 3),
         concave_triples=int(neg.sum()),
     )
-
-
-def abcd_coefficients(alpha: float, beta: float,
-                      sx: float, tx: float, sy: float, ty: float):
-    """The four bilinear combinations of two orbit points and a rotation pair.
-
-    A = sx*sy*alpha + tx*ty*beta      B = sx*ty*alpha + tx*sy*beta
-    C = tx*sy*alpha + sx*ty*beta      D = tx*ty*alpha + sx*sy*beta
-
-    Preconditions: alpha >= |beta|, and both points strictly on the outer
-    side of the cone (sx > tx >= 0, sy > ty >= 0).
-    """
-    if alpha < abs(beta):
-        raise PreconditionError(f"need alpha >= |beta|, got {alpha}, {beta}")
-    if not (sx > tx >= 0.0 and sy > ty >= 0.0):
-        raise PreconditionError("points must satisfy s > t >= 0")
-    # exact products and sums, rounded once: A and D away from zero, B and C
-    # toward it, so that the floats keep the lemma's |A| >= |B|, |C|, |D| and
-    # |A| + |D| >= |B| + |C| (also with beta within an ulp of +-alpha, or
-    # alpha subnormal)
-    a, b, sx, tx, sy, ty = map(Fraction, (alpha, beta, sx, tx, sy, ty))
-    return (_round_directed(sx * sy * a + tx * ty * b, away=True),
-            _round_directed(sx * ty * a + tx * sy * b, away=False),
-            _round_directed(tx * sy * a + sx * ty * b, away=False),
-            _round_directed(tx * ty * a + sx * sy * b, away=True))
-
-
-def _round_directed(x: Fraction, away: bool) -> float:
-    """The float next to x away from zero (away=True) or toward it."""
-    f = float(x)
-    err = abs(Fraction(f)) - abs(x)
-    if err < 0 if away else err > 0:
-        f = math.nextafter(f, math.copysign(math.inf, f) if away else 0.0)
-    return f
-
-
-@dataclass(frozen=True)
-class AbcdReport:
-    dominance: bool
-    sum_inequality: bool
-
-
-def abcd_inequalities(A: float, B: float, C: float, D: float) -> AbcdReport:
-    """Check |A| >= |B|,|C|,|D| and |A|+|D| >= |B|+|C| (pure arithmetic)."""
-    a, b, c, d = abs(A), abs(B), abs(C), abs(D)
-    return AbcdReport(dominance=bool(a >= b and a >= c and a >= d),
-                      sum_inequality=bool(a + d >= b + c))
-
-
-def convex_quad_oracle(h: Callable, A: float, B: float, C: float, D: float,
-                       rel_slack: float = 1e-12) -> bool:
-    """Truth of h(A) + h(D) >= h(B) + h(C) under the quadruple hypotheses.
-
-    Preconditions (part of the contract): A = max{A,B,C,D} and A+D >= B+C;
-    h nondecreasing on the sampled range.  Ties are resolved with a small
-    relative slack so that exact equality cases (affine h with A+D = B+C)
-    do not flip on rounding.
-    """
-    if not (A >= B and A >= C and A >= D):
-        raise PreconditionError("A must be the maximum of the quadruple")
-    if A + D < B + C:
-        raise PreconditionError("need A + D >= B + C")
-    lhs = h(A) + h(D)
-    rhs = h(B) + h(C)
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return bool(lhs >= rhs - rel_slack * scale)
 
 
 def load_kernel_table(path) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ energy trace is non-increasing by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,16 +91,6 @@ def _residual(u: np.ndarray, g: np.ndarray, model: EnergyModel) -> float:
     return float(np.abs(u - _project(u - g / (2.0 * model.mu))).max())
 
 
-def _same_kernel(a: RadialKernel, b: RadialKernel) -> bool:
-    """a == b field by field; `==` itself raises on two tabulated kernels,
-    whose table columns are arrays."""
-    if a.table is None or b.table is None:
-        return a == b
-    return (all(getattr(a, f.name) == getattr(b, f.name)
-                for f in fields(RadialKernel) if f.name != "table")
-            and all(np.array_equal(x, y) for x, y in zip(a.table, b.table)))
-
-
 def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | None = None,
              init: OddProfile | None = None, table: KernelTable | None = None) -> SolveResult:
     """Run the projected descent; the energy trace is strictly non-increasing.
@@ -124,7 +114,7 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
     if table is None:
         grid = build_grid(config.R, config.h, config.m, config.R_out)
         table = build_kernel_table(grid, kernel, assume_positive=config.assume_positive)
-    elif not _same_kernel(table.kernel, kernel):
+    elif table.kernel != kernel:
         raise DomainError(f"the table was built for another kernel ({table.kernel.family}) "
                           f"than the solve's ({kernel.family})")
     grid = table.grid

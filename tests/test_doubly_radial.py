@@ -15,8 +15,7 @@ from nlsaddle.doubly_radial import (appell_f2, appell_prefactor, exterior_tail_c
                                     f2_arguments, gauss_jacobi_rule, j_kernel_appell,
                                     j_values, kernel_difference, omega_sphere,
                                     sample_outer_orbits, verify_kernel_inequality,
-                                    weight_integral, zero_order_coefficient,
-                                    zero_order_integral)
+                                    zero_order_coefficient, zero_order_integral)
 from nlsaddle.energy import build_grid
 
 K1 = fractional_kernel(0.5, 1)
@@ -71,6 +70,11 @@ def test_negative_coordinates_rejected():
 
 
 # --- quadrature rules --------------------------------------------------------
+
+def weight_integral(m: int) -> float:
+    """Exact value of int_{-1}^{1} (1-theta^2)^((m-2)/2) dtheta (m >= 2)."""
+    return math.sqrt(math.pi) * math.gamma(m / 2.0) / math.gamma((m + 1) / 2.0)
+
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_rule_weights_sum_to_weight_integral(m):

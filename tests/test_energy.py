@@ -11,8 +11,8 @@ from nlsaddle.doubly_radial import (gauss_jacobi_rule, j_values, kernel_differen
                                     omega_sphere, zero_order_coefficient)
 from nlsaddle.energy import (EnergyModel, Grid, OddProfile, allen_cahn, build_grid,
                              build_kernel_table, load_profile, save_profile,
-                             self_cell_matrix, total_energy, truncate_profile,
-                             zero_potential, zero_profile)
+                             self_cell_matrix, total_energy, zero_potential,
+                             zero_profile)
 
 K1 = fractional_kernel(0.5, 1)
 
@@ -72,6 +72,15 @@ def test_profile_zeroed_outside_support(small_grid):
     outside = small_grid.radius > small_grid.R
     assert np.all(p.values[outside] == 0.0)
     assert np.all(p.values[~outside] == 1.0)
+
+
+def truncate_profile(profile: OddProfile) -> OddProfile:
+    """Sign rearrangement then cap at 1: values become min(1, |w|).
+
+    Both maps are energy-decreasing whenever the kernel table's difference
+    entries are nonnegative.
+    """
+    return profile.with_values(np.minimum(1.0, np.abs(profile.values)))
 
 
 def test_truncation_values(small_grid):
@@ -356,6 +365,15 @@ def test_zero_profile_potential_converges_first_order():
         bd = total_energy(zero_profile(g), 2.0, tab)
         errs.append(abs(bd.potential - math.pi))
     assert errs[1] < errs[0]
+
+
+def test_total_energy_refuses_a_profile_on_another_grid():
+    table = build_kernel_table(build_grid(12, 0.5, 1), K1)
+    with pytest.raises(DomainError, match="grid"):
+        total_energy(zero_profile(build_grid(7, 0.5, 1)), 4.0, table)
+    # another R over the same node set is the same grid to the table
+    same_nodes = build_grid(7, 0.5, 1, R_out=table.grid.R_out)
+    assert total_energy(zero_profile(same_nodes), 4.0, table).kinetic_in_in == 0.0
 
 
 def test_energy_monotone_in_radius(small_grid, small_table):

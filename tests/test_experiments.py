@@ -5,11 +5,12 @@ import pytest
 
 from nlsaddle.errors import DomainError, PreconditionError
 from nlsaddle.kernels import fractional_kernel, standard_c_norm
-from nlsaddle.energy import OddProfile, allen_cahn, build_grid, total_energy, zero_profile
+from nlsaddle.doubly_radial import omega_sphere
+from nlsaddle.energy import (Grid, OddProfile, allen_cahn, build_grid, total_energy,
+                             zero_profile)
 from nlsaddle.solver import SolverConfig, minimize
-from nlsaddle.experiments import (build_competitor, cone_ramp, cutoff_distance,
-                                  energy_scan, measured_lipschitz, radial_ramp,
-                                  theoretical_growth, transition_region_volume)
+from nlsaddle.experiments import (build_competitor, cone_ramp, energy_scan,
+                                  measured_lipschitz, radial_ramp, theoretical_growth)
 
 
 # --- ramps -------------------------------------------------------------------
@@ -39,6 +40,16 @@ def test_cone_ramp_branches():
     assert cone_ramp(9.0, 1.0, S, mu) == pytest.approx(radial_ramp(math.hypot(9, 1), S))
 
 
+def cutoff_distance(p, S: float, mu: float) -> float:
+    """min of the distance to the sphere |x| = S+1 and mu times the cone
+    distance, for |p| < S: the competitor's cutoff in the paper's proof."""
+    s, t = p
+    r = math.hypot(s, t)
+    if r >= S:
+        raise DomainError("cutoff_distance is defined inside B_S")
+    return min(S + 1.0 - r, mu * abs(s - t) / math.sqrt(2.0))
+
+
 def test_cutoff_distance_example():
     assert cutoff_distance((3, 1), S=10.0, mu=1.0) == pytest.approx(math.sqrt(2.0))
     # near the cone the scaled branch dominates
@@ -50,6 +61,37 @@ def test_cutoff_distance_example():
 
 
 # --- region volume --------------------------------------------------------------
+
+def transition_region_volume(S: float, mu: float, grid: Grid) -> float:
+    """Volume of the annulus B_(S+2) minus B_S union the strip
+    {mu dist <= 1} inside B_(S+2) (both sides of the cone), where the
+    competitor leaves the pure phases.
+
+    Sums the measure of the node cells and of the diagonal half-cells
+    {q h <= t < s <= (q+1) h} that the node cells leave uncovered along the
+    cone, each counted whole when its centre (centroid for a half-cell) is
+    in the region.  The remaining error is that O(h) cell-centre membership
+    at |x| = S and |x| = S+2.
+    """
+    if S < 2.0:
+        raise DomainError("S must be >= 2")
+    if mu <= 0.0:
+        raise DomainError("mu must be positive")
+
+    def measure(s, t, weights):
+        r = np.hypot(s, t)
+        d = (s - t) / math.sqrt(2.0)
+        member = (r <= S + 2.0) & ((r >= S) | (mu * d <= 1.0))
+        return weights[member].sum()
+
+    h, m = grid.h, grid.m
+    q = np.arange(math.ceil((S + 2.0) / h), dtype=float)
+    # orbit volume of half-cell q: half of omega^2 (int s^(m-1) ds)^2 over its square
+    half_w = (omega_sphere(m) ** 2 * ((q + 1.0) ** m - q ** m) ** 2
+              * h ** (2 * m) / (2.0 * m * m))
+    return float(2.0 * (measure(grid.s, grid.t, grid.weights)
+                        + measure((q + 2.0 / 3.0) * h, (q + 1.0 / 3.0) * h, half_w)))
+
 
 @pytest.fixture(scope="module")
 def volume_grid():

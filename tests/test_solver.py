@@ -225,7 +225,7 @@ def test_minimize_refuses_a_table_for_another_kernel(small_table):
     for kernel in (KSTD, counterexample_kernel(0.5, 1)):
         with pytest.raises(DomainError, match="another kernel"):
             minimize(cfg, kernel, table=small_table)
-    # two tabulated kernels compare their columns (== on them raises ValueError)
+    # two tabulated kernels compare their columns
     r = np.geomspace(1e-32, 1e4, 65)
     tab = tabulated_kernel(r, r ** -3.0, gamma=0.5, m=1)
     table = build_kernel_table(small_table.grid, tab)
