@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import ConfigError, NlsaddleError
 from . import kernels as K
@@ -279,7 +280,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
 
         if subcommand == "check-operator":
             n_ref = min(grid.n_nodes, cfg.value("experiment", "zoc_nodes"))
-            rng = np.random.default_rng(seed)
+            rng = default_rng(seed)
             ref_idx = np.sort(rng.choice(grid.n_nodes, size=n_ref, replace=False))
             # the table's zero-order integrator with doubled angular nodes (m=1
             # power kernel: 64 per ray panel; n_rho, rule unused) and, on the

@@ -5,7 +5,7 @@ The operator on grid node values is the L of `energy`'s one quadratic form,
     (L u)_k = sum_{j != k} (u_k - u_j) D_kj mu_j + 2 u_k Z_k + (C u)_k / (2 mu_k),
 
 with D the tabulated kernel difference, Z the zero-order coefficient
-(polar integral + tail) and C = `self_cell_matrix` owned by the nodes in
+(polar integral + tail) and C the `self_cell_edges` owned by the nodes in
 B_R, as in the energy.  `assemble` returns L as a plain array, the one the
 checks take.  Row sums equal 2 Z_k exactly (the difference and self-cell
 parts annihilate constants), and all off-diagonal entries are nonpositive
@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .energy import KernelTable, operator_diagonal, self_cell_matrix
+from .energy import KernelTable, operator_diagonal, self_cell_edges
 
 
 def assemble(table: KernelTable) -> np.ndarray:
@@ -35,8 +35,9 @@ def assemble(table: KernelTable) -> np.ndarray:
     mu = grid.weights
     M = table.D * -mu
     np.fill_diagonal(M, operator_diagonal(table))
-    C = self_cell_matrix(table, grid.inside(grid.R)).tocoo()
-    M[C.row, C.col] += C.data / (2.0 * mu[C.row])
+    k, nb, c = self_cell_edges(table, grid.inside(grid.R))
+    row, col = np.concatenate([k, nb, k, nb]), np.concatenate([k, nb, nb, k])
+    np.add.at(M, (row, col), np.concatenate([c, c, -c, -c]) / (2.0 * mu[row]))
     return M
 
 

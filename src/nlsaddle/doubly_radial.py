@@ -14,6 +14,10 @@ randomized verifier for the kernel inequality.  An m=1 table build makes
 no J call for its pairs and self-cell (nor, for the power kernel, its
 zero-order column): J is the 4-term sum over the sign reflections, each
 lattice distance is h sqrt(a^2 + b^2), and both sum K per offset (a, b).
+An m=1 run needs numpy alone: its one Gauss-Jacobi rule, the tail's, has the
+weight (1 - x^2)^(-1/2) and closed-form Gauss-Chebyshev nodes.  scipy.special,
+whose import takes longer than numpy's, is imported where used: roots_jacobi
+for the m >= 2 rules of J and the tail, hyp2f1 for the Appell-F2 oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaln, hyp2f1, roots_jacobi
+from numpy.polynomial.legendre import leggauss
+from numpy.random import default_rng
 
 from .errors import ConvergenceError, DomainError, PreconditionError, SingularityError
 from .kernels import RadialKernel, _h
@@ -80,16 +85,21 @@ class QuadratureRule:
     prefactor: float
 
 
+def _jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending n-node Gauss-Jacobi rule of (1 - x^2)^a on [-1, 1]: at
+    a = -1/2 Gauss-Chebyshev in closed form, otherwise scipy's roots_jacobi."""
+    if a != -0.5:
+        from scipy.special import roots_jacobi
+        return roots_jacobi(n, a, a)
+    return np.sin(np.arange(1 - n, n, 2) * (math.pi / (2 * n))), np.full(n, math.pi / n)
+
+
 def gauss_jacobi_rule(order: int, m: int) -> QuadratureRule:
     if m == 1:
-        nodes = np.array([1.0, -1.0])
-        weights = np.array([1.0, 1.0])
-        return QuadratureRule(2, nodes, weights, 1.0)
+        return QuadratureRule(2, np.array([1.0, -1.0]), np.array([1.0, 1.0]), 1.0)
     if order < 2:
         raise DomainError("quadrature order must be >= 2")
-    a = (m - 2) / 2.0
-    nodes, weights = roots_jacobi(order, a, a)
-    return QuadratureRule(order, nodes, weights, omega_sphere(m - 1) ** 2)
+    return QuadratureRule(order, *_jacobi(order, (m - 2) / 2.0), omega_sphere(m - 1) ** 2)
 
 
 def _default_rule(m: int, rule: QuadratureRule | None) -> QuadratureRule:
@@ -240,7 +250,7 @@ def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     xs, xt = sample_outer_orbits(rng, n_samples, r_range)
     ys, yt = sample_outer_orbits(rng, n_samples, r_range)
     # re-draw near-coincident pairs; J is refused on the diagonal
@@ -300,7 +310,7 @@ def appell_prefactor(gamma: float, m: int, c_norm: float = 1.0) -> float:
     4 pi^m Gamma(m/2)^2 / (Gamma((m-1)/2)^2 Gamma((m+1)/2)^2).
     """
     lg = ((2 * m - 2) * math.log(2.0) + 2.0 * math.log(omega_sphere(m - 1))
-          + 4.0 * gammaln(m / 2.0) - 2.0 * gammaln(float(m)))
+          + 4.0 * math.lgamma(m / 2.0) - 2.0 * math.lgamma(float(m)))
     return c_norm * math.exp(lg)
 
 
@@ -315,6 +325,7 @@ def appell_f2(a: float, b1: float, b2: float, c1: float, c2: float,
     Symmetric in the (b1,c1,x)/(b2,c2,y) slots, so callers may put the
     smaller argument in y for the fastest decay.
     """
+    from scipy.special import hyp2f1
     if x < 0.0 or y < 0.0:
         raise DomainError("series arguments must be nonnegative")
     if x + y >= 1.0:
@@ -386,15 +397,13 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float) -> np.nd
     a = np.hypot(s, t)
     if np.any(a >= R_out):
         raise DomainError("tail coefficient requires |x| < R_out")
-    m = kernel.m
-    n = 2 * m
+    n = 2 * kernel.m
     p = kernel.power
     gam = kernel.gamma
     # angular slice of S^(n-1) against the first coordinate
-    alpha = (n - 3) / 2.0
-    th, wth = roots_jacobi(_TAIL_N_THETA, alpha, alpha)
+    th, wth = _jacobi(_TAIL_N_THETA, (n - 3) / 2.0)
     # radial nodes: v = u^(1/(2 gamma)), r = R_out / v
-    ugl, wugl = np.polynomial.legendre.leggauss(_TAIL_N_RAD)
+    ugl, wugl = leggauss(_TAIL_N_RAD)
     u = 0.5 * (ugl + 1.0)
     wu = 0.5 * wugl
     v = u ** (1.0 / (2.0 * gam))
@@ -455,14 +464,14 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     rule = _default_rule(m, rule)
 
     edges = np.linspace(-3.0 * math.pi / 4.0, math.pi / 4.0, n_phi + 1)
-    gl, wgl = np.polynomial.legendre.leggauss(_ZERO_ORDER_PHI_ORDER)
+    gl, wgl = leggauss(_ZERO_ORDER_PHI_ORDER)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     phi = (mid[:, None] + half[:, None] * gl[None, :]).reshape(-1)
     wphi = (half[:, None] * wgl[None, :]).reshape(-1)
     cosp, sinp = np.cos(phi), np.sin(phi)
     cosd = np.cos(phi + math.pi / 4.0)
-    xgl, xw = np.polynomial.legendre.leggauss(n_rho)
+    xgl, xw = leggauss(n_rho)
 
     flat_s, flat_t = s.reshape(-1), t.reshape(-1)
     out = np.zeros(flat_s.size)
@@ -511,7 +520,7 @@ def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np
     scratch arrays: the weights and four updated in place.
     """
     two_g = 2.0 * kernel.gamma
-    gl, wgl = np.polynomial.legendre.leggauss(order)
+    gl, wgl = leggauss(order)
     rim_z1 = R_out / math.sqrt(2.0) * np.array([1.0, -1.0, 1.0, -1.0])
     rim_z2 = R_out / math.sqrt(2.0) * np.array([1.0, 1.0, -1.0, -1.0])
     cone = math.pi / 4.0 * np.array([1.0, 3.0, 5.0, 7.0])

@@ -14,7 +14,7 @@ of the pairs reflected across the cone: the integral that defines
 `zero_order_coefficient` (`doubly_radial.zero_order_integral`: exact rays
 from x_i for the power kernel at m=1, a polar integral of J around the
 reflected corner otherwise) inside R_out, plus the analytic power-law tail
-beyond it.  (1/2) w^T C w, C from `self_cell_matrix`, reinstates the
+beyond it.  (1/2) w^T C w, C from `self_cell_edges`, reinstates the
 self-cell part of the quadratic term (the only sub-h pairs on the lattice),
 ~ |grad w|^2 h^(2-2 gamma) per node with constants integrated exactly.
 With x = mu 1_{B_S}, y = mu - x, w^2 = w o w and C_S the C owned by the
@@ -43,8 +43,8 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, PreconditionError, TableError
 from .kernels import RadialKernel, _h, check_sqrt_convexity
@@ -188,7 +188,7 @@ def load_profile(path, grid: Grid) -> OddProfile:
     # NaN and far-off coordinates become cells the grid lacks
     cells = np.nan_to_num(rows[:, :2] / grid.h - 0.5, nan=-1.0).clip(-1, grid.ii[-1] + 1)
     k = grid.locate(*np.rint(cells).astype(np.int64).T)
-    if ((k < 0).any() or np.unique(k).size != k.size
+    if ((k < 0).any() or np.bincount(k).max() > 1
             or not (np.allclose(rows[:, 0], grid.s[k], atol=1e-9 * grid.h)
                     and np.allclose(rows[:, 1], grid.t[k], atol=1e-9 * grid.h))):
         raise DomainError("profile node coordinates do not match the grid")
@@ -286,7 +286,7 @@ def _self_cell_rule(h: float):
     n_theta = _SELF_CELL_N_THETA
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     rmax = 0.5 * h / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
-    gx, gw = np.polynomial.legendre.leggauss(_SELF_CELL_N_RAD)
+    gx, gw = leggauss(_SELF_CELL_N_RAD)
     rr = rmax[:, None] * (0.5 * (gx + 1.0))[None, :]
     meas = rr * (rmax[:, None] * (0.5 * gw)[None, :]) * (2.0 * math.pi / n_theta)
     return rr * np.cos(theta)[:, None], rr * np.sin(theta)[:, None], meas
@@ -512,23 +512,28 @@ def _as_index(grid: Grid, sel) -> np.ndarray:
     return idx
 
 
-def self_cell_matrix(table: KernelTable, owners) -> sp.csr_matrix:
-    """Sparse symmetric C over all nodes with
+def self_cell_edges(table: KernelTable, owners):
+    """The edges (k, nb, c) of the symmetric C over all nodes with
 
         (1/2) w^T C w = sum_k cs_k (w_es(k) - w_k)^2 + ct_k (w_et(k) - w_k)^2
 
-    over the owner nodes k (an index array or a mask).  The form is
-    one-sided: a node without an in-octant neighbor on an axis drops that
-    axis' term.
+    over the owner nodes k (an index array or a mask); each edge puts c at
+    (k, k) and (nb, nb) and -c at (k, nb) and (nb, k).  The form is one-sided:
+    a node without an in-octant neighbor on an axis drops that axis' term.
     """
     k = _as_index(table.grid, owners)
     nb = np.concatenate([table.es[k], table.et[k]])
     c = np.concatenate([table.cs[k], table.ct[k]])
     k = np.concatenate([k, k])
     keep = (nb >= 0) & (c > 0.0)
-    k, nb, c = k[keep], nb[keep], 2.0 * c[keep]
-    ij = (np.concatenate([k, nb, k, nb]), np.concatenate([k, nb, nb, k]))
-    return sp.csr_matrix((np.concatenate([c, c, -c, -c]), ij), shape=(table.grid.n_nodes,) * 2)
+    return k[keep], nb[keep], 2.0 * c[keep]
+
+
+def _self_cell_apply(edges, w: np.ndarray) -> np.ndarray:
+    """C w for the `self_cell_edges` C, w over all nodes."""
+    k, nb, c = edges
+    delta = c * (w[k] - w[nb])
+    return np.bincount(k, delta, w.size) - np.bincount(nb, delta, w.size)
 
 
 def operator_diagonal(table: KernelTable) -> np.ndarray:
@@ -559,7 +564,7 @@ def total_energy(profile: OddProfile, S: float, table: KernelTable,
     y = mu - x
     w2x, w2y, wx, wy = w * w * x, w * w * y, w * x, w * y
     Dx, Dy, Dwx, Px = table.D @ x, table.D @ y, table.D @ wx, table.P @ x
-    self_cell = 0.5 * float(w @ (self_cell_matrix(table, inside) @ w))
+    self_cell = 0.5 * float(w @ _self_cell_apply(self_cell_edges(table, inside), w))
     pot = 2.0 * float((np.asarray(potential.G(w[inside])) * mu[inside]).sum())
     return EnergyBreakdown(
         kinetic_in_in=float(w2x @ Dx - wx @ Dwx + 2.0 * w2x @ Px) + self_cell,
@@ -577,9 +582,9 @@ class EnergyModel:
     """E(u) = E(w_u, B_R) for u living on the nodes inside B_R.
 
     Holds the free block of the operator L of the module docstring: its
-    diagonal D mu + 2 Z and the self-cell form C of the nodes in B_R scaled
-    by 1/(2 mu).  One matvec of the full D with mu u embedded in the grid
-    per point gives L u, hence both E = mu . (u o L u) + 2 mu . G(u) and its
+    diagonal D mu + 2 Z and the self-cell edges of the nodes in B_R, whose
+    C u is scaled by 1/(2 mu).  One matvec of the full D with mu u embedded
+    in the grid gives L u, hence both E = mu . (u o L u) + 2 mu . G(u) and its
     exact gradient 2 mu (L u - f(u)).
     """
 
@@ -590,14 +595,13 @@ class EnergyModel:
         self.iin = np.where(grid.inside(grid.R))[0]
         self.mu = grid.weights[self.iin]
         self.diag = operator_diagonal(table)[self.iin]
-        C = self_cell_matrix(table, self.iin)[self.iin][:, self.iin]
-        self.C = sp.diags(0.5 / self.mu) @ C
+        self.edges = self_cell_edges(table, self.iin)
 
     def value_and_grad(self, u: np.ndarray):
-        mu = self.mu
-        mu_u = np.zeros(self.grid.n_nodes)
-        mu_u[self.iin] = mu * u
-        lu = self.diag * u - (self.table.D @ mu_u)[self.iin] + self.C @ u
+        mu, w = self.mu, np.zeros(self.grid.n_nodes)
+        w[self.iin] = u
+        lu = (self.diag * u - (self.table.D @ (self.grid.weights * w))[self.iin]
+              + _self_cell_apply(self.edges, w)[self.iin] * (0.5 / mu))
         E = float(mu @ (u * lu)) + 2.0 * float(mu @ np.asarray(self.potential.G(u)))
         return E, 2.0 * mu * (lu - np.asarray(self.potential.f(u)))
 

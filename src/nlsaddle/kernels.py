@@ -12,11 +12,11 @@ on r^2, `sqrt_profile` on tau, and J on the squared distances it forms.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -62,18 +62,17 @@ class RadialKernel:
             raise DomainError(f"gamma must lie in (0,1), got {self.gamma}")
         if int(self.m) != self.m or self.m < 1:
             raise DomainError(f"m must be an integer >= 1, got {self.m}")
-        if not (0.0 < self.lam <= self.Lam):
-            raise DomainError(f"need 0 < lambda <= Lambda, got {self.lam}, {self.Lam}")
-        if self.c_norm <= 0.0:
-            raise DomainError(f"c_norm must be positive, got {self.c_norm}")
+        if not (0.0 < self.lam <= self.Lam < math.inf and 0.0 < self.c_norm < math.inf):
+            raise DomainError("need 0 < lambda <= Lambda < inf and 0 < c_norm < inf, got "
+                              f"{self.lam}, {self.Lam}, {self.c_norm}")
         if self.family == "tabulated":
             if self.table is None:
                 raise DomainError("tabulated kernel requires a table")
             r, k = (np.asarray(a, dtype=float) for a in self.table)
             if r.ndim != 1 or r.shape != k.shape or r.size < 2:
                 raise DomainError("kernel table needs matching 1-D r,K columns (>= 2 rows)")
-            if np.any(r <= 0) or np.any(k <= 0):
-                raise DomainError("kernel table entries must be positive")
+            if not (np.all((r > 0) & (k > 0)) and np.all(np.isfinite(r) & np.isfinite(k))):
+                raise DomainError("kernel table entries must be positive and finite")
             if np.any(np.diff(r) <= 0):
                 raise DomainError("kernel table radii must be strictly increasing")
             object.__setattr__(self, "table", (tuple(r.tolist()), tuple(k.tolist())))
@@ -87,10 +86,11 @@ class RadialKernel:
 def standard_c_norm(gamma: float, m: int) -> float:
     """Normalizing constant of the fractional Laplacian in dimension n = 2m,
     c = 4^gamma gamma Gamma(n/2 + gamma) / (pi^(n/2) Gamma(1 - gamma))."""
-    n = 2 * m
-    return float(4.0 ** gamma * gamma
-                 * np.exp(gammaln(n / 2.0 + gamma) - gammaln(1.0 - gamma))
-                 / np.pi ** (n / 2.0))
+    try:
+        return (4.0 ** gamma * gamma * math.exp(math.lgamma(m + gamma) - math.lgamma(1.0 - gamma))
+                / math.pi ** m)
+    except (ValueError, OverflowError):  # a pole of Gamma(1 - gamma) at gamma = 1, 2, ...; huge m
+        raise DomainError(f"no standard c_norm at gamma={gamma}, m={m}") from None
 
 
 def fractional_kernel(gamma: float, m: int, c_norm: float = 1.0) -> RadialKernel:
@@ -254,7 +254,7 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None) -> ConvexityReport
         tau = np.unique(np.concatenate([tau, extra]))
         iu, rel = _midpoint_gaps(h, tau)
 
-    fail_idx = np.where(rel < -tol)[0]
+    fail_idx = np.where(~(rel >= -tol))[0]  # a NaN gap fails too
     tight_idx = np.where(np.abs(rel) <= tol)[0]
 
     def triples(idx):

@@ -158,6 +158,22 @@ def test_malformed_kernel_table_is_one_kernel_violation(tmp_path, capsys, table)
     assert len(errors) == 1 and errors[0].startswith("config error: kernel: "), errors
 
 
+@pytest.mark.parametrize("sub", ["kernel-check", "solve"])
+@pytest.mark.parametrize("kernel", ["c_norm = nan", "c_norm = inf", "table = kern.csv"])
+def test_non_finite_kernel_value_is_one_kernel_violation(tmp_path, capsys, sub, kernel):
+    # a NaN sample of the table, like a NaN c_norm, is refused by the kernel
+    (tmp_path / "kern.csv").write_text("r,K\n0.1,1000\n1,nan\n10,0.001\n")
+    if kernel.startswith("table"):
+        kernel = f"family = tabulated\ntable = {tmp_path / 'kern.csv'}"
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[kernel]\n{kernel}\n[grid]\nR = 7\nh = 0.5\n")
+    out = tmp_path / "out"
+    assert cli.main([sub, "--config", str(ini), "--out", str(out)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("config error: kernel: "), errors
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, line", [
     ("solver", "mu0 = abc"), ("solver", "max_iters = many"), ("solver", "grad_tol = tiny"),
     ("solver", "R_schedule = 5, x"), ("solver", "assume_positive = perhaps"),

@@ -11,7 +11,7 @@ from nlsaddle.errors import (ConvergenceError, DomainError, PreconditionError,
 from nlsaddle import doubly_radial
 from nlsaddle.kernels import (counterexample_kernel, eval_kernel, fractional_kernel,
                               tabulated_kernel)
-from nlsaddle.doubly_radial import (appell_f2, appell_prefactor, exterior_tail_coefficient,
+from nlsaddle.doubly_radial import (_jacobi, appell_f2, appell_prefactor, exterior_tail_coefficient,
                                     f2_arguments, gauss_jacobi_rule, j_kernel_appell,
                                     j_values, kernel_difference, omega_sphere,
                                     sample_outer_orbits, verify_kernel_inequality,
@@ -580,3 +580,13 @@ def test_zero_order_rays_scratch_is_a_few_blocks():
     g = build_grid(R=12.0, h=0.5, m=1)
     peak = _traced_peak(lambda: zero_order_integral(K1, g.s, g.t, g.R_out))
     assert peak <= 8 * doubly_radial._BLOCK_VALUES * 8
+
+
+@pytest.mark.parametrize("n", [2, 7, 48, 256])
+def test_chebyshev_rule_matches_scipy(n):
+    # the closed-form rule at weight (1 - x^2)^(-1/2) against scipy's Gauss-Jacobi
+    from scipy.special import roots_jacobi
+    nodes, weights = _jacobi(n, -0.5)
+    want_nodes, want_weights = roots_jacobi(n, -0.5, -0.5)
+    assert np.max(np.abs(nodes - want_nodes)) <= 4e-16
+    assert np.max(np.abs(weights / want_weights - 1.0)) <= 1e-15

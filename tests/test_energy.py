@@ -6,12 +6,13 @@ import pytest
 
 from nlsaddle.errors import DomainError, PreconditionError, TableError
 from nlsaddle import doubly_radial, energy
-from nlsaddle.kernels import counterexample_kernel, fractional_kernel, tabulated_kernel
+from nlsaddle.kernels import (counterexample_kernel, fractional_kernel, standard_c_norm,
+                              tabulated_kernel)
 from nlsaddle.doubly_radial import (gauss_jacobi_rule, j_values, kernel_difference,
                                     omega_sphere, zero_order_coefficient)
 from nlsaddle.energy import (EnergyModel, Grid, OddProfile, allen_cahn, build_grid,
                              build_kernel_table, load_profile, save_profile,
-                             self_cell_matrix, total_energy, zero_potential,
+                             self_cell_edges, total_energy, zero_potential,
                              zero_profile)
 
 K1 = fractional_kernel(0.5, 1)
@@ -342,9 +343,34 @@ def test_interaction_single_pair_example():
 
 def test_interaction_index_validation(small_table, small_grid):
     with pytest.raises(TableError):
-        self_cell_matrix(small_table, np.array([0, small_grid.n_nodes]))
+        self_cell_edges(small_table, np.array([0, small_grid.n_nodes]))
     with pytest.raises(TableError):
-        self_cell_matrix(small_table, np.ones(small_grid.n_nodes - 1, dtype=bool))
+        self_cell_edges(small_table, np.ones(small_grid.n_nodes - 1, dtype=bool))
+
+
+@pytest.fixture(scope="module")
+def pipeline_table():
+    # the grid of the m1-pipeline benchmark workload
+    kernel = fractional_kernel(0.5, 1, c_norm=standard_c_norm(0.5, 1))
+    return build_kernel_table(build_grid(R=12.0, h=0.5, m=1), kernel)
+
+
+@pytest.mark.parametrize("name", ["pipeline_table", "m2_table"])
+def test_self_cell_apply_matches_a_sparse_matrix(name, request):
+    # oracle: C assembled by scipy.sparse from the same edges, summing duplicates
+    import scipy.sparse as sp
+    table = request.getfixturevalue(name)
+    n = table.grid.n_nodes
+    edges = self_cell_edges(table, table.grid.inside(table.grid.R))
+    k, nb, c = edges
+    C = sp.csr_matrix((np.concatenate([c, c, -c, -c]),
+                       (np.concatenate([k, nb, k, nb]), np.concatenate([k, nb, nb, k]))),
+                      shape=(n, n))
+    w = np.random.default_rng(5).standard_normal(n)
+    want = C @ w
+    got = energy._self_cell_apply(edges, w)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert float(w @ got) == pytest.approx(float(w @ want), rel=1e-14, abs=0.0)
 
 
 # --- total energy --------------------------------------------------------------------

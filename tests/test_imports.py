@@ -1,0 +1,62 @@
+"""What a CLI process loads: numpy alone for the import and for an m=1 run.
+
+Each test runs in a fresh interpreter, since this one already has scipy
+loaded (the tests import it as an oracle).
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import nlsaddle
+
+SRC = str(Path(nlsaddle.__file__).resolve().parents[1])
+
+
+def _run(code: str, tmp_path) -> dict:
+    """Run `code` in a new interpreter that imports nlsaddle from SRC; it
+    prints one JSON object as its last line."""
+    head = f"import sys\nsys.path.insert(0, {SRC!r})\n"
+    proc = subprocess.run([sys.executable, "-c", head + code], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    loaded = _run("import json\nimport nlsaddle.cli\n"
+                  "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+                  tmp_path)
+    assert loaded == []
+
+
+def test_m1_pipeline_loads_no_module_after_the_import(tmp_path):
+    # a module the run path imports lazily would move its cost out of set-up
+    # into the first run; cli imports what the run uses at load time instead
+    new = _run("""
+import json
+from nlsaddle import cli
+before = set(sys.modules)
+cfg = cli.RunConfig(kernel={"family": "fractional", "gamma": 0.5, "m": 1, "c_norm": "standard"},
+                    grid={"R": 7.0, "h": 0.5}, experiment={"S_list": "2, 2.25, 2.5, 2.75, 3"})
+codes = [cli.run(sub, cfg, "out", seed=1)
+         for sub in ("solve", "energy-scan", "competitor", "check-operator")]
+new = [m for m in set(sys.modules) - before if m.split(".")[0] in ("numpy", "scipy")]
+print(json.dumps({"codes": codes, "new": sorted(new)}))
+""", tmp_path)
+    assert new == {"codes": [0, 0, 0, 0], "new": []}
+
+
+def test_the_m2_rule_is_what_loads_scipy_special(tmp_path):
+    # the m >= 2 Gauss-Jacobi rules are the one use of scipy on the run path
+    loaded = _run("""
+import json
+from nlsaddle import cli, doubly_radial as dr
+before = "scipy.special" in sys.modules
+dr.gauss_jacobi_rule(32, 1)
+at_m1 = "scipy.special" in sys.modules
+dr.gauss_jacobi_rule(32, 2)
+print(json.dumps([before, at_m1, "scipy.special" in sys.modules]))
+""", tmp_path)
+    assert loaded == [False, False, True]

@@ -86,6 +86,45 @@ def test_standard_c_norm_half():
     assert standard_c_norm(0.5, 1) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
+def test_standard_c_norm_matches_scipy_gammaln(gamma, m):
+    from scipy.special import gammaln
+    want = 4.0 ** gamma * gamma * np.exp(gammaln(m + gamma) - gammaln(1.0 - gamma)) / np.pi ** m
+    assert standard_c_norm(gamma, m) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma, m", [(1.0, 1), (2.0, 1), (0.5, 200)])
+def test_standard_c_norm_refuses_a_pole_or_an_overflow(gamma, m):
+    # Gamma(1 - gamma) is infinite at gamma = 1, 2, and Gamma(m + gamma) overflows
+    # at m = 200: a DomainError, not math's ValueError or OverflowError
+    with pytest.raises(DomainError):
+        standard_c_norm(gamma, m)
+
+
+@pytest.mark.parametrize("params", [
+    dict(c_norm=math.nan), dict(c_norm=math.inf), dict(Lam=math.inf),
+    dict(lam=math.inf, Lam=math.inf), dict(lam=math.nan)])
+def test_non_finite_kernel_parameters_are_refused(params):
+    with pytest.raises(DomainError):
+        RadialKernel("fractional", 0.5, 1, **params)
+
+
+@pytest.mark.parametrize("r, k", [
+    ([0.1, 1.0, 10.0], [1e3, math.nan, 1e-3]), ([0.1, 1.0, 10.0], [math.inf, 1.0, 1e-3]),
+    ([0.1, 1.0, math.inf], [1e3, 1.0, 1e-3]), ([math.nan, 1.0, 10.0], [1e3, 1.0, 1e-3])])
+def test_non_finite_table_samples_are_refused(r, k):
+    with pytest.raises(DomainError):
+        tabulated_kernel(r, k, 0.5, 1)
+
+
+def test_non_finite_midpoint_gap_fails_the_convexity_check():
+    # c_norm tau^(-3/2) overflows near tau = 1e-3, where the gaps are inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check_sqrt_convexity(fractional_kernel(0.5, 1, c_norm=1e305))
+    assert rep.verdict == "fails" and rep.n_fail > 0
+
+
 # --- sqrt-convexity -------------------------------------------------------
 
 def test_fractional_midpoint_gap_value():

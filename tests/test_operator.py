@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from nlsaddle.kernels import fractional_kernel
 from nlsaddle.doubly_radial import zero_order_coefficient
-from nlsaddle.energy import EnergyModel, OddProfile, allen_cahn, zero_profile
+from nlsaddle.energy import (EnergyModel, OddProfile, allen_cahn, operator_diagonal,
+                             self_cell_edges, zero_profile)
 from nlsaddle.discrete_operator import assemble, check_max_principle_structure
 
 K1 = fractional_kernel(0.5, 1)
@@ -208,3 +209,18 @@ def test_offdiagonal_extremes_read_every_offdiagonal_entry(n, tables_and_ops):
         for view in (M, np.asfortranarray(M), wide[:, ::2]):
             rep = check_max_principle_structure(view)
             assert (rep.min_offdiag, rep.max_offdiag) == (off.min(), off.max())
+
+
+def test_assemble_matches_the_sparse_self_cell_formula(tables_and_ops):
+    # oracle: the self-cell part added from a scipy.sparse C, duplicates summed
+    import scipy.sparse as sp
+    for table, op in tables_and_ops:
+        grid, mu = table.grid, table.grid.weights
+        k, nb, c = self_cell_edges(table, grid.inside(grid.R))
+        C = sp.coo_matrix((np.concatenate([c, c, -c, -c]),
+                           (np.concatenate([k, nb, k, nb]), np.concatenate([k, nb, nb, k]))),
+                          shape=(grid.n_nodes,) * 2).tocsr().tocoo()
+        want = table.D * -mu
+        np.fill_diagonal(want, operator_diagonal(table))
+        want[C.row, C.col] += C.data / (2.0 * mu[C.row])
+        np.testing.assert_allclose(op, want, rtol=1e-15, atol=0.0)
