@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -232,13 +233,15 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
         if subcommand == "kernel-check":
             rep = K.check_sqrt_convexity(kern)
             lo, hi = K.ellipticity_margins(kern, np.geomspace(1e-2, 1e2, 257))
+            # an overflowing kernel has NaN gaps and margins: null in JSON
+            finite = lambda x: x if math.isfinite(x) else None
             report("convexity", {
                 "verdict": rep.verdict,
-                "witnesses": [list(w) for w in rep.witnesses[:16]],
+                "witnesses": [[t1, t2, finite(gap)] for t1, t2, gap in rep.witnesses[:16]],
                 "n_pairs": rep.n_pairs, "n_fail": rep.n_fail, "n_tight": rep.n_tight,
-                "min_rel_gap": rep.min_rel_gap,
+                "min_rel_gap": finite(rep.min_rel_gap),
                 "concavity_interval": rep.concavity_interval,
-                "ellipticity_min": lo, "ellipticity_max": hi})
+                "ellipticity_min": finite(lo), "ellipticity_max": finite(hi)})
             return 0 if rep.verdict == "strictly-convex" else 2
 
         if subcommand == "verify-inequality":

@@ -5,11 +5,15 @@ The operator on grid node values is the L of `energy`'s one quadratic form,
     (L u)_k = sum_{j != k} (u_k - u_j) D_kj mu_j + 2 u_k Z_k + (C u)_k / (2 mu_k),
 
 with D the tabulated kernel difference, Z the zero-order coefficient
-(polar integral + tail) and C the `self_cell_edges` owned by the nodes in
-B_R, as in the energy.  `assemble` returns L as a plain array, the one the
-checks take.  Row sums equal 2 Z_k exactly (the difference and self-cell
-parts annihilate constants), and all off-diagonal entries are nonpositive
-when the kernel difference is nonnegative.  `check_max_principle_structure`
+(zero-order integral + tail) and C the `self_cell_edges` owned by the nodes
+in B_R, as in the energy.  `assemble` returns L as a plain array, the one
+the checks take, and is the one reader of the table's dense D: at m=1 the
+table gathers it on this first read (n^2 memory, under the table's cap),
+where the energy and the solver take D only as products.  Its diagonal
+comes from the same dense rows it negates.  Row sums equal 2 Z_k exactly
+(the difference and self-cell parts annihilate constants), and all
+off-diagonal entries are nonpositive when the kernel difference is
+nonnegative.  `check_max_principle_structure`
 certifies the discrete maximum principle from these two facts alone, with
 no solve.
 """
@@ -21,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .energy import KernelTable, operator_diagonal, self_cell_edges
+from .energy import KernelTable, self_cell_edges
 
 
 def assemble(table: KernelTable) -> np.ndarray:
@@ -33,8 +37,9 @@ def assemble(table: KernelTable) -> np.ndarray:
     """
     grid = table.grid
     mu = grid.weights
-    M = table.D * -mu
-    np.fill_diagonal(M, operator_diagonal(table))
+    D = table.D
+    M = D * -mu
+    np.fill_diagonal(M, D @ mu + 2.0 * table.zero_order)
     k, nb, c = self_cell_edges(table, grid.inside(grid.R))
     row, col = np.concatenate([k, nb, k, nb]), np.concatenate([k, nb, nb, k])
     np.add.at(M, (row, col), np.concatenate([c, c, -c, -c]) / (2.0 * mu[row]))

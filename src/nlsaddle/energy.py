@@ -1,12 +1,14 @@
 """Discrete odd-sector energy on a triangle grid of orbit cells.
 
 A profile w supported in B_R is written only through its values on the
-outer octant {0 <= t < s}.  `build_kernel_table` holds kbar - kbar* and kbar*
-over all node pairs as the tables D and P, kbar*_ij = kbar(x_i, x_j^star).
-At m=1, kbar is the 4-term sum of K over the sign reflections and each of
-its distances on the cell-centred lattice is h sqrt(a^2 + b^2) for integers
-a, b, so both tables and the self-cell constants sum K per offset (a, b) and
-call no J; at m >= 2 they come from `doubly_radial.j_values`.  Folded onto
+outer octant {0 <= t < s}.  Over all node pairs, D = kbar - kbar* and
+P = kbar*, kbar*_ij = kbar(x_i, x_j^star), and `build_kernel_table` gives
+the products D v and P v.  At m=1, kbar is the 4-term sum of K over the sign
+reflections and each of its distances on the cell-centred lattice is
+h sqrt(a^2 + b^2) for integers a, b, so the products are convolutions of the
+lattice values with K per offset (a, b), taken by FFT with no n x n table,
+and the self-cell constants sum K per offset; neither calls J.  At m >= 2,
+D and P are dense tables from `doubly_radial.j_values`.  Folded onto
 the octant, the double sum over the odd extension weighs each pair of nodes
 by (w_i - w_j)^2 D_ij + 2 (w_i^2 + w_j^2) P_ij.  Cells are midpoint squares
 in (s, t), with two corrections.  Z_i replaces the midpoint mass (P mu)_i
@@ -30,7 +32,9 @@ At S = R, where w y = 0, it is E = mu . (u o L u) + 2 mu . G(u) with
     L u = (D mu + 2 Z) u - D (mu u) + C u / (2 mu),
 
 so grad E = 2 mu (L u - f(u)): `EnergyModel` evaluates L on the nodes in
-B_R and `discrete_operator.assemble` over every node.
+B_R and `discrete_operator.assemble` over every node.  Energy, gradient and
+the diagonal of L take D and P only as `apply_D` and `apply_P`; `assemble`
+alone reads the dense tables.
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ import csv
 import json
 import math
 import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
+from numpy.fft import ifft, irfft, rfft2
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
@@ -236,16 +241,58 @@ class EnergyBreakdown:
 # Kernel table
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class LatticeConvolution:
+    """kbar and kbar* on the m=1 lattice as one circular convolution.
+
+    With G the `_lattice_kernel` of the grid's N lattice columns, sum_l
+    kbar(x_k, x_l) v_l is G convolved with the lattice values V of v,
+    extended evenly about -1/2 on both axes (Martucci, IEEE Trans. Signal
+    Process. 42, 1994), and sum_l kbar*(x_k, x_l) v_l the same with V
+    transposed.  The extension fills the cells [-N, N)^2, shifted by N into
+    a (2N, 2N) patch; its offsets to the N output cells per axis span 3N - 1
+    values, so a circle of side L >= 3N - 1 holds the convolution without
+    wrap-around.  L is 5-smooth, which the FFT takes without Bluestein's
+    algorithm, and `spectrum` is the rfft2 of G placed on the circle.
+
+    images   (4, n) flat patch cells of node (i, j) and its three even
+             reflections; swapped: the same for the cell (j, i)
+    out      flat index of node (i, j) in the output rows N..2N - 1
+    diag     D's diagonal fix: G[0, 0] is 0, so the diagonal of the kbar
+             convolution holds the three reflected terms, and D's is 0
+    """
+
+    N: int
+    spectrum: np.ndarray
+    images: np.ndarray
+    swapped: np.ndarray
+    out: np.ndarray
+    diag: np.ndarray
+
+    def convolve(self, *placed) -> np.ndarray:
+        """At every node, G convolved with the even extension of the lattice
+        values that the (cells, values) pairs in `placed` put on the patch."""
+        N, L = self.N, self.spectrum.shape[0]
+        E = np.zeros(4 * N * N)
+        for cells, values in placed:
+            E[cells] = values
+        rows = ifft(rfft2(E.reshape(2 * N, 2 * N), s=(L, L)) * self.spectrum, axis=0)[N:2 * N]
+        return irfft(rows, n=L, axis=1).reshape(-1)[self.out]
+
+
 @dataclass
 class KernelTable:
     """Pairwise averaged-kernel data over all grid node pairs.
 
     D[i,j]   kbar(x_i, x_j) - kbar(x_i, x_j*)   (0 on the diagonal)
-    P[i,j]   kbar(x_i, x_j*)                     (finite for all pairs;
-             only `total_energy` reads it, for the reflected pairs)
-             both symmetric; at m=1 gathered from one kernel value per
-             lattice offset (the 4-term sums at exact distances
-             h sqrt(a^2 + b^2)), at m >= 2 from `j_values`
+    P[i,j]   kbar(x_i, x_j*)                     (finite for all pairs)
+             both symmetric, and taken by the program as the products
+             `apply_D(v)` = D v and `apply_P(v)` = P v.  At m >= 2 the
+             dense (2, n, n) block `pairs` comes from `j_values` with the
+             table; at m=1 the products are the convolutions of `lattice`,
+             and `pairs`, which only `discrete_operator.assemble` reads, is
+             gathered from the same kernel values per lattice offset on the
+             first read of D or P and kept
     zcol[i]  int kbar(x_i, y*) dy over the outer octant truncated at
              R_out, by `zero_order_integral`, the integrator of
              `zero_order_coefficient`: for the power kernel at m=1 the
@@ -260,25 +307,54 @@ class KernelTable:
     zcol, ztail, cs and ct (NODE_COLUMNS) carry most of a build's time and
     only O(n) memory: `save_node_columns` keeps them, and passing them back
     as `build_kernel_table(..., nodes=...)` rebuilds the same table from the
-    neighbors and the pair pass alone.
+    neighbors and the pairs alone.
     """
 
     grid: Grid
     kernel: RadialKernel
     rule: QuadratureRule
-    D: np.ndarray
-    P: np.ndarray
     zcol: np.ndarray
     ztail: np.ndarray
     cs: np.ndarray
     ct: np.ndarray
     es: np.ndarray
     et: np.ndarray
+    lattice: LatticeConvolution | None = None
+    pairs: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def zero_order(self) -> np.ndarray:
         """Per-node zero-order coefficient including the exterior tail."""
         return self.zcol + self.ztail
+
+    def _pair_tables(self) -> np.ndarray:
+        if self.pairs is None:
+            pairs = _pair_table_block(self.grid.n_nodes)
+            _lattice_pairs(self.grid, self.kernel, *pairs)
+            self.pairs = pairs
+        return self.pairs
+
+    @property
+    def D(self) -> np.ndarray:
+        return self._pair_tables()[0]
+
+    @property
+    def P(self) -> np.ndarray:
+        return self._pair_tables()[1]
+
+    def apply_D(self, v: np.ndarray) -> np.ndarray:
+        """D v."""
+        lat = self.lattice
+        if lat is None:
+            return self.D @ v
+        return lat.convolve((lat.images, v), (lat.swapped, -v)) - lat.diag * v
+
+    def apply_P(self, v: np.ndarray) -> np.ndarray:
+        """P v."""
+        lat = self.lattice
+        if lat is None:
+            return self.P @ v
+        return lat.convolve((lat.swapped, v))
 
 
 def _self_cell_rule(h: float):
@@ -348,32 +424,83 @@ def _one_sided_neighbors(grid: Grid):
     return es, et
 
 
-def _lattice_pairs(grid: Grid, kernel: RadialKernel, D: np.ndarray, P: np.ndarray) -> None:
-    """Fill the m=1 pair tables D and P from one kernel value per lattice offset.
+def _lattice_kernel(grid: Grid, kernel: RadialKernel) -> np.ndarray:
+    """G[a, b] = h(h^2 (a^2 + b^2)) / |S^0|^2 for 0 <= a, b < 2N, N = max i + 1
+    the lattice columns: the terms of the m=1 kbar, one per lattice offset.
 
     At m=1, J is the 4-term sum of K over the sign reflections, and on the
     cell-centred lattice each of its distances is h sqrt(a^2 + b^2) for
     integers a, b: node (i, j) sees node (k, l) at a in {|i - k|, i + k + 1}
-    and b in {|j - l|, j + l + 1}.  With G[a, b] = h(h^2 (a^2 + b^2)) / |S^0|^2,
-    even in b, and per lattice column i the table Q_i[x, y] = G[|i - x|, y] +
-    G[i + x + 1, y], kbar = Q_i[k, j - l] + Q_i[k, j + l + 1] and kbar* =
-    Q_i[l, j - k] + Q_i[l, j + k + 1].  Column i's rows are its nodes j = 0,
-    1, ... in node order, and each term sits in Q_i flattened at j plus an
-    offset fixed per node (k, l): one gather from row j of the J + 1 sliding
-    windows over Q_i (J = max j), with no index arithmetic per entry.  G is
-    evaluated only at offsets some pair reaches (|(a, b)| <= max |(2i + 1,
-    2j + 1)|) and never at (0, 0), the diagonal's direct term, which D
-    overwrites with 0.  Row blocks are built from their diagonal rightwards
-    and mirrored: D and P are bitwise symmetric.
+    and b in {|j - l|, j + l + 1}.  G is evaluated only at offsets some pair
+    reaches (|(a, b)| <= max |(2i + 1, 2j + 1)|; a tabulated kernel refuses
+    to extrapolate beyond them) and never at (0, 0), the diagonal's direct
+    term, which D does not hold: there it is 0.
+    """
+    a = np.arange(2 * int(grid.ii[-1]) + 2)
+    q = a[:, None] ** 2 + a[None, :] ** 2
+    reach = (q > 0) & (q <= ((2 * grid.ii + 1) ** 2 + (2 * grid.jj + 1) ** 2).max())
+    G = np.zeros(q.shape)
+    G[reach] = _h(kernel, grid.h ** 2 * q[reach]) / omega_sphere(1) ** 2
+    return G
+
+
+def _fft_side(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: such a k, and no other, divides 30^e for
+    every e >= log2 k (a power of 2 lies in [n, 2n])."""
+    return next(k for k in range(n, 2 * n + 1) if pow(30, k.bit_length(), k) == 0)
+
+
+def _lattice_convolution(grid: Grid, kernel: RadialKernel) -> LatticeConvolution:
+    """The `LatticeConvolution` of the m=1 grid and kernel."""
+    G = _lattice_kernel(grid, kernel)
+    N = G.shape[0] // 2
+    L = _fft_side(3 * N - 1)
+    # circle position p < 2N holds the offset p, and p >= 2N the offset p - L,
+    # -N < p - L < 0 (L < 4N: the 5-smooth numbers from 3 on are at most 4/3 apart)
+    p = np.arange(L)
+    p = np.where(p < 2 * N, p, L - p)
+    i, j = grid.ii, grid.jj
+    # lattice cell k and its reflection -k - 1 sit at N + k and N - 1 - k
+    rows, cols = np.stack([N + i, N - 1 - i]), np.stack([N + j, N - 1 - j])
+    images = (rows[:, None] * (2 * N) + cols[None, :]).reshape(4, -1)
+    swapped = (cols[:, None] * (2 * N) + rows[None, :]).reshape(4, -1)
+    d, e = i - j, i + j + 1
+    diag = (G[2 * i + 1, 0] + G[0, 2 * j + 1] + G[2 * i + 1, 2 * j + 1]
+            - G[d, d] - G[e, d] - G[d, e] - G[e, e])
+    return LatticeConvolution(N=N, spectrum=rfft2(G[np.ix_(p, p)]), images=images,
+                              swapped=swapped, out=i * L + N + j, diag=diag)
+
+
+def _pair_table_block(n: int) -> np.ndarray:
+    """One (2, n, n) block for D and P, refused past _TABLE_MEM_CAP_GB: past
+    glibc's 32 MiB mmap ceiling it is mapped on its own and given back on
+    drop, where two n x n blocks just under it could stay resident in the
+    heap under the next build's tables."""
+    need_gb = 2.0 * n * n * 8.0 / 2 ** 30
+    if need_gb > _TABLE_MEM_CAP_GB:
+        raise TableError(
+            f"pair tables need {need_gb:.1f} GiB > cap {_TABLE_MEM_CAP_GB} GiB; increase h")
+    return np.empty((2, n, n))
+
+
+def _lattice_pairs(grid: Grid, kernel: RadialKernel, D: np.ndarray, P: np.ndarray) -> None:
+    """Fill the dense m=1 pair tables D and P from the `_lattice_kernel` G.
+
+    G is even in b, and per lattice column i the table Q_i[x, y] =
+    G[|i - x|, |y|] + G[i + x + 1, |y|] gives kbar = Q_i[k, j - l] +
+    Q_i[k, j + l + 1] and kbar* = Q_i[l, j - k] + Q_i[l, j + k + 1].  Column
+    i's rows are its nodes j = 0, 1, ... in node order, and each term sits in
+    Q_i flattened at j plus an offset fixed per node (k, l): one gather from
+    row j of the J + 1 sliding windows over Q_i (J = max j), with no index
+    arithmetic per entry.  D's diagonal is overwritten with 0.  Row blocks
+    are built from their diagonal rightwards and mirrored: D and P are
+    bitwise symmetric.
     """
     n = grid.n_nodes
     ii, jj = grid.ii, grid.jj
     I, J = int(ii[-1]), int(jj.max())
     Y = 2 * I + J + 2  # Q_i's columns: y in [-I, I + J + 1] at y + I
-    q = np.arange(2 * I + 2)[:, None] ** 2 + (np.arange(Y) - I)[None, :] ** 2
-    reach = (q > 0) & (q <= ((2 * ii + 1) ** 2 + (2 * jj + 1) ** 2).max())
-    G = np.full(q.shape, np.nan)
-    G[reach] = _h(kernel, grid.h ** 2 * q[reach]) / omega_sphere(1) ** 2
+    G = _lattice_kernel(grid, kernel)[:, np.abs(np.arange(Y) - I)]
     x = np.arange(I + 1)
     offsets = (ii * Y + I - jj, ii * Y + I + jj + 1, jj * Y + I - ii, jj * Y + I + ii + 1)
     starts = np.searchsorted(ii, np.arange(I + 2)).tolist()
@@ -401,25 +528,23 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
     """Cache kbar, kbar-star and their difference over all node pairs.
 
     First the per-node layers (zero-order column, tail, self-cell, neighbors),
-    then D and P: at m=1 gathered from one kernel value per lattice offset
-    (`_lattice_pairs`), at m >= 2 `j_values` over row blocks; `rule` serves
-    J, which the m=1 pairs and self-cell never call.  `nodes` maps each name
-    of NODE_COLUMNS to that column of a table built before for the same
-    grid, kernel and rule (`load_node_columns` checks this); they are taken
-    as given, and only the neighbors and D, P are computed.  Scratch comes in
-    blocks of `doubly_radial._BLOCK_VALUES`, so the build peaks at the two
-    n x n tables plus a few blocks.  Refuses a kernel of another m than the
-    grid's, kernels that fail the sqrt-convexity check unless
-    assume_positive=True, and grids whose dense pair tables would exceed
-    _TABLE_MEM_CAP_GB (use a larger h).
+    then the pairs: at m=1 the `LatticeConvolution` of the one kernel value
+    per lattice offset, in O(n) memory, with the dense D and P left to their
+    first read; at m >= 2 the dense D and P, `j_values` over row blocks.
+    `rule` serves J, which the m=1 pairs and self-cell never call.  `nodes`
+    maps each name of NODE_COLUMNS to that column of a table built before
+    for the same grid, kernel and rule (`load_node_columns` checks this);
+    they are taken as given, and only the neighbors and the pairs are
+    computed.  Scratch comes in blocks of `doubly_radial._BLOCK_VALUES`, so
+    the build peaks at the dense tables (none at m=1) plus a few blocks.
+    Refuses a kernel of another m than the grid's, kernels that fail the
+    sqrt-convexity check unless assume_positive=True, and, when they are
+    allocated (at m >= 2 before anything else, at m=1 on the first read),
+    dense tables that would exceed _TABLE_MEM_CAP_GB (use a larger h).
     """
     if kernel.m != grid.m:
         raise DomainError(f"the kernel has m={kernel.m}, the grid m={grid.m}")
-    n = grid.n_nodes
-    need_gb = 2.0 * n * n * 8.0 / 2 ** 30
-    if need_gb > _TABLE_MEM_CAP_GB:
-        raise TableError(
-            f"pair tables need {need_gb:.1f} GiB > cap {_TABLE_MEM_CAP_GB} GiB; increase h")
+    pairs = None if grid.m == 1 else _pair_table_block(grid.n_nodes)
     if not assume_positive:
         tau_hi = min(4.0 * grid.R_out ** 2, 1e3)
         report = check_sqrt_convexity(kernel, np.geomspace(1e-3, tau_hi, 256))
@@ -436,13 +561,12 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
         zcol, ztail, cs, ct = (nodes[name] for name in NODE_COLUMNS)
     es, et = _one_sided_neighbors(grid)
 
-    # one block for both tables: past glibc's 32 MiB mmap ceiling it is mapped
-    # on its own and given back on drop, where two n x n blocks just under it
-    # could stay resident in the heap under the next build's tables
-    D, P = np.empty((2, n, n))
-    if grid.m == 1:
-        _lattice_pairs(grid, kernel, D, P)
+    lattice = None
+    if pairs is None:
+        lattice = _lattice_convolution(grid, kernel)
     else:
+        D, P = pairs
+        n = grid.n_nodes
         om2 = omega_sphere(grid.m) ** 2
         for lo, hi in _blocks(n, n):
             S = grid.s[lo:hi][:, None]
@@ -453,9 +577,9 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
             diag = np.arange(lo, hi)
             direct[diag - lo, diag] = swapped[diag - lo, diag]  # zero difference on the diagonal
             D[lo:hi] = (direct - swapped) / om2
-    return KernelTable(grid=grid, kernel=kernel, rule=rule, D=D, P=P,
-                       zcol=zcol, ztail=np.asarray(ztail), cs=cs, ct=ct,
-                       es=es, et=et)
+    return KernelTable(grid=grid, kernel=kernel, rule=rule, zcol=zcol,
+                       ztail=np.asarray(ztail), cs=cs, ct=ct, es=es, et=et,
+                       lattice=lattice, pairs=pairs)
 
 
 def _node_key(grid: Grid, kernel: RadialKernel, rule: QuadratureRule) -> str:
@@ -538,15 +662,15 @@ def _self_cell_apply(edges, w: np.ndarray) -> np.ndarray:
 
 def operator_diagonal(table: KernelTable) -> np.ndarray:
     """Diagonal D mu + 2 Z of L without its self-cell part, over all nodes."""
-    return table.D @ table.grid.weights + 2.0 * table.zero_order
+    return table.apply_D(table.grid.weights) + 2.0 * table.zero_order
 
 
 def total_energy(profile: OddProfile, S: float, table: KernelTable,
                  potential: Potential | None = None) -> EnergyBreakdown:
     """E(w, B_S) of the module docstring, from three products with D and one
-    with P; the exterior band carries the profile's implicit zeros.  The
-    profile's grid must have the table grid's h, m and R_out, which fix the
-    node set."""
+    with P (`apply_D`, `apply_P`); the exterior band carries the profile's
+    implicit zeros.  The profile's grid must have the table grid's h, m and
+    R_out, which fix the node set."""
     if potential is None:
         potential = allen_cahn()
     grid = profile.grid
@@ -563,7 +687,7 @@ def total_energy(profile: OddProfile, S: float, table: KernelTable,
     x = np.where(inside, mu, 0.0)
     y = mu - x
     w2x, w2y, wx, wy = w * w * x, w * w * y, w * x, w * y
-    Dx, Dy, Dwx, Px = table.D @ x, table.D @ y, table.D @ wx, table.P @ x
+    Dx, Dy, Dwx, Px = table.apply_D(x), table.apply_D(y), table.apply_D(wx), table.apply_P(x)
     self_cell = 0.5 * float(w @ _self_cell_apply(self_cell_edges(table, inside), w))
     pot = 2.0 * float((np.asarray(potential.G(w[inside])) * mu[inside]).sum())
     return EnergyBreakdown(
@@ -583,9 +707,9 @@ class EnergyModel:
 
     Holds the free block of the operator L of the module docstring: its
     diagonal D mu + 2 Z and the self-cell edges of the nodes in B_R, whose
-    C u is scaled by 1/(2 mu).  One matvec of the full D with mu u embedded
-    in the grid gives L u, hence both E = mu . (u o L u) + 2 mu . G(u) and its
-    exact gradient 2 mu (L u - f(u)).
+    C u is scaled by 1/(2 mu).  One product of the full D (`apply_D`) with
+    mu u embedded in the grid gives L u, hence both E = mu . (u o L u) +
+    2 mu . G(u) and its exact gradient 2 mu (L u - f(u)).
     """
 
     def __init__(self, table: KernelTable, potential: Potential):
@@ -600,7 +724,7 @@ class EnergyModel:
     def value_and_grad(self, u: np.ndarray):
         mu, w = self.mu, np.zeros(self.grid.n_nodes)
         w[self.iin] = u
-        lu = (self.diag * u - (self.table.D @ (self.grid.weights * w))[self.iin]
+        lu = (self.diag * u - self.table.apply_D(self.grid.weights * w)[self.iin]
               + _self_cell_apply(self.edges, w)[self.iin] * (0.5 / mu))
         E = float(mu @ (u * lu)) + 2.0 * float(mu @ np.asarray(self.potential.G(u)))
         return E, 2.0 * mu * (lu - np.asarray(self.potential.f(u)))

@@ -153,7 +153,8 @@ def ellipticity_margins(kernel: RadialKernel, r_samples) -> tuple[float, float]:
     The kernel class requires the pair to sit inside [lam, Lam].
     """
     r = np.asarray(r_samples, dtype=float)
-    ratio = eval_kernel(kernel, r) / (kernel.c_norm * r ** (-kernel.power))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing kernel gives NaN
+        ratio = eval_kernel(kernel, r) / (kernel.c_norm * r ** (-kernel.power))
     return float(ratio.min()), float(ratio.max())
 
 
@@ -186,6 +187,8 @@ class ConvexityReport:
             raise ValueError("a failing report must carry at least one witness")
 
 
+# an overflowing kernel gives NaN gaps, which check_sqrt_convexity fails
+@np.errstate(over="ignore", invalid="ignore")
 def _midpoint_gaps(h: Callable, tau: np.ndarray):
     """Relative midpoint gaps over all grid pairs, vectorized.
 
@@ -202,6 +205,7 @@ def _midpoint_gaps(h: Callable, tau: np.ndarray):
     return iu, rel
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _second_divided_differences(h: Callable, tau: np.ndarray) -> np.ndarray:
     """Signed curvature proxy of consecutive grid triples, relative scale."""
     ht = h(tau)
@@ -251,7 +255,9 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None) -> ConvexityReport
         lo = tau[iu[0][sel]].min()
         hi = tau[iu[1][sel]].max()
         extra = np.geomspace(max(lo * 0.8, tau[0]), min(hi * 1.25, tau[-1]), 64)
-        tau = np.unique(np.concatenate([tau, extra]))
+        # sorted, repeats dropped (np.unique would import numpy.ma mid-run)
+        tau = np.sort(np.concatenate([tau, extra]))
+        tau = tau[np.concatenate([[True], tau[1:] > tau[:-1]])]
         iu, rel = _midpoint_gaps(h, tau)
 
     fail_idx = np.where(~(rel >= -tol))[0]  # a NaN gap fails too

@@ -174,6 +174,21 @@ def test_non_finite_kernel_value_is_one_kernel_violation(tmp_path, capsys, sub, 
     assert not out.exists()
 
 
+def test_overflowing_kernel_fails_kernel_check_with_a_report(tmp_path, capsys):
+    # c_norm = 1e305 is finite, but K overflows on the sampled radii: the
+    # gaps and margins are NaN, which the report writes as null
+    code, errors = _kernel_check_errors(
+        tmp_path, capsys, "[kernel]\nc_norm = 1e305\n[grid]\nR = 7\nh = 0.5\n")
+    assert code == 2 and errors == []
+    body = json.loads((tmp_path / "out" / "convexity_report.json").read_text(),
+                      parse_constant=_no_constant)
+    jsonschema.validate(body, json.loads((SCHEMAS / "convexity_report.schema.json").read_text()))
+    assert body["verdict"] == "fails" and body["n_fail"] > 0
+    assert body["min_rel_gap"] is None and body["witnesses"][0][2] is None
+    assert body["ellipticity_min"] is None and body["ellipticity_max"] is None
+    assert not (tmp_path / "out" / "diagnostic.json").exists()
+
+
 @pytest.mark.parametrize("section, line", [
     ("solver", "mu0 = abc"), ("solver", "max_iters = many"), ("solver", "grad_tol = tiny"),
     ("solver", "R_schedule = 5, x"), ("solver", "assume_positive = perhaps"),

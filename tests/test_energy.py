@@ -14,6 +14,7 @@ from nlsaddle.energy import (EnergyModel, Grid, OddProfile, allen_cahn, build_gr
                              build_kernel_table, load_profile, save_profile,
                              self_cell_edges, total_energy, zero_potential,
                              zero_profile)
+from nlsaddle.solver import SolverConfig, minimize
 
 K1 = fractional_kernel(0.5, 1)
 
@@ -200,6 +201,49 @@ def test_m1_lattice_table_matches_the_four_term_sums(kernel, grid_args):
     assert np.array_equal(tab.D, tab.D.T) and np.array_equal(tab.P, tab.P.T)
 
 
+# the FFT circle has side 216 = 3N, 108 = 3N, 45 > 3N on 10x10, and 32 = 3N - 1,
+# the least side that holds the convolution without wrap-around
+APPLY_GRIDS = {"R12-h0.25": (12.0, 0.25, None), **LATTICE_GRIDS, "R4-side-3N-1": (4.0, 0.5, 5.5)}
+_R = np.geomspace(1e-3, 1e3, 400)
+APPLY_KERNELS = {"fractional-0.25": fractional_kernel(0.25, 1),
+                 "fractional-0.5": K1, "fractional-0.75": fractional_kernel(0.75, 1),
+                 "counterexample": counterexample_kernel(0.5, 1),
+                 "tabulated": tabulated_kernel(_R, _R ** -3.0, 0.5, 1)}
+
+
+@pytest.mark.parametrize("kernel", APPLY_KERNELS.values(), ids=APPLY_KERNELS.keys())
+@pytest.mark.parametrize("grid_args", APPLY_GRIDS.values(), ids=APPLY_GRIDS.keys())
+def test_m1_convolutions_match_the_dense_tables(kernel, grid_args):
+    # D v and P v through the FFT against the products with the dense tables
+    # the same table gathers on its first read of D and P
+    g = build_grid(grid_args[0], grid_args[1], 1, grid_args[2])
+    tab = build_kernel_table(g, kernel, assume_positive=True)
+    assert tab.pairs is None
+    for seed in (0, 1):
+        v = np.random.default_rng(seed).standard_normal(g.n_nodes)
+        for got, want in ((tab.apply_D(v), tab.D @ v), (tab.apply_P(v), tab.P @ v)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_m1_pipeline_holds_no_pair_table():
+    # build, solve and total energy at n = 2011 in far less than one n x n
+    # array (32 MB): the products are convolutions on an O(n) lattice
+    kernel = fractional_kernel(0.5, 1, c_norm=standard_c_norm(0.5, 1))
+    g = build_grid(R=24.0, h=0.5, m=1)
+    n = g.n_nodes
+    assert n == 2011
+    tracemalloc.start()
+    try:
+        table = build_kernel_table(g, kernel)
+        result = minimize(SolverConfig(R=24.0, h=0.5, gamma=0.5, m=1), kernel, table=table)
+        total_energy(result.profile, g.R, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.trace.converged and table.pairs is None
+    assert peak <= n * n * 8 / 4, peak
+
+
 def test_m1_table_makes_no_j_call(small_grid, monkeypatch):
     # pairs, self-cell and, for the power kernel, the zero-order column all
     # come from the lattice offsets and exact rays
@@ -278,11 +322,14 @@ def test_table_refuses_a_kernel_of_another_m(small_grid):
 
 
 def test_table_memory_cap():
-    # 22535 nodes: the two pair tables would need 7.6 GiB, refused before
-    # anything is allocated
-    g = build_grid(R=40, h=0.25, m=1)
+    # 22535 nodes: the two dense pair tables would need 7.6 GiB.  At m=1 the
+    # build holds none and refuses them on their first read; at m=2 they are
+    # refused before anything else is computed
+    table = build_kernel_table(build_grid(R=40, h=0.25, m=1), K1)
     with pytest.raises(TableError, match="7.6 GiB .* increase h"):
-        build_kernel_table(g, K1)
+        table.D
+    with pytest.raises(TableError, match="7.6 GiB .* increase h"):
+        build_kernel_table(build_grid(R=40, h=0.25, m=2), fractional_kernel(0.5, 2))
 
 
 def test_table_positivity_gate(small_grid):
@@ -540,20 +587,27 @@ def test_tables_do_not_depend_on_the_block_budget(m, family, monkeypatch):
     g = build_grid(R=3.0, h=0.5, m=1) if m == 1 else build_grid(R=1.5, h=0.5, m=2)
     rule = gauss_jacobi_rule(8 if family == "counterexample" else 32, m)
     ref = build_kernel_table(g, kernel, rule, assume_positive=True)
+    v = np.random.default_rng(2).standard_normal(g.n_nodes)
+    # the m=1 dense tables are built on their first read: read them here
+    want = {name: getattr(ref, name) for name in TABLE_ARRAYS}
+    want_products = (ref.apply_D(v), ref.apply_P(v))
     monkeypatch.setattr(doubly_radial, "_BLOCK_VALUES", 64)
     tiny = build_kernel_table(g, kernel, rule, assume_positive=True)
     for name in TABLE_ARRAYS:
-        assert np.array_equal(getattr(tiny, name), getattr(ref, name)), name
+        assert np.array_equal(getattr(tiny, name), want[name]), name
+    assert all(np.array_equal(got, ref_product) for got, ref_product
+               in zip((tiny.apply_D(v), tiny.apply_P(v)), want_products))
 
 
 def test_table_build_scratch_is_bounded_by_the_block_budget():
     # numpy reports its buffers to tracemalloc: past the two n x n tables the
-    # build holds a few blocks of scratch, for any n
+    # build and the first read of D, which gathers them at m=1, hold a few
+    # blocks of scratch, for any n
     g = build_grid(R=12.0, h=0.5, m=1)
     n = g.n_nodes
     tracemalloc.start()
     try:
-        build_kernel_table(g, fractional_kernel(0.5, 1))
+        build_kernel_table(g, fractional_kernel(0.5, 1)).D
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -48,6 +48,26 @@ print(json.dumps({"codes": codes, "new": sorted(new)}))
     assert new == {"codes": [0, 0, 0, 0], "new": []}
 
 
+def test_kernel_check_refinement_loads_no_module(tmp_path):
+    # the affine profile h(tau) = tau is tight on every pair, so the check
+    # takes its refinement pass; the table covers the ellipticity samples
+    # r in [0.01, 100] too, so kernel-check writes its report
+    (tmp_path / "kern.csv").write_text(
+        "r,K\n" + "".join(f"{r!r},{r * r!r}\n" for r in (0.01, 0.1, 1.0, 10.0, 100.0)))
+    new = _run("""
+import json
+from nlsaddle import cli
+before = set(sys.modules)
+cfg = cli.RunConfig(kernel={"family": "tabulated", "table": "kern.csv", "gamma": 0.5, "m": 1},
+                    grid={"R": 7.0, "h": 0.5})
+code = cli.run("kernel-check", cfg, "out")
+report = json.load(open("out/convexity_report.json"))
+new = [m for m in set(sys.modules) - before if m.split(".")[0] in ("numpy", "scipy")]
+print(json.dumps({"code": code, "verdict": report["verdict"], "new": sorted(new)}))
+""", tmp_path)
+    assert new == {"code": 2, "verdict": "convex-nonstrict", "new": []}
+
+
 def test_the_m2_rule_is_what_loads_scipy_special(tmp_path):
     # the m >= 2 Gauss-Jacobi rules are the one use of scipy on the run path
     loaded = _run("""
