@@ -232,7 +232,10 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
 
         if subcommand == "kernel-check":
             rep = K.check_sqrt_convexity(kern)
-            lo, hi = K.ellipticity_margins(kern, np.geomspace(1e-2, 1e2, 257))
+            r = np.geomspace(1e-2, 1e2, 257)
+            if kern.table is not None:  # a table is read only over its own range
+                r = np.clip(r, kern.table[0][0], kern.table[0][-1])
+            lo, hi = K.ellipticity_margins(kern, r)
             # an overflowing kernel has NaN gaps and margins: null in JSON
             finite = lambda x: x if math.isfinite(x) else None
             report("convexity", {

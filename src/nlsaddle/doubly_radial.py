@@ -14,14 +14,15 @@ randomized verifier for the kernel inequality.  An m=1 table build makes
 no J call for its pairs and self-cell (nor, for the power kernel, its
 zero-order column): J is the 4-term sum over the sign reflections, each
 lattice distance is h sqrt(a^2 + b^2), and both sum K per offset (a, b).
-An m=1 run needs numpy alone: its one Gauss-Jacobi rule, the tail's, has the
-weight (1 - x^2)^(-1/2) and closed-form Gauss-Chebyshev nodes.  scipy.special,
-whose import takes longer than numpy's, is imported where used: roots_jacobi
-for the m >= 2 rules of J and the tail, hyp2f1 for the Appell-F2 oracle.
+An m=1 run needs numpy alone: it takes no Gauss-Jacobi rule, since its tail
+runs along exact rays on Gauss-Legendre nodes.  scipy.special, whose import
+takes longer than numpy's, is imported where used: roots_jacobi for the
+m >= 2 rules of J and the tail, hyp2f1 for the Appell-F2 oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -40,7 +41,9 @@ _ZERO_ORDER_PHI_ORDER = 4
 # and in energy: small enough that the C allocator reuses heap pages from
 # block to block instead of mapping, zeroing and returning fresh ones
 _BLOCK_VALUES = 2 ** 16
-# angular and radial nodes of the exterior tail's sphere-slice rule
+# Gauss-Legendre nodes of the exterior tail along rays, _TAIL_ORDER_BASE + 4m
+# (m=1), and the angular and radial nodes of its sphere-slice rule (m >= 2)
+_TAIL_ORDER_BASE = 16
 _TAIL_N_THETA = 48
 _TAIL_N_RAD = 32
 # relative gap tolerance and order cap of the sampled inequality check
@@ -92,6 +95,15 @@ def _jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
         from scipy.special import roots_jacobi
         return roots_jacobi(n, a, a)
     return np.sin(np.arange(1 - n, n, 2) * (math.pi / (2 * n))), np.full(n, math.pi / n)
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre rule on [-1, 1], read-only and kept per order:
+    leggauss takes 0.2 to 0.9 ms per call, as long as the m=1 tail."""
+    x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gauss_jacobi_rule(order: int, m: int) -> QuadratureRule:
@@ -383,27 +395,76 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float) -> np.nd
     """int_{|y| > R_out} K_env(|x - y|) dy for the power envelope
     K_env = Lam c_norm r^(-2m-2 gamma), vectorized over orbit coordinates.
 
-    Computed by the sphere-slice decomposition, with the radial variable
-    substituted so that the integrand is analytic up to r = infinity.  The
-    closed form is Lam c_norm |S^(2m-1)| R_out^(-2 gamma) / (2 gamma)
-    2F1(m + gamma, gamma; m; |x|^2 / R_out^2); at gamma = 1/2 this rule is
-    off it by 6.4e-3 (m=1) and 2.4e-2 (m=2) relative at |x|/R_out = 0.95,
-    and by 0.42 and 0.55 at 0.99, since its fixed nodes do not resolve the
-    slices near the rim.  Taking the closed form moves the zero-order
-    oracles of perfbench/oracles.json, so it waits for their regeneration.
+    At m=1 `_tail_rays` integrates along exact rays from x: within 1.4e-13
+    of the closed form Lam c_norm |S^(2m-1)| R_out^(-2 gamma) / (2 gamma)
+    2F1(m + gamma, gamma; m; |x|^2 / R_out^2) for |x| / R_out <= 0.999,
+    gamma from 0.1 to 0.9, m = 1..4.  At m >= 2 the fixed sphere-slice rule
+    `_tail_sphere_slices` stays: at gamma = 1/2 it is off the closed form by
+    2.4e-2 relative at |x|/R_out = 0.95 and by 0.55 at 0.99 (m=2), since its
+    fixed nodes do not resolve the slices near the rim, but the zero-order
+    oracles of perfbench/oracles.json were frozen from it: the exact form
+    moves m=2 `zero_order_rel_err` from 1e-5 to 1.7e-4, so the switch waits
+    for their regeneration.
     """
     s = np.asarray(s, float)
     t = np.asarray(t, float)
     a = np.hypot(s, t)
     if np.any(a >= R_out):
         raise DomainError("tail coefficient requires |x| < R_out")
+    tail = _tail_rays if kernel.m == 1 else _tail_sphere_slices
+    out = tail(kernel, a.reshape(-1), R_out).reshape(a.shape)
+    return out if a.ndim else float(out)
+
+
+def _tail_rays(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np.ndarray:
+    """The exterior tail at |x| = a, a flat array, along exact rays.
+
+    The ray from x at the angle phi to x leaves B_R_out at rho_rim, and its
+    radial integral of r^(-2m-2 gamma) r^(2m-1) is rho_rim^(-2 gamma) /
+    (2 gamma).  With e2 = R_out^2 - a^2 and, for phi in [0, pi/2],
+    D = a cos phi + sqrt(e2 + a^2 cos^2 phi), the ray at phi has
+    rho_rim = e2 / D and the ray at pi - phi has rho_rim = D, so
+        tail = Lam c_norm |S^(2m-2)| / (2 gamma)
+               int_0^(pi/2) ((D / e2)^(2 gamma) + D^(-2 gamma)) sin^(2m-2) phi dphi,
+    with no cancellation.  The integrand varies on the scale
+    eps = sqrt(e2) / R_out around pi/2, so phi = pi/2 - eps sinh u carries
+    _TAIL_ORDER_BASE + 4m Gauss-Legendre nodes in u (Johnston & Elliott,
+    IJNME 62, 2005): 16 nodes leave 1.3e-12 at m=1, gamma = 0.9,
+    |x| / R_out = 0.999 and 1.6e-7 at m=4, 16 + 4m at most 1.4e-13.
+    """
+    m, two_g = kernel.m, 2.0 * kernel.gamma
+    x, w = _leggauss(_TAIL_ORDER_BASE + 4 * m)
+    x = 0.5 * (x + 1.0)
+    out = np.empty(a.size)
+    for lo, hi in _blocks(a.size, 5 * x.size):
+        A = a[lo:hi, None]
+        e2 = (R_out - A) * (R_out + A)
+        eps = np.sqrt(e2) / R_out
+        umax = np.arcsinh(0.5 * math.pi / eps)
+        u = umax * x
+        psi = eps * np.sinh(u)  # pi/2 - phi
+        c = A * np.sin(psi)  # a cos phi
+        D = (c + np.sqrt(e2 + c * c)) ** two_g
+        f = (D / e2 ** two_g + 1.0 / D) * np.cosh(u) * w
+        if m > 1:
+            f *= np.cos(psi) ** (2 * m - 2)
+        out[lo:hi] = f.sum(axis=1) * (0.5 * umax * eps)[:, 0]
+    return out * (kernel.Lam * kernel.c_norm * omega_sphere(2 * m - 1) / two_g)
+
+
+def _tail_sphere_slices(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np.ndarray:
+    """The exterior tail at |x| = a, a flat array, by the sphere-slice
+    decomposition, with the radial variable substituted so that the
+    integrand is analytic up to r = infinity: _TAIL_N_THETA Gauss-Jacobi
+    nodes against the first coordinate times _TAIL_N_RAD Gauss-Legendre
+    nodes in r."""
     n = 2 * kernel.m
     p = kernel.power
     gam = kernel.gamma
     # angular slice of S^(n-1) against the first coordinate
     th, wth = _jacobi(_TAIL_N_THETA, (n - 3) / 2.0)
     # radial nodes: v = u^(1/(2 gamma)), r = R_out / v
-    ugl, wugl = leggauss(_TAIL_N_RAD)
+    ugl, wugl = _leggauss(_TAIL_N_RAD)
     u = 0.5 * (ugl + 1.0)
     wu = 0.5 * wugl
     v = u ** (1.0 / (2.0 * gam))
@@ -413,15 +474,13 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float) -> np.nd
 
     wr = r ** (n - 1) * drdu * wu
     Rr = r[:, None]
-    flat = a.reshape(-1)
-    rad = np.empty(flat.size)
-    for lo, hi in _blocks(flat.size, _TAIL_N_RAD * _TAIL_N_THETA):
-        A = flat[lo:hi, None, None]
+    rad = np.empty(a.size)
+    for lo, hi in _blocks(a.size, _TAIL_N_RAD * _TAIL_N_THETA):
+        A = a[lo:hi, None, None]
         dist2 = Rr ** 2 + A ** 2 - 2.0 * A * Rr * th
         avg = (dist2 ** (-p / 2.0) * wth).sum(axis=-1)
         rad[lo:hi] = (avg * wr).sum(axis=-1)
-    out = kernel.Lam * kernel.c_norm * omega_sphere(n - 1) * rad.reshape(a.shape)
-    return out if a.ndim else float(out)
+    return kernel.Lam * kernel.c_norm * omega_sphere(n - 1) * rad
 
 
 def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
@@ -464,14 +523,14 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     rule = _default_rule(m, rule)
 
     edges = np.linspace(-3.0 * math.pi / 4.0, math.pi / 4.0, n_phi + 1)
-    gl, wgl = leggauss(_ZERO_ORDER_PHI_ORDER)
+    gl, wgl = _leggauss(_ZERO_ORDER_PHI_ORDER)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     phi = (mid[:, None] + half[:, None] * gl[None, :]).reshape(-1)
     wphi = (half[:, None] * wgl[None, :]).reshape(-1)
     cosp, sinp = np.cos(phi), np.sin(phi)
     cosd = np.cos(phi + math.pi / 4.0)
-    xgl, xw = leggauss(n_rho)
+    xgl, xw = _leggauss(n_rho)
 
     flat_s, flat_t = s.reshape(-1), t.reshape(-1)
     out = np.zeros(flat_s.size)
@@ -520,7 +579,7 @@ def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np
     scratch arrays: the weights and four updated in place.
     """
     two_g = 2.0 * kernel.gamma
-    gl, wgl = leggauss(order)
+    gl, wgl = _leggauss(order)
     rim_z1 = R_out / math.sqrt(2.0) * np.array([1.0, -1.0, 1.0, -1.0])
     rim_z2 = R_out / math.sqrt(2.0) * np.array([1.0, 1.0, -1.0, -1.0])
     cone = math.pi / 4.0 * np.array([1.0, 3.0, 5.0, 7.0])

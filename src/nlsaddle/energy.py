@@ -49,11 +49,10 @@ from typing import Callable
 import numpy as np
 from numpy.fft import ifft, irfft, rfft2
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, PreconditionError, TableError
 from .kernels import RadialKernel, _h, check_sqrt_convexity
-from .doubly_radial import (QuadratureRule, _blocks, _default_rule,
+from .doubly_radial import (QuadratureRule, _blocks, _default_rule, _leggauss,
                             exterior_tail_coefficient, j_values, omega_sphere,
                             zero_order_integral)
 
@@ -362,7 +361,7 @@ def _self_cell_rule(h: float):
     n_theta = _SELF_CELL_N_THETA
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     rmax = 0.5 * h / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
-    gx, gw = leggauss(_SELF_CELL_N_RAD)
+    gx, gw = _leggauss(_SELF_CELL_N_RAD)
     rr = rmax[:, None] * (0.5 * (gx + 1.0))[None, :]
     meas = rr * (rmax[:, None] * (0.5 * gw)[None, :]) * (2.0 * math.pi / n_theta)
     return rr * np.cos(theta)[:, None], rr * np.sin(theta)[:, None], meas
@@ -707,9 +706,12 @@ class EnergyModel:
 
     Holds the free block of the operator L of the module docstring: its
     diagonal D mu + 2 Z and the self-cell edges of the nodes in B_R, whose
-    C u is scaled by 1/(2 mu).  One product of the full D (`apply_D`) with
-    mu u embedded in the grid gives L u, hence both E = mu . (u o L u) +
-    2 mu . G(u) and its exact gradient 2 mu (L u - f(u)).
+    C u is scaled by 1/(2 mu).  `apply_L` takes L u from one product of the
+    full D (`apply_D`) with mu u embedded in the grid, and
+    `value_and_grad_from` turns u and L u, with no product, into
+    E = mu . (u o L u) + 2 mu . G(u) and its exact gradient
+    2 mu (L u - f(u)).  L is linear, so a descent step u + lam d needs only
+    L u and L d: one product per direction, whatever the line search tries.
     """
 
     def __init__(self, table: KernelTable, potential: Potential):
@@ -721,13 +723,21 @@ class EnergyModel:
         self.diag = operator_diagonal(table)[self.iin]
         self.edges = self_cell_edges(table, self.iin)
 
-    def value_and_grad(self, u: np.ndarray):
-        mu, w = self.mu, np.zeros(self.grid.n_nodes)
+    def apply_L(self, u: np.ndarray) -> np.ndarray:
+        """L u on the nodes in B_R."""
+        w = np.zeros(self.grid.n_nodes)
         w[self.iin] = u
-        lu = (self.diag * u - self.table.apply_D(self.grid.weights * w)[self.iin]
-              + _self_cell_apply(self.edges, w)[self.iin] * (0.5 / mu))
+        return (self.diag * u - self.table.apply_D(self.grid.weights * w)[self.iin]
+                + _self_cell_apply(self.edges, w)[self.iin] * (0.5 / self.mu))
+
+    def value_and_grad_from(self, u: np.ndarray, lu: np.ndarray):
+        """E(u) and its gradient from u and lu = L u."""
+        mu = self.mu
         E = float(mu @ (u * lu)) + 2.0 * float(mu @ np.asarray(self.potential.G(u)))
         return E, 2.0 * mu * (lu - np.asarray(self.potential.f(u)))
+
+    def value_and_grad(self, u: np.ndarray):
+        return self.value_and_grad_from(u, self.apply_L(u))
 
     def embed(self, u: np.ndarray) -> OddProfile:
         vals = np.zeros(self.grid.n_nodes)

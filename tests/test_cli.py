@@ -148,6 +148,24 @@ def _kernel_check_errors(tmp_path, capsys, ini_text, *flags):
     return code, capsys.readouterr().err.splitlines()
 
 
+def test_kernel_check_reads_a_table_only_over_its_range(tmp_path, capsys):
+    # h(tau) = tau tabulated on r in [0.03, 32] covers the convexity grid but
+    # not the ellipticity samples r in [1e-2, 1e2], which used to be refused
+    # as extrapolation (exit 1); they are clipped to the table
+    r = np.geomspace(0.03, 32.0, 200)
+    (tmp_path / "kern.csv").write_text(
+        "r,K\n" + "".join(f"{x!r},{x * x!r}\n" for x in r.tolist()))
+    code, errors = _kernel_check_errors(
+        tmp_path, capsys,
+        f"[kernel]\nfamily = tabulated\ntable = {tmp_path / 'kern.csv'}\n[grid]\nR = 7\nh = 0.5\n")
+    assert code == 2 and errors == []
+    body = json.loads((tmp_path / "out" / "convexity_report.json").read_text())
+    assert body["verdict"] == "convex-nonstrict"
+    # K / r^-3 = r^5 over the table's own range
+    assert body["ellipticity_min"] == pytest.approx(0.03 ** 5, rel=1e-9)
+    assert body["ellipticity_max"] == pytest.approx(32.0 ** 5, rel=1e-9)
+
+
 @pytest.mark.parametrize("table", ["", "r,K\n1.0,2.0\n3.0\n"], ids=["empty", "one-column"])
 def test_malformed_kernel_table_is_one_kernel_violation(tmp_path, capsys, table):
     (tmp_path / "kern.csv").write_text(table)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
+from scipy.special import hyp2f1
 
 from nlsaddle.errors import (ConvergenceError, DomainError, PreconditionError,
                              SingularityError)
@@ -471,6 +472,57 @@ def test_exterior_tail_closed_form_at_origin():
         k = fractional_kernel(gamma, 1)
         val = float(exterior_tail_coefficient(k, 1e-9, 0.0, R))
         assert val == pytest.approx(math.pi * R ** (-2 * gamma) / gamma, rel=1e-9)
+
+
+def _tail_closed_form(kernel, a, R_out):
+    """Independent oracle: int_{|y| > R_out} Lam c_norm |x - y|^(-2m-2 gamma) dy
+    at |x| = a in R^(2m), Lam c_norm |S^(2m-1)| R_out^(-2 gamma) / (2 gamma)
+    2F1(m + gamma, gamma; m; a^2 / R_out^2)."""
+    m, g = kernel.m, kernel.gamma
+    return (kernel.Lam * kernel.c_norm * 2.0 * math.pi ** m / math.gamma(m)
+            * R_out ** (-2.0 * g) / (2.0 * g) * hyp2f1(m + g, g, m, (a / R_out) ** 2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_exterior_tail_rays_match_the_closed_form(m):
+    # m = 1 through the public function; m >= 2 still takes the sphere-slice
+    # rule there, so its ray form is called directly
+    R_out = 18.0
+    a = R_out * np.concatenate([np.linspace(0.0, 0.99, 100), np.linspace(0.99, 0.999, 10)])
+    phi = np.linspace(0.0, math.pi / 4.0, a.size)
+    for gamma in (0.1, 0.25, 0.5, 0.75, 0.9):
+        kernel = fractional_kernel(gamma, m, c_norm=1.7)
+        if m == 1:
+            got = exterior_tail_coefficient(kernel, a * np.cos(phi), a * np.sin(phi), R_out)
+        else:
+            got = doubly_radial._tail_rays(kernel, a, R_out)
+        want = _tail_closed_form(kernel, a, R_out)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12, gamma
+
+
+def test_exterior_tail_rays_take_the_envelope_of_every_family():
+    # Lam c_norm r^(-2m-2 gamma) whatever the kernel's own profile
+    g = build_grid(R=4.0, h=0.5, m=1)
+    table = tabulated_kernel(np.geomspace(0.1, 20.0, 9), np.geomspace(0.1, 20.0, 9) ** -2,
+                             gamma=0.25, m=1, lam=0.5, Lam=2.0, c_norm=3.0)
+    for kernel in (counterexample_kernel(0.5, 1), table):
+        got = exterior_tail_coefficient(kernel, g.s, g.t, g.R_out)
+        assert np.allclose(got, _tail_closed_form(kernel, g.radius, g.R_out), rtol=1e-12, atol=0)
+
+
+def test_m1_exterior_tail_keeps_its_values_inside_b_r():
+    # the sphere-slice rule the m=1 tail used before is accurate well inside
+    # R_out, so on the m1-fine grid the nodes of the solve do not move; the
+    # band cells next to R_out, where that rule is up to 0.97 off, do
+    g = build_grid(R=12.0, h=0.25, m=1)
+    kernel = fractional_kernel(0.5, 1, c_norm=0.6)
+    rays = exterior_tail_coefficient(kernel, g.s, g.t, g.R_out)
+    slices = doubly_radial._tail_sphere_slices(kernel, g.radius, g.R_out)
+    inside = g.inside(g.R)
+    assert np.max(np.abs(rays[inside] / slices[inside] - 1.0)) <= 1e-14
+    closed = _tail_closed_form(kernel, g.radius, g.R_out)
+    assert np.max(np.abs(rays / closed - 1.0)) <= 1e-12
+    assert np.max(np.abs(slices / closed - 1.0)) > 0.9
 
 
 # --- block budget and scratch memory ----------------------------------------------

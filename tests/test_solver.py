@@ -307,3 +307,67 @@ def test_minimize_doubles_the_step_on_negative_curvature(small_table):
     assert np.all(np.diff(res.trace.energies) <= 0.0)
     model = EnergyModel(small_table, concave)
     assert np.all(model.restrict(res.profile) == 1.0)
+
+
+def _descent_reference(config, kernel, table):
+    """The descent of `minimize` with a full energy and gradient evaluation,
+    value_and_grad, at every trial point: (n_iters, energies)."""
+    model = EnergyModel(table, allen_cahn())
+    u = np.clip(model.restrict(initial_guess(table.grid, config.mu0)), 0.0, 1.0)
+    E, g = model.value_and_grad(u)
+
+    def residual(u, g):
+        return np.abs(u - np.clip(u - g / (2.0 * model.mu), 0.0, 1.0)).max()
+
+    energies, tol = [E], config.grad_tol * residual(u, g)
+    alpha = 1.0 / np.abs(g).max()
+    for _ in range(config.max_iters):
+        if residual(u, g) <= tol:
+            break
+        d = np.clip(u - alpha * g, 0.0, 1.0) - u
+        gd = g @ d
+        assert gd < 0.0
+        lam = 1.0
+        while True:
+            E_new, g_new = model.value_and_grad(u + lam * d)
+            if E_new <= E + 1e-4 * lam * gd:
+                break
+            lam *= 0.5
+        s, y = lam * d, g_new - g
+        u, E, g = u + lam * d, E_new, g_new
+        energies.append(E)
+        alpha = min(max(s @ s / (s @ y) if s @ y > 0.0 else 2.0 * alpha, 1e-10), 1e10)
+    return len(energies) - 1, energies
+
+
+def test_descent_makes_one_operator_product_per_step(monkeypatch):
+    # m=1, R=12, h=0.5: the first L u, one L d per step, a fresh L u for the
+    # final residual, and with the model's diagonal D mu and the breakdown's
+    # four products (three with D, one with P) the table takes n_iters + 7;
+    # backtracking trials cost none
+    grid = build_grid(12.0, 0.5, 1)
+    table = build_kernel_table(grid, KSTD)
+    cfg = SolverConfig(R=12.0, h=0.5, gamma=0.5, m=1)
+    n_iters, energies = _descent_reference(cfg, KSTD, table)
+    calls = []
+    for name in ("apply_D", "apply_P"):
+        product = getattr(table, name)
+        monkeypatch.setattr(table, name, lambda v, product=product: calls.append(1) or product(v))
+    res = minimize(cfg, KSTD, table=table)
+    assert res.trace.converged
+    assert sum(lam < 1.0 for lam in res.trace.steps) > 0  # the line search backtracked
+    assert len(calls) == res.trace.n_iters + 7
+    # the same descent as with a full evaluation at every trial
+    assert res.trace.n_iters == n_iters
+    assert np.allclose(res.trace.energies, energies, rtol=1e-12, atol=0.0)
+
+
+def test_descent_matches_full_evaluation_at_m2(m2_grid):
+    kernel = fractional_kernel(0.5, 2, c_norm=standard_c_norm(0.5, 2))
+    table = build_kernel_table(m2_grid, kernel)
+    cfg = SolverConfig(R=m2_grid.R, h=m2_grid.h, gamma=0.5, m=2, R_out=m2_grid.R_out)
+    n_iters, energies = _descent_reference(cfg, kernel, table)
+    res = minimize(cfg, kernel, table=table)
+    assert sum(lam < 1.0 for lam in res.trace.steps) > 0
+    assert res.trace.n_iters == n_iters
+    assert np.allclose(res.trace.energies, energies, rtol=1e-12, atol=0.0)
