@@ -27,8 +27,9 @@ or key is an error:
     [grid]        R, h (required), R_out (1.5 R): energy.build_grid
     [solver]      max_iters, grad_tol, mu0, R_schedule (strictly increasing,
                   ending at R), assume_positive: solver.SolverConfig; seed: _KEYS
-    [experiment]  S_list (five radii from R/3 to R - 4; set it for R <= 6),
-                  n_samples, zoc_nodes, competitor_s: _KEYS
+    [experiment]  S_list (four or more distinct radii in [2, R - 4]; unset,
+                  five from R/3 to R - 4), n_samples, zoc_nodes, competitor_s
+                  (in [2, R - 4); unset, max(2, R - 6)): _KEYS
     [output]      dir, profile: _KEYS
 
 `solve` runs solver.continuation over R_schedule (unset, R alone); the
@@ -149,11 +150,21 @@ class RunConfig:
                                R_out=self.value("grid", "R_out"), **given)
 
     def s_list(self) -> list:
-        S_list = list(self.value("experiment", "S_list"))
-        if not S_list:
-            raise ConfigError(["experiment.S_list: no radii (the default, five from "
-                               "R/3 to R - 4, needs R > 6); set S_list"])
+        """energy_scan's radii, distinct and in [2, R - 4]: two more than its fit skips."""
+        S_list, R = list(self.value("experiment", "S_list")), self.value("grid", "R")
+        need = ex._FIT_SKIP + 2
+        if len(set(S_list)) < need or not all(2.0 <= S <= R - 4.0 for S in S_list):
+            raise ConfigError([f"experiment.S_list: need {need} or more distinct radii in "
+                               f"[2, R - 4] at R={R}, got {S_list}: set S_list"])
         return S_list
+
+    def competitor_s(self) -> float:
+        """build_competitor's S, in [2, R - 4)."""
+        S, R = self.value("experiment", "competitor_s"), self.value("grid", "R")
+        if not 2.0 <= S < R - 4.0:
+            raise ConfigError([f"experiment.competitor_s: need 2 <= S < R - 4 at R={R}, "
+                               f"got {S} (unset, max(2, R - 6))"])
+        return S
 
     def check(self) -> RunConfig:
         """Parse every key and build what each section configures; raise one
@@ -177,12 +188,11 @@ class RunConfig:
         if kern is not None and not problems:
             grid = attempt("grid", lambda: self.make_grid(kern))
             attempt("solver", lambda: self.solver_config(kern))
-            # the default S_list lies in [R/3, R - 4] by construction
-            if grid is not None and "S_list" in self.experiment and any(
-                    not 2.0 <= S <= grid.R - 4.0 for S in self.s_list()):
-                problems.append(f"experiment.S_list: need 2 <= S <= R - 4 (R={grid.R})")
-        if problems:
-            raise ConfigError(problems)
+            for key, read in (("S_list", self.s_list), ("competitor_s", self.competitor_s)):
+                if grid is not None and key in self.experiment:  # unset: checked where read
+                    attempt("experiment", read)
+        if problems:  # a missing R is also reported by each default that reads it
+            raise ConfigError(list(dict.fromkeys(problems)))
         return self
 
 
@@ -250,7 +260,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
         if subcommand == "verify-inequality":
             rep = dr.verify_kernel_inequality(kern, seed=seed,
                                               n_samples=cfg.value("experiment", "n_samples"))
-            write_json(out / "inequality_report.json", rep.as_dict())
+            report("inequality", rep.as_dict())
             return 0 if rep.violations == 0 else 2
 
         if subcommand == "solve":
@@ -311,11 +321,10 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
             svgplot.line_plot(out / "scan.svg", rep.S_values,
                               {"E_total": rep.energies, "E_kin": rep.kinetic,
                                "E_pot": rep.potential},
-                              title="energy growth", xlabel="S", ylabel="E",
-                              logx=True, logy=True)
+                              title="energy growth", xlabel="S", ylabel="E")
             return 0
 
-        w, rep = ex.build_competitor(profile, cfg.value("experiment", "competitor_s"))
+        w, rep = ex.build_competitor(profile, cfg.competitor_s())
         e_u = en.total_energy(profile, grid.R, table).total
         e_w = en.total_energy(w, grid.R, table).total
         not_below = bool(e_w >= e_u - 1e-9 * abs(e_u))

@@ -89,12 +89,10 @@ class QuadratureRule:
 
 
 def _jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending n-node Gauss-Jacobi rule of (1 - x^2)^a on [-1, 1]: at
-    a = -1/2 Gauss-Chebyshev in closed form, otherwise scipy's roots_jacobi."""
-    if a != -0.5:
-        from scipy.special import roots_jacobi
-        return roots_jacobi(n, a, a)
-    return np.sin(np.arange(1 - n, n, 2) * (math.pi / (2 * n))), np.full(n, math.pi / n)
+    """scipy's ascending n-node Gauss-Jacobi rule of (1 - x^2)^a on [-1, 1], for
+    a = (m - 2)/2 (J) and (2m - 3)/2 (the sphere-slice tail) at m >= 2."""
+    from scipy.special import roots_jacobi
+    return roots_jacobi(n, a, a)
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,8 +211,6 @@ def kernel_difference(kernel: RadialKernel, p, q,
     s, t, sig, tau = _check_pair(p, q)
     if not (s > t and sig >= tau):
         raise DomainError("kernel_difference requires orbits on the outer side of the cone")
-    if sig == tau:
-        return 0.0  # J is symmetric under swapping (sigma, tau) there
     rule = _default_rule(kernel.m, rule)
     direct = float(j_values(kernel, s, t, sig, tau, rule))
     swapped = float(j_values(kernel, s, t, tau, sig, rule))
@@ -258,28 +254,37 @@ def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
     The gap per pair is J(s,t,sigma,tau) - J(s,t,tau,sigma); for m=1 the
     sums are exact, for m>=2 the quadrature order is doubled on the
     unconverged subset until _INEQUALITY_REL_TOL relative agreement or
-    _INEQUALITY_MAX_ORDER.
+    _INEQUALITY_MAX_ORDER.  J reads K at distances from the pair's nearer
+    image min(|(s - sigma, t - tau)|, |(s - tau, t - sigma)|) to |x| + |y|,
+    so a table on [r_first, r_last] draws radii from [r_first, r_last / 2]
+    within r_range and re-draws pairs whose nearer image is below r_first.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    r_near = 0.0 if kernel.table is None else kernel.table[0][0]
+    if kernel.table is not None:
+        r_range = (max(r_range[0], r_near), min(r_range[1], 0.5 * kernel.table[0][-1]))
+        if not r_range[0] < r_range[1]:
+            raise DomainError("a kernel table needs r_last > 2 r_first to sample radii")
     rng = default_rng(seed)
     xs, xt = sample_outer_orbits(rng, n_samples, r_range)
     ys, yt = sample_outer_orbits(rng, n_samples, r_range)
-    # re-draw near-coincident pairs; J is refused on the diagonal
+    # re-draw near-coincident pairs (J is refused there) and those nearer than a table
     for _ in range(16):
-        coincident = (np.abs(xs - ys) + np.abs(xt - yt)) <= 1e-12 * (xs + ys)
-        if not coincident.any():
+        redraw = ((np.abs(xs - ys) + np.abs(xt - yt)) <= 1e-12 * (xs + ys)) | (
+            np.minimum(np.hypot(xs - ys, xt - yt), np.hypot(xs - yt, xt - ys)) < r_near)
+        if not redraw.any():
             break
-        k = int(coincident.sum())
-        ys[coincident], yt[coincident] = sample_outer_orbits(rng, k, r_range)
+        k = int(redraw.sum())
+        ys[redraw], yt[redraw] = sample_outer_orbits(rng, k, r_range)
 
     rule = _default_rule(kernel.m, rule)
     direct = j_values(kernel, xs, xt, ys, yt, rule)
     swapped = j_values(kernel, xs, xt, yt, ys, rule)
+    gap = direct - swapped
     n_unconverged = 0
     if kernel.m >= 2:
         # escalate the quadrature order only on the unconverged subset
-        gap = direct - swapped
         unsettled = np.ones(n_samples, dtype=bool)
         cur = rule
         while cur.order < _INEQUALITY_MAX_ORDER and unsettled.any():
@@ -296,7 +301,6 @@ def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
             unsettled[idx] = ~settled_now
         n_unconverged = int(unsettled.sum())
 
-    gap = direct - swapped
     tol = _INEQUALITY_REL_TOL * (np.abs(direct) + np.abs(swapped))
     bad = gap < -tol
     order = np.argsort(gap)[:8]
@@ -537,11 +541,10 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     for lo, hi in _blocks(flat_s.size, phi.size * n_rho):
         S, T = flat_s[lo:hi, None], flat_t[lo:hi, None]
         delta = (S - T) / math.sqrt(2.0)
-        with np.errstate(divide="ignore"):
-            # enter through the cone, exit through b = 0 or the disk
-            # a^2 + b^2 = R_out^2 (center offset p* = (t, s))
-            rho_in = np.where(cosd > 0.0, delta / np.maximum(cosd, 1e-300), np.inf)
-            rho_b = np.where(sinp < 0.0, S / np.maximum(-sinp, 1e-300), np.inf)
+        # enter through the cone, exit through b = 0 or the disk
+        # a^2 + b^2 = R_out^2 (center offset p* = (t, s))
+        rho_in = np.where(cosd > 0.0, delta / np.maximum(cosd, 1e-300), np.inf)
+        rho_b = np.where(sinp < 0.0, S / np.maximum(-sinp, 1e-300), np.inf)
         pe = T * cosp + S * sinp
         rho_disk = -pe + np.sqrt(pe ** 2 + R_out ** 2 - np.hypot(S, T) ** 2)
         rho_out = np.minimum(rho_b, rho_disk)

@@ -132,10 +132,9 @@ def build_grid(R: float, h: float, m: int, R_out: float | None = None) -> Grid:
     j = j.ravel()
     s = (i + 0.5) * h
     t = (j + 0.5) * h
+    # the "ij" meshgrid ravels i-major, so the kept nodes are sorted by (i, j)
     keep = (j < i) & (s ** 2 + t ** 2 <= R_out ** 2)
     i, j, s, t = i[keep], j[keep], s[keep], t[keep]
-    order = np.lexsort((j, i))
-    i, j, s, t = i[order], j[order], s[order], t[order]
     w = omega_sphere(m) ** 2 * s ** (m - 1) * t ** (m - 1) * h ** 2
     return Grid(R=float(R), h=float(h), m=int(m), R_out=float(R_out),
                 s=s, t=t, ii=i, jj=j, weights=w)
@@ -160,9 +159,6 @@ class OddProfile:
             raise DomainError("profile values must be finite")
         v = np.where(self.grid.inside(self.grid.R), v, 0.0)
         object.__setattr__(self, "values", v)
-
-    def with_values(self, values: np.ndarray) -> "OddProfile":
-        return OddProfile(self.grid, values)
 
 
 def zero_profile(grid: Grid) -> OddProfile:
@@ -257,8 +253,8 @@ class LatticeConvolution:
     images   (4, n) flat patch cells of node (i, j) and its three even
              reflections; swapped: the same for the cell (j, i)
     out      flat index of node (i, j) in the output rows N..2N - 1
-    diag     D's diagonal fix: G[0, 0] is 0, so the diagonal of the kbar
-             convolution holds the three reflected terms, and D's is 0
+    diag     D's diagonal fix, the signed sum of G over `_self_images`: G[0, 0]
+             is 0, and the fix leaves D's diagonal 0
     """
 
     N: int
@@ -374,8 +370,8 @@ def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRu
     ~= cs_i (dw_s)^2 + ct_i (dw_t)^2 on `_self_cell_rule` (integrand ~
     |z|^(1 - 2 gamma + 2(m-1)), integrable; every x + z has 0 < b < a).  At
     m >= 2 the density is J(x, x+z) - J(x, (x+z)*).  At m=1, node (i, j), its
-    eight images are K(|(a h + u, b h + v)|), integer a, b in {0, 2i+1, 2j+1,
-    i-j, i+j+1}, (u, v) = z sign-flipped and, in the four of (x+z)*, swapped.
+    eight images are K(|(a h + u, b h + v)|) at the `_self_images` offsets
+    (a, b), (u, v) = z sign-flipped and, in the four of (x+z)*, swapped.
     The rule maps onto itself under both, so cs gains (or loses) F_s[a, b] =
     sum meas zs^2 K(|(a h + zs, b h + zt)|) (F_s[b, a] if swapped), ct the
     same with a, b exchanged; F_s and F_t = F_s transposed are summed once per
@@ -384,12 +380,8 @@ def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRu
     h, m = grid.h, grid.m
     zs, zt, meas = _self_cell_rule(h)
     if m == 1:
-        i, j = grid.ii, grid.jj
-        z, d, e = 0 * i, i - j, i + j + 1
-        # the four direct images, then the swapped ones with a and b exchanged
-        a = np.stack([z, 2 * i + 1, z, 2 * i + 1, d, d, e, e])
-        b = np.stack([z, z, 2 * j + 1, 2 * j + 1, d, e, d, e])
-        W = 2 * int(i[-1]) + 2  # every offset is at most 2 max(i) + 1
+        a, b, sign = _self_images(grid)
+        W = 2 * int(grid.ii[-1]) + 2  # every offset is at most 2 max(i) + 1
         keys, inv = np.unique(np.maximum(a, b) * W + np.minimum(a, b), return_inverse=True)
         A, B = (h * c[:, None, None] for c in np.divmod(keys, W))
         F = np.empty((2, keys.size))
@@ -397,7 +389,6 @@ def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRu
             k = _h(kernel, (A[lo:hi] + zs) ** 2 + (B[lo:hi] + zt) ** 2)
             F[0, lo:hi] = (k * (zs ** 2 * meas)).sum(axis=(1, 2))
             F[1, lo:hi] = (k * (zt ** 2 * meas)).sum(axis=(1, 2))
-        sign = np.repeat([1.0, -1.0], 4)[:, None]
         cs, ct = ((sign * F[np.where(a < b, 1 - c, c), inv.reshape(a.shape)]).sum(axis=0)
                   for c in (0, 1))
     else:
@@ -411,6 +402,17 @@ def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRu
             ct[lo:hi] = (dens * zt ** 2 * meas).sum(axis=(1, 2))
     scale = 0.5 * grid.weights / h ** 2
     return np.maximum(cs, 0.0) * scale, np.maximum(ct, 0.0) * scale
+
+
+def _self_images(grid: Grid):
+    """The m=1 lattice offsets (a, b), each (8, n), of node (i, j)'s eight
+    images of itself, with their (8, 1) signs: + for kbar's, a in {0, 2i + 1},
+    b in {0, 2j + 1} (row 0 the node itself), - for kbar*'s, in {i - j, i + j + 1}."""
+    i, j = grid.ii, grid.jj
+    z, d, e = 0 * i, i - j, i + j + 1
+    a = np.stack([z, 2 * i + 1, z, 2 * i + 1, d, d, e, e])
+    b = np.stack([z, z, 2 * j + 1, 2 * j + 1, d, e, d, e])
+    return a, b, np.repeat([1.0, -1.0], 4)[:, None]
 
 
 def _one_sided_neighbors(grid: Grid):
@@ -463,11 +465,10 @@ def _lattice_convolution(grid: Grid, kernel: RadialKernel) -> LatticeConvolution
     rows, cols = np.stack([N + i, N - 1 - i]), np.stack([N + j, N - 1 - j])
     images = (rows[:, None] * (2 * N) + cols[None, :]).reshape(4, -1)
     swapped = (cols[:, None] * (2 * N) + rows[None, :]).reshape(4, -1)
-    d, e = i - j, i + j + 1
-    diag = (G[2 * i + 1, 0] + G[0, 2 * j + 1] + G[2 * i + 1, 2 * j + 1]
-            - G[d, d] - G[e, d] - G[d, e] - G[e, e])
+    a, b, sign = _self_images(grid)
     return LatticeConvolution(N=N, spectrum=rfft2(G[np.ix_(p, p)]), images=images,
-                              swapped=swapped, out=i * L + N + j, diag=diag)
+                              swapped=swapped, out=i * L + N + j,
+                              diag=(sign * G[a, b]).sum(axis=0))
 
 
 def _pair_table_block(n: int) -> np.ndarray:

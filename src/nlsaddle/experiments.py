@@ -135,14 +135,14 @@ def build_competitor(u: OddProfile, S: float, mu: float | None = None
     h1 = bool((w_vals >= -1.0 - 1e-12).all() and (w_vals <= 1.0 + 1e-12).all())
 
     near = d <= 2.0 * h
-    max_near = float(np.abs(w_vals[near]).max()) if near.any() else 0.0
+    max_near = float(np.abs(w_vals[near]).max(initial=0.0))
     h2 = bool(max_near <= max(mu, lip_u) * (2.0 * h + 0.5 * h) + 1e-12)
 
-    mismatch = float(np.abs(w_vals[shell] - u.values[shell]).max()) if shell.any() else 0.0
+    mismatch = float(np.abs(w_vals[shell] - u.values[shell]).max(initial=0.0))
     h3 = bool(mismatch == 0.0)
 
     core = (r <= S) & (mu * d > 1.0)
-    h4 = bool(np.allclose(w_vals[core], -1.0)) if core.any() else True
+    h4 = bool(np.allclose(w_vals[core], -1.0))
 
     # weighted Lipschitz bound across the strip boundary, sampled over pairs
     h5_allowed = max(4.0, 2.0 * (2.0 + mu) / mu) * 1.1

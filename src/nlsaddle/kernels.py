@@ -180,11 +180,6 @@ class ConvexityReport:
     n_tight: int = 0
     min_rel_gap: float = np.inf
     concavity_interval: bool = False
-    concave_triples: int = 0
-
-    def __post_init__(self):
-        if self.verdict == VERDICT_FAILS and not self.witnesses:
-            raise ValueError("a failing report must carry at least one witness")
 
 
 # an overflowing kernel gives NaN gaps, which check_sqrt_convexity fails
@@ -294,7 +289,6 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None) -> ConvexityReport
         n_tight=int(tight_idx.size),
         min_rel_gap=float(rel.min()),
         concavity_interval=bool(best >= 3),
-        concave_triples=int(neg.sum()),
     )
 
 

@@ -8,13 +8,15 @@ It works over node values constrained to [0, 1] (the sign-rearranged
 representative is energetically optimal, so the outer-octant values are
 kept nonnegative).  Monotone spectral projected gradient: Barzilai-Borwein
 trial steps with Armijo backtracking along the projection arc, so the
-energy trace is non-increasing by construction.  The energy is the
-quadratic form of L plus the potential, and L is linear, so the descent
-carries L u and makes one operator product per step, L d for its
-direction d: every backtracking trial reads L(u + lam d) = L u + lam L d
-(Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000).  A solve of n_iters
-steps makes n_iters + 2 products: the first L u, one per step, and a
-fresh L u for the final residual.
+energy trace is non-increasing by construction.  clip is monotone, so
+every g_i d_i of a projected step d is <= 0, and g . d >= 0 only when d is
+0 wherever g is not: the projected step vanishes, and it does so for every
+step length.  The energy is the quadratic form of L plus the potential,
+and L is linear, so the descent carries L u and makes one operator product
+per step, L d for its direction d: every backtracking trial reads
+L(u + lam d) = L u + lam L d (Birgin, Martinez & Raydan, SIAM J. Optim. 10,
+2000).  A solve of n_iters steps makes n_iters + 2 products: the first
+L u, one per step, and a fresh L u for the final residual.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
     (trace.pg_norms; the gradient over 2 mu, so the orbit weight does not
     scale it) falls to grad_tol times its initial value; trace.converged
     says whether the final residual meets that, also when the descent stops
-    early on a flat step or a degenerate direction.
+    early on a flat step or where the projected step vanishes.
     Aborts with ConvergenceError on NaN or if backtracking cannot produce a
     non-increasing step.  A table built for another kernel, or on another
     grid than the config's (R, h, m, and R_out when set), is refused; an
@@ -151,13 +153,8 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
             break
         d = _project(u - alpha * g) - u
         gd = float(g @ d)
-        if gd >= 0.0:
-            # degenerate direction; fall back to a tiny safeguarded step
-            alpha = max(_STEP_MIN, 0.1 * alpha)
-            d = _project(u - alpha * g) - u
-            gd = float(g @ d)
-            if gd >= 0.0:
-                break
+        if gd >= 0.0:  # the projected step vanishes
+            break
         ld = model.apply_L(d)
         lam = 1.0
         accepted = False

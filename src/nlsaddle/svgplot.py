@@ -1,4 +1,4 @@
-"""Tiny dependency-free SVG emitters for line plots and node heat maps."""
+"""Tiny dependency-free SVG emitters for log-log line plots and node heat maps."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ _ML, _MR, _MT, _MB = 70, 20, 30, 50
 
 
 def _ticks(lo: float, hi: float, n: int = 6):
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -33,12 +31,10 @@ def _fmt(v: float) -> str:
 
 
 def line_plot(path, xs, series: dict, title: str = "", xlabel: str = "",
-              ylabel: str = "", logx: bool = False, logy: bool = False) -> None:
-    """Write a polyline plot; series maps label -> list of y values."""
-    xs = np.asarray(xs, dtype=float)
-    tx = np.log10(xs) if logx else xs
-    ys_all = np.concatenate([np.asarray(v, float) for v in series.values()])
-    ty_all = np.log10(ys_all) if logy else ys_all
+              ylabel: str = "") -> None:
+    """Write a log-log polyline plot; series maps label -> positive y values."""
+    tx = np.log10(np.asarray(xs, dtype=float))
+    ty_all = np.log10(np.concatenate([np.asarray(v, float) for v in series.values()]))
     x0, x1 = float(tx.min()), float(tx.max())
     y0, y1 = float(ty_all.min()), float(ty_all.max())
     if x1 == x0:
@@ -60,14 +56,14 @@ def line_plot(path, xs, series: dict, title: str = "", xlabel: str = "",
              f'<text x="{_W/2}" y="20" text-anchor="middle" font-size="14">{title}</text>']
     for v in _ticks(x0, x1):
         X = sx(v)
-        label = _fmt(10 ** v) if logx else _fmt(v)
+        label = _fmt(10 ** v)
         parts.append(f'<line x1="{X:.1f}" y1="{_MT}" x2="{X:.1f}" y2="{_H-_MB}" '
                      'stroke="#dddddd"/>')
         parts.append(f'<text x="{X:.1f}" y="{_H-_MB+18}" text-anchor="middle" '
                      f'font-size="11">{label}</text>')
     for v in _ticks(y0, y1):
         Y = sy(v)
-        label = _fmt(10 ** v) if logy else _fmt(v)
+        label = _fmt(10 ** v)
         parts.append(f'<line x1="{_ML}" y1="{Y:.1f}" x2="{_W-_MR}" y2="{Y:.1f}" '
                      'stroke="#dddddd"/>')
         parts.append(f'<text x="{_ML-6}" y="{Y+4:.1f}" text-anchor="end" '
@@ -75,7 +71,7 @@ def line_plot(path, xs, series: dict, title: str = "", xlabel: str = "",
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W-_ML-_MR}" '
                  f'height="{_H-_MT-_MB}" fill="none" stroke="black"/>')
     for k, (label, ys) in enumerate(series.items()):
-        ty = np.log10(np.asarray(ys, float)) if logy else np.asarray(ys, float)
+        ty = np.log10(np.asarray(ys, float))
         pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(tx, ty))
         c = colors[k % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{c}" stroke-width="2"/>')
@@ -90,8 +86,7 @@ def line_plot(path, xs, series: dict, title: str = "", xlabel: str = "",
 
 
 def _color(v: float) -> str:
-    # blue (0) -> white (0.5) -> red (1)
-    v = min(max(v, 0.0), 1.0)
+    # blue (0) -> white (0.5) -> red (1), v in [0, 1]
     if v < 0.5:
         q = v / 0.5
         r, g, b = int(255 * q), int(255 * q), 255

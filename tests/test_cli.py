@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from nlsaddle import cli, discrete_operator as dop, doubly_radial as dr, energy as en
-from nlsaddle import kernels as K, solver as sv
+from nlsaddle import kernels as K, solver as sv, svgplot
 from nlsaddle.errors import ConfigError
 
 SCHEMAS = Path(cli.__file__).with_name("schemas")
@@ -235,6 +237,65 @@ def test_bad_value_in_code_built_config_gives_a_diagnostic(tmp_path, sub, sectio
     diag = json.loads((tmp_path / "diagnostic.json").read_text())
     jsonschema.validate(diag, json.loads((SCHEMAS / "diagnostic.schema.json").read_text()))
     assert next(iter(raw)) in diag["message"]
+
+
+_S_LIST = "S_list = 2, 2.5, 2.75, 3"
+
+
+@pytest.mark.parametrize("text, violation", [
+    (INI.replace("R = 7\n", ""), "grid.R: required"),
+    (None, "config file"),
+    ("R = 7\n", "config file"),
+    (INI.replace(_S_LIST, "S_list = 2, 2.5, 2.75, 3.5"), "experiment.S_list: need 4 or more"),
+    (INI.replace(_S_LIST, "S_list = 2, 2.5, 3"), "experiment.S_list: need 4 or more"),
+    (INI.replace(_S_LIST, "S_list = 2, 2.5, 3, 3"), "experiment.S_list: need 4 or more"),
+    (INI + "competitor_s = 1.5\n", "experiment.competitor_s: need 2 <= S < R - 4"),
+    (INI + "competitor_s = 3\n", "experiment.competitor_s: need 2 <= S < R - 4"),
+], ids=["R-required", "missing-file", "no-section", "S_list-range", "S_list-count",
+        "S_list-repeats", "competitor_s-low", "competitor_s-high"])
+def test_config_check_refuses_with_one_violation(tmp_path, text, violation):
+    # a radius a later subcommand would refuse is refused before any runs (R = 7)
+    ini = tmp_path / "run.ini"
+    if text is not None:
+        ini.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(ini)
+    assert len(err.value.violations) == 1, err.value.violations
+    assert err.value.violations[0].startswith(violation), err.value.violations
+
+
+def test_competitor_without_competitor_s_needs_r_above_6(tmp_path):
+    # the default S = max(2, R - 6) meets S + 4 < R only for R > 6
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI.split("[experiment]")[0].replace("R = 7", "R = 6").replace(
+        "R_out = 10.5", "R_out = 9"))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(ini), "--out", str(out)]) == 0
+    assert cli.main(["competitor", "--config", str(ini), "--out", str(out)]) == 1
+    diag = json.loads((out / "diagnostic.json").read_text())
+    assert diag["error"] == "ConfigError"
+    assert diag["message"].startswith("experiment.competitor_s: ")
+    assert not (out / "competitor_report.json").exists()
+
+
+def test_unknown_subcommand_gives_a_diagnostic(tmp_path):
+    cfg = cli.RunConfig(kernel={"family": "fractional"}, grid={"R": 7.0, "h": 1.0})
+    assert cli.run("plot", cfg, tmp_path) == 1
+    diag = json.loads((tmp_path / "diagnostic.json").read_text())
+    jsonschema.validate(diag, json.loads((SCHEMAS / "diagnostic.schema.json").read_text()))
+    assert diag["error"] == "ConfigError" and "unknown subcommand 'plot'" in diag["message"]
+
+
+def test_line_plot_of_a_constant_series(tmp_path):
+    # equal values span no decade: the y axis gets one, and the line lies inside the frame
+    svgplot.line_plot(tmp_path / "flat.svg", [1.0, 2.0, 4.0], {"E": [3.0, 3.0, 3.0]})
+    root = ET.parse(tmp_path / "flat.svg").getroot()
+    line, = root.iter("{http://www.w3.org/2000/svg}polyline")
+    ys = {float(point.split(",")[1]) for point in line.get("points").split()}
+    assert len(ys) == 1 and svgplot._MT < ys.pop() < svgplot._H - svgplot._MB
+    labels = [float(t.text) for t in root.iter("{http://www.w3.org/2000/svg}text")
+              if t.get("font-size") == "11"]
+    assert labels and all(math.isfinite(v) and v > 0.0 for v in labels)
 
 
 @pytest.mark.parametrize("profile", [None, "s,t,u\n1.0,0.5,abc\n"], ids=["missing", "malformed"])

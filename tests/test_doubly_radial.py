@@ -12,7 +12,7 @@ from nlsaddle.errors import (ConvergenceError, DomainError, PreconditionError,
 from nlsaddle import doubly_radial
 from nlsaddle.kernels import (counterexample_kernel, eval_kernel, fractional_kernel,
                               tabulated_kernel)
-from nlsaddle.doubly_radial import (_jacobi, appell_f2, appell_prefactor, exterior_tail_coefficient,
+from nlsaddle.doubly_radial import (appell_f2, appell_prefactor, exterior_tail_coefficient,
                                     f2_arguments, gauss_jacobi_rule, j_kernel_appell,
                                     j_values, kernel_difference, omega_sphere,
                                     sample_outer_orbits, verify_kernel_inequality,
@@ -634,11 +634,47 @@ def test_zero_order_rays_scratch_is_a_few_blocks():
     assert peak <= 8 * doubly_radial._BLOCK_VALUES * 8
 
 
-@pytest.mark.parametrize("n", [2, 7, 48, 256])
-def test_chebyshev_rule_matches_scipy(n):
-    # the closed-form rule at weight (1 - x^2)^(-1/2) against scipy's Gauss-Jacobi
-    from scipy.special import roots_jacobi
-    nodes, weights = _jacobi(n, -0.5)
-    want_nodes, want_weights = roots_jacobi(n, -0.5, -0.5)
-    assert np.max(np.abs(nodes - want_nodes)) <= 4e-16
-    assert np.max(np.abs(weights / want_weights - 1.0)) <= 1e-15
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("table, r_range", [
+    ((1e-3, 1e3, 400, -3.0), (1e-4, 1e4)),  # radii past both ends of the table
+    ((1e-3, 1e3, 400, -3.0), (1e-3, 4e-3)),  # most pairs nearer than the table's start
+    ((0.03, 32.0, 200, 2.0), (1e-2, 1e2)),  # h(tau) = tau, narrower than the default draw
+], ids=["r^-3-wide", "r^-3-near", "tau"])
+def test_verify_inequality_reads_a_table_only_over_its_range(table, r_range, m):
+    # every J distance lies between the nearer image of the pair and |x| + |y|:
+    # radii are drawn from [r_first, r_last / 2] and near pairs re-drawn
+    lo, hi, rows, power = table
+    r = np.geomspace(lo, hi, rows)
+    kern = tabulated_kernel(r, r ** power, gamma=0.5, m=m)
+    rep = verify_kernel_inequality(kern, seed=0, n_samples=64 if m == 1 else 16,
+                                   r_range=r_range)
+    assert rep.violations == 0 and rep.n_unconverged == 0
+    for sample in rep.worst_samples:
+        (s, t), (sig, tau) = sample["x"], sample["y"]
+        assert lo <= math.hypot(s, t) <= hi / 2 and lo <= math.hypot(sig, tau) <= hi / 2
+        assert min(math.hypot(s - sig, t - tau), math.hypot(s - tau, t - sig)) >= lo
+
+
+def test_verify_inequality_refuses_a_table_too_short_to_sample():
+    r = np.array([1.0, 1.5])
+    with pytest.raises(DomainError, match="r_last > 2 r_first"):
+        verify_kernel_inequality(tabulated_kernel(r, r ** -3, gamma=0.5, m=1), seed=0,
+                                 n_samples=4)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: gauss_jacobi_rule(1, 2), "order must be >= 2"),
+    (lambda: exterior_tail_coefficient(K1, 3.0, 1.0, 3.0), r"\|x\| < R_out"),
+    (lambda: exterior_tail_coefficient(K2, [1.0, 4.0], [0.5, 0.5], 4.0), r"\|x\| < R_out"),
+], ids=["rule-order", "tail-m1", "tail-m2"])
+def test_doubly_radial_input_checks(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
+def test_appell_f2_puts_the_larger_argument_first():
+    # F2 is symmetric in its (b1, c1, x) and (b2, c2, y) slots, and y > x is
+    # summed with the slots swapped
+    swapped = appell_f2(2.5, 1.0, 1.5, 2.0, 3.0, 0.1, 0.4)
+    assert swapped == appell_f2(2.5, 1.5, 1.0, 3.0, 2.0, 0.4, 0.1)

@@ -47,6 +47,36 @@ def test_grid_default_extent():
     assert g.R_out == 6.0
 
 
+@pytest.mark.parametrize("R, h, m, R_out", [(5.0, 0.5, 1, 7.3), (3.0, 0.4, 2, 4.55),
+                                            (12.0, 0.25, 1, None)])
+def test_build_grid_keeps_its_node_order(R, h, m, R_out):
+    # every cell j < i of the disk once, sorted by (i, j), which locate's
+    # binary search relies on
+    g = build_grid(R, h, m, R_out)
+    span = range(int(g.R_out / h) + 2)
+    cells = [(i, j) for i in span for j in range(i)
+             if ((i + 0.5) * h) ** 2 + ((j + 0.5) * h) ** 2 <= g.R_out ** 2]
+    assert list(zip(g.ii.tolist(), g.jj.tolist())) == cells
+    assert np.array_equal(g.locate(g.ii, g.jj), np.arange(g.n_nodes))
+
+
+def _profile_with_header(grid, path):
+    path.write_text("s,t,v\n" + "".join(f"{s!r},{t!r},0.0\n" for s, t in zip(grid.s, grid.t)))
+    return load_profile(path, grid)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda g, tmp: build_grid(3.0, 0.5, 1.5), "integer"),
+    (lambda g, tmp: build_grid(3.0, 0.5, 0), "integer"),
+    (lambda g, tmp: OddProfile(g, np.zeros(g.n_nodes + 1)), "shape"),
+    (lambda g, tmp: OddProfile(g, np.full(g.n_nodes, np.inf)), "finite"),
+    (lambda g, tmp: _profile_with_header(g, tmp / "p.csv"), "header"),
+], ids=["fractional-m", "zero-m", "profile-shape", "profile-inf", "profile-header"])
+def test_energy_input_checks(call, match, small_grid, tmp_path):
+    with pytest.raises(DomainError, match=match):
+        call(small_grid, tmp_path)
+
+
 @pytest.mark.parametrize("name", ["small_grid", "medium_grid", "m2_grid"])
 def test_locate_agrees_with_node_index(name, request):
     g = request.getfixturevalue(name)
@@ -82,7 +112,7 @@ def truncate_profile(profile: OddProfile) -> OddProfile:
     Both maps are energy-decreasing whenever the kernel table's difference
     entries are nonnegative.
     """
-    return profile.with_values(np.minimum(1.0, np.abs(profile.values)))
+    return OddProfile(profile.grid, np.minimum(1.0, np.abs(profile.values)))
 
 
 def test_truncation_values(small_grid):

@@ -166,6 +166,15 @@ def test_competitor_radius_precondition(saddle_run):
         build_competitor(saddle_run.profile, S=4.5)  # S + 4 >= R = 8
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda u: cone_ramp(3.0, 1.0, 2.0, 0.0), DomainError),
+    (lambda u: build_competitor(u, S=2.0, mu=-1.0), PreconditionError),
+], ids=["ramp-mu", "competitor-mu"])
+def test_experiment_input_checks(call, error, medium_grid):
+    with pytest.raises(error, match="mu must be positive"):
+        call(zero_profile(medium_grid))
+
+
 def test_measured_lipschitz_floor(small_grid):
     p = zero_profile(small_grid)
     assert measured_lipschitz(p, 2.0) == 0.1

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from nlsaddle.errors import DomainError, PreconditionError
 from nlsaddle.kernels import (RadialKernel, check_sqrt_convexity, counterexample_kernel,
                               default_tau_grid, ellipticity_margins, eval_kernel,
-                              fractional_kernel, kernel_from_config,
+                              fractional_kernel, kernel_from_config, sqrt_profile,
                               standard_c_norm, tabulated_kernel)
 
 
@@ -361,3 +361,19 @@ def test_kernel_from_config_roundtrip(tmp_path):
     k2 = kernel_from_config({"family": "tabulated", "gamma": "0.5", "m": "1",
                              "table": str(table_path)})
     assert eval_kernel(k2, 1.0) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: RadialKernel("tabulated", 0.5, 1), "requires a table"),
+    (lambda: tabulated_kernel([1.0], [1.0], 0.5, 1), "matching 1-D"),
+    (lambda: tabulated_kernel([1.0, 2.0], [1.0, 0.5, 0.2], 0.5, 1), "matching 1-D"),
+    (lambda: tabulated_kernel([2.0, 1.0], [1.0, 0.5], 0.5, 1), "strictly increasing"),
+    (lambda: sqrt_profile(fractional_kernel(0.5, 1), [1.0, 0.0]), "positive"),
+    (lambda: check_sqrt_convexity(fractional_kernel(0.5, 1), [1.0, 3.0, 2.0]),
+     "strictly increasing"),
+    (lambda: kernel_from_config({"family": "tabulated"}), "'table' path"),
+], ids=["no-table", "one-row", "ragged", "radii-order", "tau-zero", "tau-order",
+        "config-no-table"])
+def test_kernel_input_checks(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
