@@ -198,12 +198,12 @@ def theoretical_growth(gamma: float, m: int) -> tuple[float, str]:
 def energy_scan(profile: OddProfile, S_list, table: KernelTable) -> ScalingReport:
     """Allen-Cahn energies over B_S and the log-log growth fit (the
     _FIT_SKIP smallest S are left out of the fit to suppress near-core
-    transients, and at least two radii must remain for it)."""
+    transients, and at least two distinct radii must remain for it)."""
     S_list = sorted(float(S) for S in S_list)
     if max(S_list, default=0.0) > profile.grid.R - 4.0:
         raise PreconditionError("max S must satisfy S <= R - 4")
-    if len(S_list) < _FIT_SKIP + 2:
-        raise DomainError(f"need at least {_FIT_SKIP + 2} evaluation radii "
+    if len(set(S_list)) < _FIT_SKIP + 2:
+        raise DomainError(f"need at least {_FIT_SKIP + 2} distinct evaluation radii "
                           f"({_FIT_SKIP} are left out of the fit)")
     breakdowns = [total_energy(profile, S, table) for S in S_list]
     totals = [b.total for b in breakdowns]

@@ -11,7 +11,7 @@ from nlsaddle.errors import (ConvergenceError, DomainError, PreconditionError,
                              SingularityError)
 from nlsaddle import doubly_radial
 from nlsaddle.kernels import (counterexample_kernel, eval_kernel, fractional_kernel,
-                              tabulated_kernel)
+                              standard_c_norm, tabulated_kernel)
 from nlsaddle.doubly_radial import (appell_f2, appell_prefactor, exterior_tail_coefficient,
                                     f2_arguments, gauss_jacobi_rule, j_kernel_appell,
                                     j_values, kernel_difference, omega_sphere,
@@ -58,7 +58,7 @@ def test_negative_coordinates_rejected():
         with pytest.raises(DomainError):
             j_kernel_appell(0.5, 2, p, q)
         # every J path checks the radii: the exact m=1 sum, the closed m=2
-        # inner angle and the m >= 3 tensor rule
+        # form and the m >= 3 tensor rule
         for kernel, rule in ((K1, RULE1), (K2, RULE2), (K3, RULE3)):
             with pytest.raises(DomainError):
                 J(kernel, p, q, rule)
@@ -168,7 +168,7 @@ def test_j_quadrature_doubling_converges():
             assert abs(a - b) <= 1e-8 * abs(b)
 
 
-# --- closed inner angle of the power kernel at m=2 ----------------------------
+# --- closed form of the power kernel at m=2 -----------------------------------
 
 def tensor_sum(kernel, s, t, sig, tau, rule):
     """Independent oracle: c_m^2 sum_ij w_i w_j K(r_ij), written out."""
@@ -181,7 +181,7 @@ def tensor_sum(kernel, s, t, sig, tau, rule):
 def test_j_power_m2_matches_tensor_sum():
     # radii over four decades, the second orbit 1.5 to 4 times farther out
     # so that the order-256 tensor sum has converged; a change of the m=2
-    # rule's weight breaks the agreement, since the inner angle assumes a
+    # rule's weight breaks the agreement, since the closed form assumes a
     # constant one
     rng = np.random.default_rng(21)
     rule = gauss_jacobi_rule(256, 2)
@@ -219,9 +219,100 @@ def test_j_power_m2_without_angle_products(p, q):
     assert val == pytest.approx(tensor_sum(K2, *p, *q, RULE2), rel=1e-13)
 
 
+def test_j_power_m2_matches_the_appell_series():
+    # the double hypergeometric series over four decades of radii, where it
+    # converges fast (x + y <= 0.95), against J on the order-32 rule
+    rng = np.random.default_rng(8)
+    n = 0
+    while n < 40:
+        (s,), (t,) = sample_outer_orbits(rng, 1)
+        (sig,), (tau,) = sample_outer_orbits(rng, 1)
+        if sum(f2_arguments((s, t), (sig, tau))) > 0.95:
+            continue
+        for gamma, c_norm in ((0.25, 1.0), (0.75, 0.3)):
+            series = j_kernel_appell(gamma, 2, (s, t), (sig, tau), series_tol=1e-15,
+                                     c_norm=c_norm)
+            kernel = fractional_kernel(gamma, 2, c_norm=c_norm)
+            assert J(kernel, (s, t), (sig, tau), RULE2) == pytest.approx(series, rel=1e-12)
+        n += 1
+
+
+def _log_dblquad(kernel, s, t, sig, tau):
+    """Independent oracle: c_2^2 int int c_norm r^(-2m-2 gamma) dth_1 dth_2
+    with 1 - th = 2 e^(-a) on each angle, by adaptive quadrature in
+    (a_1, a_2) on [0, 60]^2.  The substitution spreads the corner
+    th_1 = th_2 = 1, where the integrand peaks for near pairs, over the
+    whole a range."""
+    d = (s - sig) ** 2 + (t - tau) ** 2
+    k = -kernel.power / 2.0
+
+    def integrand(a2, a1):
+        x1, x2 = 2.0 * math.exp(-a1), 2.0 * math.exp(-a2)
+        return x1 * x2 * (d + 2 * s * sig * x1 + 2 * t * tau * x2) ** k
+
+    quad = integrate.dblquad(integrand, 0.0, 60.0, 0.0, 60.0, epsabs=0.0, epsrel=1e-13)[0]
+    return 4.0 * kernel.c_norm * quad  # c_2^2 = 4
+
+
+@pytest.mark.parametrize("p, q", [((2.75, 0.75), (3.25, 0.75)), ((1.75, 0.25), (1.75, 0.75)),
+                                  ((2.0, 1.0), (2.05, 1.02)), ((2.0, 1.0), (2.01, 1.0)),
+                                  ((2.0, 1.0), (2.00001, 1.0))])
+def test_j_power_m2_is_exact_on_near_pairs(p, q):
+    # lattice neighbours of the m=2, h=0.5 grids and three nearer pairs: even
+    # the order-1024 tensor sum is visibly off (4e-13 to 1.0), while J on
+    # the default order-32 rule agrees with adaptive quadrature to rounding.
+    # At d = 1e-10, J must take the log of 1 - q = 1 - 4uv/((d+2u)(d+2v))
+    # from 1 - q itself: log1p(-q) leaves it 2.8e-12 off
+    k2 = fractional_kernel(0.5, 2)
+    exact = _log_dblquad(k2, *p, *q)
+    assert abs(tensor_sum(k2, *p, *q, gauss_jacobi_rule(1024, 2)) / exact - 1.0) > 1e-13
+    assert J(k2, p, q, RULE2) == pytest.approx(exact, rel=1e-14)
+
+
+def test_j_power_m2_keeps_its_accuracy_where_the_angles_barely_matter():
+    # one orbit near the origin: u, v << A0 = d + u + v, where a difference
+    # of the two-angle antiderivative would cancel.  Oracle: the mean of
+    # (A0 - u th_1 - v th_2)^(-k) over the square, expanded in the even
+    # moments of u th_1 + v th_2 through the fourth
+    gamma = 0.5
+    k = 2.0 + gamma
+    k2 = fractional_kernel(gamma, 2)
+    q = (3.0, 1.0)
+    for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10):
+        p = (0.06 * eps, 0.1 * eps)
+        u, v = 2 * p[0] * q[0], 2 * p[1] * q[1]
+        a0 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + u + v
+        x, y = (u / a0) ** 2, (v / a0) ** 2
+        mean = a0 ** -k * (1.0 + k * (k + 1) / 6.0 * (x + y)
+                           + k * (k + 1) * (k + 2) * (k + 3) / 24.0
+                           * (x * x / 5.0 + 2.0 * x * y / 3.0 + y * y / 5.0))
+        assert max(u, v) / a0 <= 1e-3
+        assert J(k2, p, q, RULE2) == pytest.approx(16.0 * mean, rel=1e-14), eps  # 4 c_2^2
+
+
+@pytest.mark.parametrize("p, q", [((2.0, 0.0), (3.0, 1.0)), ((0.0, 2.0), (1.0, 3.0)),
+                                  ((1e-3, 0.0), (2.0, 0.5)), ((0.0, 1.0), (2.0, 1.1))])
+def test_j_power_m2_with_one_angle_product(p, q):
+    # s sig = 0 or t tau = 0: J is 2 c_2^2 times a one-angle integral
+    (s, t), (sig, tau) = p, q
+    d, w = (s - sig) ** 2 + (t - tau) ** 2, 2 * s * sig + 2 * t * tau
+    exact = 8.0 * integrate.quad(lambda th: (d + w * (1 - th)) ** (-K2.power / 2.0), -1.0, 1.0,
+                                 epsabs=0.0, epsrel=1e-13)[0]
+    assert J(K2, p, q, RULE2) == pytest.approx(exact, rel=1e-13)
+
+
+def test_verify_inequality_m2_converges_on_every_sample():
+    # the benchmark's m2-coarse settings: the closed form leaves no sample
+    # to the order escalation
+    k2 = fractional_kernel(0.5, 2, c_norm=standard_c_norm(0.5, 2))
+    rep = verify_kernel_inequality(k2, seed=0, n_samples=10000)
+    assert rep.violations == 0
+    assert rep.n_unconverged == 0
+
+
 def test_tabulated_kernel_at_m2_takes_the_tensor_rule():
     # the tabulated power law is the fractional kernel up to rounding, but
-    # only the latter integrates the inner angle in closed form
+    # only the latter integrates the angles in closed form
     r = np.geomspace(1e-3, 1e3, 64)
     tab = tabulated_kernel(r, r ** -5.0, gamma=0.5, m=2)
     rule = gauss_jacobi_rule(8, 2)

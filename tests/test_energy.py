@@ -552,12 +552,13 @@ PINNED_BREAKDOWNS = {
     "small": [(0.8906887397010335, 2.8250039114781, 0.34017680033013675),
               (3.938168229892497, 7.014377525870256, 0.8651474722119264),
               (29.33493137876974, 23.926693562824816, 2.945076397774623)],
-    # m2: J with the closed inner angle and the order-32 outer rule; at
-    # S = R, kinetic_in_in refines to 77.5154, 77.5169, 77.51705, 77.51708
-    # at orders 64, 128, 256, 512
-    "m2": [(0.07710395744766105, 2.630317771456227, 0.8949380899465832),
-           (4.337296786372383, 43.188569857776585, 3.6483720687239654),
-           (77.50373273814034, 496.74295218685046, 38.53561548832912)],
+    # m2: J in closed form over both angles; the order-32 outer rule of the
+    # closed inner angle it replaced gave 77.50373 for kinetic_in_in at
+    # S = R, refining to 77.5154, 77.5169, 77.51705, 77.51708 at orders 64,
+    # 128, 256, 512
+    "m2": [(0.07710826804869284, 2.630317771456226, 0.8949380899465832),
+           (4.337489769658354, 43.188569857780664, 3.6483720687239654),
+           (77.51707891439027, 496.74296192897117, 38.53561548832912)],
 }
 
 
@@ -608,7 +609,7 @@ TABLE_ARRAYS = ("D", "P", "zcol", "ztail", "cs", "ct", "es", "et")
                                        (2, "counterexample")])
 def test_tables_do_not_depend_on_the_block_budget(m, family, monkeypatch):
     # every node and point is summed on its own, whatever block it falls in;
-    # at m=2 the fractional kernel takes the closed inner angle of j_values
+    # at m=2 the fractional kernel takes the closed form of j_values
     # and the counterexample the rule
     r = np.geomspace(1e-3, 1e3, 64)
     kernel = {"fractional": fractional_kernel(0.5, m),

@@ -235,3 +235,12 @@ def test_scan_needs_two_fitted_radii(saddle_run, medium_table):
     E = rep.energies
     assert rep.slope == pytest.approx(math.log(E[3] / E[2]) / math.log(4.0 / 3.5), rel=1e-12)
     assert rep.fit_residual == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("S_list", [[2.0, 2.0, 2.0, 2.0], [2.0, 3.0, 4.0, 4.0],
+                                    [2.0, 2.0, 3.0, 4.0]])
+def test_scan_counts_distinct_radii(saddle_run, medium_table, S_list):
+    # repeated radii give no more fitted points: four entries with fewer than
+    # four distinct radii are refused, not fitted with a rank-deficient line
+    with pytest.raises(DomainError, match="distinct"):
+        energy_scan(saddle_run.profile, S_list, medium_table)

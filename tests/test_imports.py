@@ -68,15 +68,17 @@ print(json.dumps({"code": code, "verdict": report["verdict"], "new": sorted(new)
     assert new == {"code": 2, "verdict": "convex-nonstrict", "new": []}
 
 
-def test_the_m2_rule_is_what_loads_scipy_special(tmp_path):
-    # the m >= 2 Gauss-Jacobi rules are the one use of scipy on the run path
+def test_the_m3_rule_is_what_loads_scipy_special(tmp_path):
+    # the m=1 sign rule and the flat m=2 weight's Gauss-Legendre rule are
+    # numpy's; the Gauss-Jacobi rules of m >= 3 are the one use of scipy on
+    # the path of J
     loaded = _run("""
 import json
 from nlsaddle import cli, doubly_radial as dr
-before = "scipy.special" in sys.modules
-dr.gauss_jacobi_rule(32, 1)
-at_m1 = "scipy.special" in sys.modules
-dr.gauss_jacobi_rule(32, 2)
-print(json.dumps([before, at_m1, "scipy.special" in sys.modules]))
+seen = []
+for m in (1, 2, 3):
+    dr.gauss_jacobi_rule(32, m)
+    seen.append("scipy.special" in sys.modules)
+print(json.dumps(seen))
 """, tmp_path)
     assert loaded == [False, False, True]
