@@ -22,14 +22,14 @@ INI sections and keys, with the one place that writes their defaults; each
 section is checked by building what it configures, and an unknown section
 or key is an error:
 
-    [kernel]      family, gamma, m, lambda, Lambda, c_norm (a number or
-                  `standard`), table: kernels.kernel_from_config
+    [kernel]      family, gamma, m, lambda (0.1 for the piecewise counterexample),
+                  Lambda, c_norm (a number or `standard`), table: _KEYS
     [grid]        R, h (required), R_out (1.5 R): energy.build_grid
     [solver]      max_iters, grad_tol, mu0, R_schedule (strictly increasing,
                   ending at R), assume_positive: solver.SolverConfig; seed: _KEYS
-    [experiment]  S_list (four or more distinct radii in [2, R - 4]; unset,
-                  five from R/3 to R - 4), n_samples, zoc_nodes, competitor_s
-                  (in [2, R - 4); unset, max(2, R - 6)): _KEYS
+    [experiment]  S_list (experiments.check_scan_radii; unset, five from R/3
+                  to R - 4), n_samples, zoc_nodes, competitor_s
+                  (experiments.check_competitor_s; unset, max(2, R - 6)): _KEYS
     [output]      dir, profile: _KEYS
 
 `solve` runs solver.continuation over R_schedule (unset, R alone); the
@@ -91,6 +91,11 @@ def _default_s_list(R: float) -> tuple:
 # section -> key -> (parser, default or a function of the RunConfig giving it);
 # the [solver] keys but seed go to SolverConfig only when set: it holds their defaults
 _KEYS = {
+    "kernel": {"family": (str, "fractional"), "gamma": (float, 0.5), "m": (int, 1),
+               "lambda": (float, lambda c: 0.1 if c.value("kernel", "family")
+                          == "piecewise-counterexample" else 1.0),
+               "Lambda": (float, 1.0), "table": (str, None), "c_norm": (lambda raw: "standard"
+                          if str(raw).strip() == "standard" else float(raw), 1.0)},
     "grid": {"R": (float, _REQUIRED), "h": (float, _REQUIRED), "R_out": (float, None)},
     "solver": {"max_iters": (int, None), "grad_tol": (float, None), "mu0": (float, None),
                "R_schedule": (_floats, None), "assume_positive":
@@ -112,8 +117,7 @@ _OVERRIDES = {"--out": ("output", "dir"), "--seed": ("solver", "seed"),
 @dataclass
 class RunConfig:
     """The raw sections (strings from an INI file, or values set in code);
-    `value` is the only reader of the [grid], [solver], [experiment] and
-    [output] keys, and `kernel_from_config` of the [kernel] section."""
+    `value` is the only reader of their keys."""
 
     kernel: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
@@ -135,7 +139,13 @@ class RunConfig:
             raise ConfigError([f"{section}.{key}: invalid value {raw!r}"]) from None
 
     def make_kernel(self) -> K.RadialKernel:
-        return K.kernel_from_config(self.kernel)
+        """The [kernel] section's kernel; `c_norm = standard` is standard_c_norm."""
+        k = {key: self.value("kernel", key) for key in _KEYS["kernel"]}
+        if k["c_norm"] == "standard":
+            k["c_norm"] = K.standard_c_norm(k["gamma"], k["m"])
+        table = None if k["table"] is None else K.load_kernel_table(k["table"])
+        return K.RadialKernel(k["family"], k["gamma"], k["m"], k["lambda"], k["Lambda"],
+                              k["c_norm"], table)
 
     def make_grid(self, kernel: K.RadialKernel) -> en.Grid:
         return en.build_grid(self.value("grid", "R"), self.value("grid", "h"), kernel.m,
@@ -149,22 +159,20 @@ class RunConfig:
                                gamma=kernel.gamma, m=kernel.m,
                                R_out=self.value("grid", "R_out"), **given)
 
+    def _checked(self, key: str, check, unset: str):
+        """experiment.key, passed by its experiments `check` at the grid's R."""
+        value, R = self.value("experiment", key), self.value("grid", "R")
+        try:
+            check(value, R)
+        except NlsaddleError as exc:
+            raise ConfigError([f"experiment.{key}: {exc}{unset}"]) from None
+        return value
+
     def s_list(self) -> list:
-        """energy_scan's radii, distinct and in [2, R - 4]: two more than its fit skips."""
-        S_list, R = list(self.value("experiment", "S_list")), self.value("grid", "R")
-        need = ex._FIT_SKIP + 2
-        if len(set(S_list)) < need or not all(2.0 <= S <= R - 4.0 for S in S_list):
-            raise ConfigError([f"experiment.S_list: need {need} or more distinct radii in "
-                               f"[2, R - 4] at R={R}, got {S_list}: set S_list"])
-        return S_list
+        return list(self._checked("S_list", ex.check_scan_radii, ": set S_list"))
 
     def competitor_s(self) -> float:
-        """build_competitor's S, in [2, R - 4)."""
-        S, R = self.value("experiment", "competitor_s"), self.value("grid", "R")
-        if not 2.0 <= S < R - 4.0:
-            raise ConfigError([f"experiment.competitor_s: need 2 <= S < R - 4 at R={R}, "
-                               f"got {S} (unset, max(2, R - 6))"])
-        return S
+        return self._checked("competitor_s", ex.check_competitor_s, " (unset, max(2, R - 6))")
 
     def check(self) -> RunConfig:
         """Parse every key and build what each section configures; raise one
@@ -205,7 +213,7 @@ def _read_config(path) -> RunConfig:
         sections = {name: dict(cp.items(name)) for name in cp.sections()}
     except (OSError, ValueError, configparser.Error) as exc:
         raise ConfigError([f"config file {path}: {exc}"]) from exc
-    unknown = [name for name in sections if name != "kernel" and name not in _KEYS]
+    unknown = [name for name in sections if name not in _KEYS]
     if unknown:
         raise ConfigError([f"[{name}]: unknown section" for name in unknown])
     return RunConfig(**sections)
@@ -242,10 +250,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
 
         if subcommand == "kernel-check":
             rep = K.check_sqrt_convexity(kern)
-            r = np.geomspace(1e-2, 1e2, 257)
-            if kern.table is not None:  # a table is read only over its own range
-                r = np.clip(r, kern.table[0][0], kern.table[0][-1])
-            lo, hi = K.ellipticity_margins(kern, r)
+            lo, hi = K.ellipticity_margins(kern, np.geomspace(*kern.window(1e-2, 1e2), 257))
             # an overflowing kernel has NaN gaps and margins: null in JSON
             finite = lambda x: x if math.isfinite(x) else None
             report("convexity", {

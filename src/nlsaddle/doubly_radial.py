@@ -275,16 +275,17 @@ def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
     unconverged subset until _INEQUALITY_REL_TOL relative agreement or
     _INEQUALITY_MAX_ORDER.  J reads K at distances from the pair's nearer
     image min(|(s - sigma, t - tau)|, |(s - tau, t - sigma)|) to |x| + |y|,
-    so a table on [r_first, r_last] draws radii from [r_first, r_last / 2]
+    so over the kernel's `radii` [r_first, r_last] (a tabulated kernel is
+    read only over its table) it draws radii from [r_first, r_last / 2]
     within r_range and re-draws pairs whose nearer image is below r_first.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    r_near = 0.0 if kernel.table is None else kernel.table[0][0]
-    if kernel.table is not None:
-        r_range = (max(r_range[0], r_near), min(r_range[1], 0.5 * kernel.table[0][-1]))
-        if not r_range[0] < r_range[1]:
-            raise DomainError("a kernel table needs r_last > 2 r_first to sample radii")
+    r_near, r_far = kernel.radii
+    r_range = (max(r_range[0], r_near), min(r_range[1], 0.5 * r_far))
+    if not r_range[0] < r_range[1]:
+        raise DomainError(f"r_range and the kernel's radii {kernel.radii} leave no radius "
+                          "in [r_first, r_last / 2]: need r_last > 2 r_first")
     rng = default_rng(seed)
     xs, xt = sample_outer_orbits(rng, n_samples, r_range)
     ys, yt = sample_outer_orbits(rng, n_samples, r_range)

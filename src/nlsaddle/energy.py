@@ -51,7 +51,7 @@ from numpy.fft import ifft, irfft, rfft2
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, PreconditionError, TableError
-from .kernels import RadialKernel, _h, check_sqrt_convexity
+from .kernels import RadialKernel, _h, check_sqrt_convexity, read_columns
 from .doubly_radial import (QuadratureRule, _blocks, _default_rule, _leggauss,
                             exterior_tail_coefficient, j_values, omega_sphere,
                             zero_order_integral)
@@ -119,20 +119,18 @@ class Grid:
 
 
 def build_grid(R: float, h: float, m: int, R_out: float | None = None) -> Grid:
-    """Lay out the triangle grid; R_out defaults to 1.5 R."""
+    """Lay out the triangle grid; R_out defaults to 1.5 R.  Refuses an
+    (i, j) index lattice past _TABLE_MEM_CAP_GB before allocating it."""
     if R_out is None:
         R_out = 1.5 * R
-    if not (0.0 < h < R < R_out):
-        raise DomainError(f"need 0 < h < R < R_out, got h={h}, R={R}, R_out={R_out}")
+    if not (0.0 < h < R < R_out and math.isfinite(R_out / h)):
+        raise DomainError(f"need 0 < h < R < R_out, all finite: h, R, R_out = {h}, {R}, {R_out}")
     if int(m) != m or m < 1:
         raise DomainError("m must be an integer >= 1")
     n_max = int(math.ceil(R_out / h)) + 1
-    i, j = np.meshgrid(np.arange(n_max), np.arange(n_max), indexing="ij")
-    i = i.ravel()
-    j = j.ravel()
-    s = (i + 0.5) * h
-    t = (j + 0.5) * h
-    # the "ij" meshgrid ravels i-major, so the kept nodes are sorted by (i, j)
+    _refuse_past_cap(n_max, "the grid's i and j index lattices")
+    i, j = np.divmod(np.arange(n_max * n_max), n_max)  # i-major: kept nodes sort by (i, j)
+    s, t = (i + 0.5) * h, (j + 0.5) * h
     keep = (j < i) & (s ** 2 + t ** 2 <= R_out ** 2)
     i, j, s, t = i[keep], j[keep], s[keep], t[keep]
     w = omega_sphere(m) ** 2 * s ** (m - 1) * t ** (m - 1) * h ** 2
@@ -166,35 +164,26 @@ def zero_profile(grid: Grid) -> OddProfile:
 
 
 def save_profile(profile: OddProfile, path) -> None:
+    """Header s,t,u, then one row per node; csv writes each float by repr."""
+    grid = profile.grid
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "t", "u"])
-        for s, t, u in zip(profile.grid.s, profile.grid.t, profile.values):
-            writer.writerow([repr(float(s)), repr(float(t)), repr(float(u))])
+        csv.writer(fh).writerows([("s", "t", "u"), *zip(grid.s.tolist(), grid.t.tolist(),
+                                                        profile.values.tolist())])
 
 
 def load_profile(path, grid: Grid) -> OddProfile:
     """Read a `save_profile` file; rows may come in any order, but each must
     sit on its own node of the grid."""
-    with open(path, newline="") as fh:
-        if [c.strip() for c in fh.readline().split(",")] != ["s", "t", "u"]:
-            raise DomainError(f"profile file {path} must have header s,t,u")
-        try:
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DomainError(f"profile file {path}: {exc}") from None
-    if rows.shape != (grid.n_nodes, 3):
+    rows = read_columns(path, ("s", "t", "u"), "profile file")
+    if rows.shape[0] != grid.n_nodes:
         raise DomainError("profile file needs one s,t,u row per grid node")
     # NaN and far-off coordinates become cells the grid lacks
     cells = np.nan_to_num(rows[:, :2] / grid.h - 0.5, nan=-1.0).clip(-1, grid.ii[-1] + 1)
     k = grid.locate(*np.rint(cells).astype(np.int64).T)
-    if ((k < 0).any() or np.bincount(k).max() > 1
-            or not (np.allclose(rows[:, 0], grid.s[k], atol=1e-9 * grid.h)
-                    and np.allclose(rows[:, 1], grid.t[k], atol=1e-9 * grid.h))):
+    if ((k < 0).any() or np.bincount(k).max() > 1 or not np.allclose(
+            rows[:, :2], np.stack([grid.s[k], grid.t[k]], axis=1), atol=1e-9 * grid.h)):
         raise DomainError("profile node coordinates do not match the grid")
-    values = np.empty(grid.n_nodes)
-    values[k] = rows[:, 2]
-    return OddProfile(grid, values)
+    return OddProfile(grid, rows[np.argsort(k), 2])
 
 
 @dataclass(frozen=True)
@@ -471,15 +460,19 @@ def _lattice_convolution(grid: Grid, kernel: RadialKernel) -> LatticeConvolution
                               diag=(sign * G[a, b]).sum(axis=0))
 
 
+def _refuse_past_cap(n: int, what: str) -> None:
+    """Refuse two n x n arrays of 8-byte values past _TABLE_MEM_CAP_GB."""
+    gib = 2.0 * n * n * 8.0 / 2 ** 30
+    if gib > _TABLE_MEM_CAP_GB:
+        raise TableError(f"{what} need {gib:.1f} GiB > cap {_TABLE_MEM_CAP_GB} GiB; increase h")
+
+
 def _pair_table_block(n: int) -> np.ndarray:
     """One (2, n, n) block for D and P, refused past _TABLE_MEM_CAP_GB: past
     glibc's 32 MiB mmap ceiling it is mapped on its own and given back on
     drop, where two n x n blocks just under it could stay resident in the
     heap under the next build's tables."""
-    need_gb = 2.0 * n * n * 8.0 / 2 ** 30
-    if need_gb > _TABLE_MEM_CAP_GB:
-        raise TableError(
-            f"pair tables need {need_gb:.1f} GiB > cap {_TABLE_MEM_CAP_GB} GiB; increase h")
+    _refuse_past_cap(n, "pair tables")
     return np.empty((2, n, n))
 
 
@@ -538,16 +531,17 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
     computed.  Scratch comes in blocks of `doubly_radial._BLOCK_VALUES`, so
     the build peaks at the dense tables (none at m=1) plus a few blocks.
     Refuses a kernel of another m than the grid's, kernels that fail the
-    sqrt-convexity check unless assume_positive=True, and, when they are
-    allocated (at m >= 2 before anything else, at m=1 on the first read),
-    dense tables that would exceed _TABLE_MEM_CAP_GB (use a larger h).
+    sqrt-convexity check (a tabulated one sampled only over its table)
+    unless assume_positive=True, and, when they are allocated (at m >= 2
+    before anything else, at m=1 on the first read), dense tables that
+    would exceed _TABLE_MEM_CAP_GB (use a larger h).
     """
     if kernel.m != grid.m:
         raise DomainError(f"the kernel has m={kernel.m}, the grid m={grid.m}")
     pairs = None if grid.m == 1 else _pair_table_block(grid.n_nodes)
     if not assume_positive:
-        tau_hi = min(4.0 * grid.R_out ** 2, 1e3)
-        report = check_sqrt_convexity(kernel, np.geomspace(1e-3, tau_hi, 256))
+        tau = kernel.window(1e-3, min(4.0 * grid.R_out ** 2, 1e3), squared=True)
+        report = check_sqrt_convexity(kernel, np.geomspace(*tau, 256))
         if report.verdict == "fails":
             raise PreconditionError(
                 "kernel failed the sqrt-convexity check; pass assume_positive=True "

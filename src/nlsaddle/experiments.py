@@ -24,6 +24,23 @@ _LIPSCHITZ_FLOOR = 0.1
 _FIT_SKIP = 2
 
 
+def check_scan_radii(S_list, R: float) -> None:
+    """energy_scan's radii: _FIT_SKIP + 2 or more distinct radii (the fit
+    leaves out the _FIT_SKIP smallest and needs two more), all in [2, R - 4]."""
+    rule = (f"need {_FIT_SKIP + 2} or more distinct radii in [2, R - 4] at R={R}, "
+            f"got {list(S_list)}")
+    if not all(2.0 <= S <= R - 4.0 for S in S_list):
+        raise PreconditionError(rule)
+    if len(set(S_list)) < _FIT_SKIP + 2:
+        raise DomainError(rule)
+
+
+def check_competitor_s(S: float, R: float) -> None:
+    """build_competitor's S: the ramp needs S >= 2, the shell S + 2 < R - 2."""
+    if not 2.0 <= S < R - 4.0:
+        raise PreconditionError(f"need 2 <= S < R - 4 at R={R}, got {S}")
+
+
 def radial_ramp(radius, S: float):
     """Two-level radial profile: -1 inside B_(S+1), linear on [S+1, S+2],
     +1 outside."""
@@ -112,8 +129,7 @@ def build_competitor(u: OddProfile, S: float, mu: float | None = None
     H5: Lipschitz with the 1/dist-weighted bound across the strip boundary.
     """
     grid = u.grid
-    if S + 4.0 >= grid.R:
-        raise PreconditionError("need S + 4 < R")
+    check_competitor_s(S, grid.R)
     lip_u = measured_lipschitz(u, S + 3.0)
     if mu is None:
         mu = lip_u
@@ -198,13 +214,9 @@ def theoretical_growth(gamma: float, m: int) -> tuple[float, str]:
 def energy_scan(profile: OddProfile, S_list, table: KernelTable) -> ScalingReport:
     """Allen-Cahn energies over B_S and the log-log growth fit (the
     _FIT_SKIP smallest S are left out of the fit to suppress near-core
-    transients, and at least two distinct radii must remain for it)."""
+    transients); the radii must pass `check_scan_radii`."""
     S_list = sorted(float(S) for S in S_list)
-    if max(S_list, default=0.0) > profile.grid.R - 4.0:
-        raise PreconditionError("max S must satisfy S <= R - 4")
-    if len(set(S_list)) < _FIT_SKIP + 2:
-        raise DomainError(f"need at least {_FIT_SKIP + 2} distinct evaluation radii "
-                          f"({_FIT_SKIP} are left out of the fit)")
+    check_scan_radii(S_list, profile.grid.R)
     breakdowns = [total_energy(profile, S, table) for S in S_list]
     totals = [b.total for b in breakdowns]
     kin = [b.kinetic_in_in + b.kinetic_in_out for b in breakdowns]

@@ -6,12 +6,13 @@ question the rest of the package builds on is whether tau -> K(sqrt(tau)) is
 strictly convex: that is exactly the condition under which the averaged
 kernel of the odd-sector operator is positive.  Every kernel value comes
 from the one evaluator `_h` of h(tau) = K(sqrt(tau)): `eval_kernel` calls it
-on r^2, `sqrt_profile` on tau, and J on the squared distances it forms.
+on r^2, `sqrt_profile` on tau, and J on the squared distances it forms.  A
+tabulated kernel is sampled only over its table: `RadialKernel.window` cuts
+every sampling window to the kernel's `radii`.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -42,9 +43,9 @@ class RadialKernel:
     lam, Lam  ellipticity constants, 0 < lam <= Lam
     c_norm    dimensionless normalizing multiplier (default 1; the standard
               fractional-Laplacian constant may be supplied instead)
-    table     (r, K) samples for family="tabulated", stored as two tuples
-              of floats so that kernels compare and hash by value;
-              interpolated log-log linearly, never extrapolated
+    table     (r, K) samples for family="tabulated" (and no other), stored
+              as two tuples of floats so that kernels compare and hash by
+              value; interpolated log-log linearly, never extrapolated
     """
 
     family: str
@@ -65,9 +66,10 @@ class RadialKernel:
         if not (0.0 < self.lam <= self.Lam < math.inf and 0.0 < self.c_norm < math.inf):
             raise DomainError("need 0 < lambda <= Lambda < inf and 0 < c_norm < inf, got "
                               f"{self.lam}, {self.Lam}, {self.c_norm}")
+        if (self.family == "tabulated") != (self.table is not None):
+            raise DomainError("a tabulated kernel requires a table, and no other kernel "
+                              f"takes one (family {self.family!r})")
         if self.family == "tabulated":
-            if self.table is None:
-                raise DomainError("tabulated kernel requires a table")
             r, k = (np.asarray(a, dtype=float) for a in self.table)
             if r.ndim != 1 or r.shape != k.shape or r.size < 2:
                 raise DomainError("kernel table needs matching 1-D r,K columns (>= 2 rows)")
@@ -81,6 +83,19 @@ class RadialKernel:
     def power(self) -> float:
         """Decay exponent 2m + 2*gamma of the comparison power law."""
         return 2.0 * self.m + 2.0 * self.gamma
+
+    @property
+    def radii(self) -> tuple[float, float]:
+        """Where K may be read: a tabulated kernel's table radii, every r > 0 otherwise."""
+        return (self.table[0][0], self.table[0][-1]) if self.table else (0.0, math.inf)
+
+    def window(self, lo: float, hi: float, squared: bool = False) -> tuple[float, float]:
+        """[lo, hi] cut to `radii`, or to their squares for a window in tau = r^2."""
+        ends = tuple(r * r for r in self.radii) if squared else self.radii
+        cut = (max(lo, ends[0]), min(hi, ends[1]))
+        if not cut[0] < cut[1]:
+            raise DomainError(f"the kernel is read only over {ends}, which misses [{lo}, {hi}]")
+        return cut
 
 
 def standard_c_norm(gamma: float, m: int) -> float:
@@ -123,9 +138,8 @@ def _h(kernel: RadialKernel, tau: np.ndarray) -> np.ndarray:
     r = np.sqrt(tau)
     rt, kt = kernel.table
     if np.any(r < rt[0]) or np.any(r > rt[-1]):
-        raise DomainError(
-            f"tabulated kernel queried at r outside [{rt[0]}, {rt[-1]}]; "
-            "extrapolation is refused")
+        raise DomainError(f"tabulated kernel queried at r outside [{rt[0]}, {rt[-1]}]; "
+                          "extrapolation is refused")
     return kernel.c_norm * np.exp(np.interp(np.log(r), np.log(rt), np.log(kt)))
 
 
@@ -150,7 +164,8 @@ def sqrt_profile(kernel: RadialKernel, tau):
 def ellipticity_margins(kernel: RadialKernel, r_samples) -> tuple[float, float]:
     """Min and max of K(r) / (c_norm r^(-2m-2gamma)) over the samples.
 
-    The kernel class requires the pair to sit inside [lam, Lam].
+    The kernel class requires the pair to sit inside [lam, Lam].  A tabulated
+    kernel is sampled only over its table: samples past it are refused.
     """
     r = np.asarray(r_samples, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing kernel gives NaN
@@ -214,12 +229,13 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None) -> ConvexityReport
     """Sampled verification that h(tau) = K(sqrt(tau)) is strictly convex.
 
     Evaluates the midpoint inequality h(t1) + h(t2) > 2 h((t1+t2)/2) on all
-    grid pairs.  With tol = _CONVEXITY_TOL, gaps above tol*|h(mid)| count as
-    strict; gaps inside [-tol, tol]*|h(mid)| as tight (verdict
-    "convex-nonstrict" at best); any gap below -tol*|h(mid)| is a failure
-    witness, and at most _MAX_WITNESSES witnesses are reported.  Near-tight
-    pairs trigger one refinement pass of 64 extra points around the
-    offending bracket.
+    pairs of tau_grid (default: 512 points over [1e-3, 1e3] cut to the
+    kernel's `window`, so a tabulated kernel is sampled only over its table).
+    With tol = _CONVEXITY_TOL, gaps above tol*|h(mid)| count as strict; gaps
+    inside [-tol, tol]*|h(mid)| as tight (verdict "convex-nonstrict" at
+    best); any gap below -tol*|h(mid)| is a failure witness, and at most
+    _MAX_WITNESSES witnesses are reported.  Near-tight pairs trigger one
+    refinement pass of 64 extra points around the offending bracket.
 
     Independently, consecutive-triple second divided differences are scanned
     for an interval of concavity: a run of >= 3 consecutive negative triples
@@ -227,7 +243,7 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None) -> ConvexityReport
     triples, so the piecewise counterexample never certifies an interval).
     """
     if tau_grid is None:
-        tau_grid = default_tau_grid()
+        tau_grid = default_tau_grid(512, *kernel.window(1e-3, 1e3, squared=True))
     tau = np.asarray(tau_grid, dtype=float)
     if tau.size < 3:
         raise DomainError("tau_grid needs at least 3 points")
@@ -263,13 +279,7 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None) -> ConvexityReport
         return [(float(tau[iu[0][k]]), float(tau[iu[1][k]]), float(rel[k]))
                 for k in order[:_MAX_WITNESSES]]
 
-    dd = _second_divided_differences(h, tau)
-    neg = dd < -tol
-    runs = 0
-    best = 0
-    for flag in neg:
-        runs = runs + 1 if flag else 0
-        best = max(best, runs)
+    neg = _second_divided_differences(h, tau) < -tol
 
     if fail_idx.size:
         verdict = VERDICT_FAILS
@@ -288,51 +298,26 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None) -> ConvexityReport
         n_fail=int(fail_idx.size),
         n_tight=int(tight_idx.size),
         min_rel_gap=float(rel.min()),
-        concavity_interval=bool(best >= 3),
+        concavity_interval=bool(np.any(neg[:-2] & neg[1:-1] & neg[2:])),
     )
+
+
+def read_columns(path, names: tuple, what: str) -> np.ndarray:
+    """The CSV file `path` under the header `names` as a (rows, len(names))
+    array; DomainError naming the file unless each row is len(names) numbers."""
+    with open(path) as fh:
+        header, rows = fh.readline(), [line for line in fh if line.strip()]
+    if [c.strip() for c in header.split(",")] != list(names) or not rows:
+        raise DomainError(f"{what} {path} needs the header {','.join(names)} and a row")
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"{what} {path}: {exc}") from None
+    if table.shape[1] != len(names):
+        raise DomainError(f"{what} {path}: need {len(names)} numbers per row")
+    return table
 
 
 def load_kernel_table(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a CSV kernel table: header r,K, then one (r, K) number pair per row."""
-    rs, ks = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if [c.strip() for c in next(reader, [])[:2]] != ["r", "K"]:
-            raise DomainError(f"kernel table {path} must have header r,K")
-        for row in reader:
-            try:
-                rs.append(float(row[0]))
-                ks.append(float(row[1]))
-            except (IndexError, ValueError):
-                raise DomainError(f"kernel table {path} line {reader.line_num}: "
-                                  f"need two numbers r,K, got {row}") from None
-    return np.asarray(rs), np.asarray(ks)
-
-
-def kernel_from_config(section: dict) -> RadialKernel:
-    """Build a kernel from a plain-text config section (strings allowed); the
-    [kernel] defaults live here, and `c_norm = standard` is `standard_c_norm`.
-    A key it does not read is refused."""
-    unknown = set(section) - {"family", "gamma", "m", "lambda", "Lambda", "c_norm", "table"}
-    if unknown:
-        raise DomainError(f"unknown key {', '.join(map(repr, sorted(unknown)))}")
-
-    def read(key, default, cast=float):
-        try:
-            return cast(section.get(key, default))
-        except (TypeError, ValueError):
-            raise DomainError(f"{key}: invalid value {section[key]!r}") from None
-
-    family = str(section.get("family", "fractional")).strip()
-    gamma, m = read("gamma", 0.5), read("m", 1, int)
-    lam = read("lambda", 0.1 if family == "piecewise-counterexample" else 1.0)
-    Lam = read("Lambda", 1.0)
-    standard = str(section.get("c_norm", "")).strip() == "standard"
-    c_norm = standard_c_norm(gamma, m) if standard else read("c_norm", 1.0)
-    table = None
-    if family == "tabulated":
-        path = section.get("table")
-        if not path:
-            raise DomainError("tabulated kernel requires a 'table' path")
-        table = load_kernel_table(path)
-    return RadialKernel(family, gamma, m, lam, Lam, c_norm, table=table)
+    return tuple(read_columns(path, ("r", "K"), "kernel table").T)

@@ -52,8 +52,10 @@ class SolverConfig:
     assume_positive: bool = False
 
     def __post_init__(self):
-        if not (self.R > 0 and self.h > 0 and self.grad_tol > 0 and self.max_iters >= 1):
+        if not (self.R > 0 and self.h > 0 and self.max_iters >= 1):
             raise DomainError("solver config requires positive numeric fields")
+        if not (0.0 < self.grad_tol < 1.0):  # relative: 1 or more accepts the initial guess
+            raise DomainError(f"grad_tol must lie in (0, 1), got {self.grad_tol}")
         if not (0.0 < self.gamma < 1.0):
             raise DomainError("gamma must lie in (0,1)")
         if not (0.0 < self.mu0 < math.inf):

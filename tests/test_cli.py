@@ -101,15 +101,19 @@ def test_kernel_section_is_checked_by_the_kernel(tmp_path):
     ini.write_text("[kernel]\nfamily = piecewise-counterexample\nLambda = 0.5\n" + grid)
     kern = cli.parse_config(ini).make_kernel()
     assert (kern.family, kern.lam, kern.Lam) == ("piecewise-counterexample", 0.1, 0.5)
-    # whatever the kernel refuses is one violation of the section
-    for bad in ("family = piecewise-counterexample\nLambda = 0.05",
-                "gamma = 1.5\nm = 0", "gamma = half",
-                f"family = tabulated\ntable = {tmp_path / 'missing.csv'}"):
+    # whatever the kernel refuses is one violation of the section, and a
+    # value no key's parser reads one violation of that key
+    (tmp_path / "kern.csv").write_text("r,K\n0.1,1000\n10,0.001\n")
+    for bad, prefix in (("family = piecewise-counterexample\nLambda = 0.05", "kernel: "),
+                        ("gamma = 1.5\nm = 0", "kernel: "),
+                        ("gamma = half", "kernel.gamma: "),
+                        (f"family = tabulated\ntable = {tmp_path / 'missing.csv'}", "kernel: "),
+                        (f"table = {tmp_path / 'kern.csv'}", "kernel: ")):
         ini.write_text(f"[kernel]\n{bad}\n" + grid)
         with pytest.raises(ConfigError) as err:
             cli.parse_config(ini)
         assert len(err.value.violations) == 1, bad
-        assert err.value.violations[0].startswith("kernel: "), bad
+        assert err.value.violations[0].startswith(prefix), bad
 
 
 def test_ini_without_s_list_runs_at_small_radius(tmp_path):
@@ -153,7 +157,7 @@ def _kernel_check_errors(tmp_path, capsys, ini_text, *flags):
 def test_kernel_check_reads_a_table_only_over_its_range(tmp_path, capsys):
     # h(tau) = tau tabulated on r in [0.03, 32] covers the convexity grid but
     # not the ellipticity samples r in [1e-2, 1e2], which used to be refused
-    # as extrapolation (exit 1); they are clipped to the table
+    # as extrapolation (exit 1); they are drawn over the table alone
     r = np.geomspace(0.03, 32.0, 200)
     (tmp_path / "kern.csv").write_text(
         "r,K\n" + "".join(f"{x!r},{x * x!r}\n" for x in r.tolist()))
@@ -166,6 +170,32 @@ def test_kernel_check_reads_a_table_only_over_its_range(tmp_path, capsys):
     # K / r^-3 = r^5 over the table's own range
     assert body["ellipticity_min"] == pytest.approx(0.03 ** 5, rel=1e-9)
     assert body["ellipticity_max"] == pytest.approx(32.0 ** 5, rel=1e-9)
+
+
+def test_kernel_check_samples_a_table_over_its_own_range(tmp_path, capsys):
+    # K = r^-3 tabulated on r in [0.1, 100] misses tau < 0.01 of the default
+    # convexity grid, which used to be refused as extrapolation (exit 1)
+    r = np.geomspace(0.1, 100.0, 400)
+    (tmp_path / "kern.csv").write_text(
+        "r,K\n" + "".join(f"{x!r},{x ** -3.0!r}\n" for x in r.tolist()))
+    code, errors = _kernel_check_errors(
+        tmp_path, capsys,
+        f"[kernel]\nfamily = tabulated\ntable = {tmp_path / 'kern.csv'}\n[grid]\nR = 7\nh = 0.5\n")
+    assert code == 0 and errors == []
+    body = json.loads((tmp_path / "out" / "convexity_report.json").read_text())
+    assert body["verdict"] == "strictly-convex"
+    assert body["ellipticity_min"] == pytest.approx(1.0, rel=1e-9)
+    assert body["ellipticity_max"] == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("grid", ["R = 6\nh = 0.5\nR_out = inf", "R = 6\nh = 1e-7"],
+                         ids=["R_out-inf", "lattice-past-cap"])
+def test_grid_out_of_reach_is_one_grid_violation(tmp_path, capsys, grid):
+    # an infinite R_out used to end in an OverflowError traceback, and h = 1e-7
+    # in numpy's refusal to allocate a 57.6 PiB index lattice
+    code, errors = _kernel_check_errors(tmp_path, capsys, f"[kernel]\n[grid]\n{grid}\n")
+    assert code == 1
+    assert len(errors) == 1 and errors[0].startswith("config error: grid: "), errors
 
 
 @pytest.mark.parametrize("table", ["", "r,K\n1.0,2.0\n3.0\n"], ids=["empty", "one-column"])
@@ -386,6 +416,31 @@ def test_bad_mu0_is_one_solver_violation(tmp_path, capsys, mu0):
     assert not (out / "diagnostic.json").exists()
 
 
+@pytest.mark.parametrize("grad_tol", ["1", "inf"])
+def test_grad_tol_outside_0_1_is_one_solver_violation(tmp_path, capsys, grad_tol):
+    # grad_tol is relative to the initial residual: at inf, solve used to stop
+    # at the initial guess, converged after 0 iterations with residual 1.0
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI + f"\n[solver]\ngrad_tol = {grad_tol}\n")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: solver: grad_tol must lie in (0, 1), got {float(grad_tol)}"]
+    assert not out.exists()
+
+
+def test_accepted_integer_keys_reach_their_readers(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI + "n_samples = 300\nzoc_nodes = 7\n\n[solver]\nseed = 3\n")
+    out = tmp_path / "out"
+    for sub in ("verify-inequality", "solve", "check-operator"):
+        assert cli.main([sub, "--config", str(ini), "--out", str(out)]) == 0, sub
+    report = lambda name: json.loads((out / f"{name}_report.json").read_text())
+    assert (report("inequality")["n_samples"], report("inequality")["seed"]) == (300, 3)
+    assert report("operator")["n_zoc_reference_nodes"] == 7
+    assert report("solve")["seed"] == 3
+
+
 def test_output_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
     (tmp_path / "afile").write_text("")
     code, errors = _kernel_check_errors(tmp_path, capsys, INI, "--out",
@@ -395,7 +450,7 @@ def test_output_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("ini, error", [
-    (INI.replace("gamma = 0.5", "gamma = 0.5\ngama = 0.25"), "kernel: unknown key 'gama'"),
+    (INI.replace("gamma = 0.5", "gamma = 0.5\ngama = 0.25"), "kernel.gama: unknown key"),
     (INI + "\n[solver]\nmax_iter = 1\n", "solver.max_iter: unknown key"),
     # the trial count of check-operator's random solves, which its M-matrix
     # certificate replaced

@@ -164,6 +164,8 @@ def test_competitor_energy_not_below_minimizer(saddle_run, medium_table):
 def test_competitor_radius_precondition(saddle_run):
     with pytest.raises(PreconditionError):
         build_competitor(saddle_run.profile, S=4.5)  # S + 4 >= R = 8
+    with pytest.raises(PreconditionError):
+        build_competitor(saddle_run.profile, S=1.5)  # the ramp needs S >= 2
 
 
 @pytest.mark.parametrize("call, error", [

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nlsaddle.cli import RunConfig
 from nlsaddle.errors import DomainError, PreconditionError
 from nlsaddle.kernels import (RadialKernel, check_sqrt_convexity, counterexample_kernel,
                               default_tau_grid, ellipticity_margins, eval_kernel,
-                              fractional_kernel, kernel_from_config, sqrt_profile,
-                              standard_c_norm, tabulated_kernel)
+                              fractional_kernel, sqrt_profile, standard_c_norm,
+                              tabulated_kernel)
 
 
 # --- evaluation -----------------------------------------------------------
@@ -344,11 +345,22 @@ def test_quad_oracle_holds_for_convex_nondecreasing(vals, hidx):
     assert convex_quad_oracle(_hfuncs[hidx], A, B, C, D)
 
 
+def test_default_convexity_grid_reads_a_table_only_over_its_range():
+    # tau = r^2 in [1e-3, 1e3], cut to the table's [0.01, 1e4]: the r^-3 table
+    # on [0.1, 100] used to be refused as extrapolation below tau = 0.01
+    r = np.geomspace(0.1, 100.0, 400)
+    kern = tabulated_kernel(r, r ** -3.0, 0.5, 1)
+    assert kern.window(1e-3, 1e3, squared=True) == pytest.approx((0.01, 1e3), rel=1e-15)
+    assert check_sqrt_convexity(kern).verdict == "strictly-convex"
+    # any other kernel is read at every r > 0: its window is the one asked for
+    assert fractional_kernel(0.5, 1).window(1e-3, 1e3, squared=True) == (1e-3, 1e3)
+
+
 # --- config loading --------------------------------------------------------
 
-def test_kernel_from_config_roundtrip(tmp_path):
-    k = kernel_from_config({"family": "fractional", "gamma": "0.25", "m": "2",
-                            "lambda": "0.5", "Lambda": "2.0", "c_norm": "1.5"})
+def test_kernel_section_roundtrip(tmp_path):
+    k = RunConfig(kernel={"family": "fractional", "gamma": "0.25", "m": "2",
+                          "lambda": "0.5", "Lambda": "2.0", "c_norm": "1.5"}).make_kernel()
     assert (k.family, k.gamma, k.m, k.lam, k.Lam, k.c_norm) == \
         ("fractional", 0.25, 2, 0.5, 2.0, 1.5)
 
@@ -358,8 +370,8 @@ def test_kernel_from_config_roundtrip(tmp_path):
         fh.write("r,K\n")
         for rv in r:
             fh.write(f"{rv},{rv ** -3.0}\n")
-    k2 = kernel_from_config({"family": "tabulated", "gamma": "0.5", "m": "1",
-                             "table": str(table_path)})
+    k2 = RunConfig(kernel={"family": "tabulated", "gamma": "0.5", "m": "1",
+                           "table": str(table_path)}).make_kernel()
     assert eval_kernel(k2, 1.0) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -371,9 +383,13 @@ def test_kernel_from_config_roundtrip(tmp_path):
     (lambda: sqrt_profile(fractional_kernel(0.5, 1), [1.0, 0.0]), "positive"),
     (lambda: check_sqrt_convexity(fractional_kernel(0.5, 1), [1.0, 3.0, 2.0]),
      "strictly increasing"),
-    (lambda: kernel_from_config({"family": "tabulated"}), "'table' path"),
+    (lambda: RunConfig(kernel={"family": "tabulated"}).make_kernel(), "requires a table"),
+    (lambda: RadialKernel("fractional", 0.5, 1, table=((1.0, 2.0), (1.0, 0.5))),
+     "no other kernel takes one"),
+    (lambda: tabulated_kernel([1.0, 2.0], [1.0, 0.5], 0.5, 1).window(3.0, 4.0),
+     "read only over"),
 ], ids=["no-table", "one-row", "ragged", "radii-order", "tau-zero", "tau-order",
-        "config-no-table"])
+        "config-no-table", "table-of-another-family", "window-past-the-table"])
 def test_kernel_input_checks(call, match):
     with pytest.raises(DomainError, match=match):
         call()

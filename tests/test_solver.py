@@ -37,8 +37,9 @@ def test_config_validation():
         SolverConfig(R=-1, h=0.5, gamma=0.5, m=1)
     with pytest.raises(DomainError):
         SolverConfig(R=8, h=0.5, gamma=1.5, m=1)
-    with pytest.raises(DomainError):
-        SolverConfig(R=8, h=0.5, gamma=0.5, m=1, grad_tol=float("nan"))
+    for grad_tol in (float("nan"), 0.0, 1.0, float("inf")):
+        with pytest.raises(DomainError, match="grad_tol"):
+            SolverConfig(R=8, h=0.5, gamma=0.5, m=1, grad_tol=grad_tol)
     for mu0 in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="mu0"):
             SolverConfig(R=8, h=0.5, gamma=0.5, m=1, mu0=mu0)
