@@ -37,7 +37,7 @@ report's `stages` gives each stage's R, total, n_iters, converged,
 el_residual (the projected residual of its profile that the stopping rule
 reads), sup_diff_common (null on the first) and flagged.  `check-operator`
 passes when discrete_operator's M-matrix certificate holds (monotone_probe)
-and the row sums match a refined zero-order reference to 1e-3 at up to
+and Z, half of L's row sums, matches a refined reference to 1e-3 at up to
 zoc_nodes nodes.  Each flag of _OVERRIDES sets one key.  Exit status: 0
 success, 2 a property failed (for solve, a stage did not converge), 1 error
 (`config error:` lines, else diagnostic.json).
@@ -74,11 +74,13 @@ def _floats(raw) -> tuple:
     return tuple(float(x) for x in str(raw).split(",") if x.strip())
 
 
-def _at_least(lo: int):
+def _at_least(lo: float = -math.inf):
+    """Parser of the integer keys: refuses 2.5 and "2.5" alike, and below lo."""
     def parse(raw) -> int:
-        if int(raw) < lo:
+        value = int(raw)
+        if value < lo or not isinstance(raw, str) and value != raw:
             raise ValueError(f"need an integer >= {lo}")
-        return int(raw)
+        return value
     return parse
 
 
@@ -91,13 +93,13 @@ def _default_s_list(R: float) -> tuple:
 # section -> key -> (parser, default or a function of the RunConfig giving it);
 # the [solver] keys but seed go to SolverConfig only when set: it holds their defaults
 _KEYS = {
-    "kernel": {"family": (str, "fractional"), "gamma": (float, 0.5), "m": (int, 1),
+    "kernel": {"family": (str, "fractional"), "gamma": (float, 0.5), "m": (_at_least(), 1),
                "lambda": (float, lambda c: 0.1 if c.value("kernel", "family")
                           == "piecewise-counterexample" else 1.0),
                "Lambda": (float, 1.0), "table": (str, None), "c_norm": (lambda raw: "standard"
                           if str(raw).strip() == "standard" else float(raw), 1.0)},
     "grid": {"R": (float, _REQUIRED), "h": (float, _REQUIRED), "R_out": (float, None)},
-    "solver": {"max_iters": (int, None), "grad_tol": (float, None), "mu0": (float, None),
+    "solver": {"max_iters": (_at_least(1), None), "grad_tol": (float, None), "mu0": (float, None),
                "R_schedule": (_floats, None), "assume_positive":
                (lambda raw: {"true": True, "false": False}[str(raw).strip().lower()], None),
                "seed": (_at_least(0), 0)},
@@ -135,7 +137,7 @@ class RunConfig:
             return default(self) if callable(default) else default
         try:
             return parse(raw)
-        except (TypeError, ValueError, KeyError):
+        except (TypeError, ValueError, KeyError, OverflowError):
             raise ConfigError([f"{section}.{key}: invalid value {raw!r}"]) from None
 
     def make_kernel(self) -> K.RadialKernel:
@@ -301,18 +303,16 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
 
         if subcommand == "check-operator":
             n_ref = min(grid.n_nodes, cfg.value("experiment", "zoc_nodes"))
-            rng = default_rng(seed)
-            ref_idx = np.sort(rng.choice(grid.n_nodes, size=n_ref, replace=False))
+            ref_idx = np.sort(default_rng(seed).choice(grid.n_nodes, size=n_ref, replace=False))
             # the table's zero-order integrator with doubled angular nodes (m=1
             # power kernel: 64 per ray panel; n_rho, rule unused) and, on the
             # polar J form, doubled radial nodes and m >= 2 J order, plus the
-            # table's own tail; L is assembled after it and reuses its scratch
+            # table's own tail: the reference for Z, whose double is L's row sum
             zoc = dr.zero_order_integral(kern, grid.s[ref_idx], grid.t[ref_idx], grid.R_out,
                                          rule=dr.gauss_jacobi_rule(64, kern.m),
                                          n_phi=320, n_rho=48) + table.ztail[ref_idx]
-            op = dop.assemble(table)
-            max_err = float(np.max(np.abs(op.sum(axis=1)[ref_idx] - 2 * zoc) / (2 * zoc)))
-            rep = dop.check_max_principle_structure(op)
+            max_err = float(np.max(np.abs(table.zero_order[ref_idx] - zoc) / zoc))
+            rep = dop.check_max_principle_structure(table)
             report("operator", {**rep.as_dict(), "max_row_sum_error": max_err,
                                 "n_zoc_reference_nodes": int(n_ref), "table_source": source})
             return 0 if rep.monotone_probe and max_err <= 1e-3 else 2

@@ -1,21 +1,16 @@
-"""Dense assembly of the odd-sector operator and its structure checks.
+"""The maximum-principle certificate of the odd-sector operator, from its table.
 
 The operator on grid node values is the L of `energy`'s one quadratic form,
 
     (L u)_k = sum_{j != k} (u_k - u_j) D_kj mu_j + 2 u_k Z_k + (C u)_k / (2 mu_k),
 
-with D the tabulated kernel difference, Z the zero-order coefficient
-(zero-order integral + tail) and C the `self_cell_edges` owned by the nodes
-in B_R, as in the energy.  `assemble` returns L as a plain array, the one
-the checks take, and is the one reader of the table's dense D: at m=1 the
-table gathers it on this first read (n^2 memory, under the table's cap),
-where the energy and the solver take D only as products.  Its diagonal
-comes from the same dense rows it negates.  Row sums equal 2 Z_k exactly
-(the difference and self-cell parts annihilate constants), and all
-off-diagonal entries are nonpositive when the kernel difference is
-nonnegative.  `check_max_principle_structure`
-certifies the discrete maximum principle from these two facts alone, with
-no solve.
+which `EnergyModel` applies.  Off the diagonal L holds the kernel part
+-D_kj mu_j plus the self-cell edges of C, which are nonpositive
+(`self_cell_edges` keeps c > 0), and L 1 = 2 Z.  So D_kj >= 0 off the
+diagonal and Z > 0, two facts of the table, certify the discrete maximum
+principle with no solve and no assembled L.  `min_offdiag` and
+`max_offdiag` are the kernel part's extremes, over row blocks of D; the
+edges only lower L's nearest-neighbor entries below it.
 """
 
 from __future__ import annotations
@@ -25,25 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .energy import KernelTable, self_cell_edges
-
-
-def assemble(table: KernelTable) -> np.ndarray:
-    """Dense operator over all nodes of `table.grid` (band rows included).
-
-    Its rows at the nodes inside B_R are the solver's L: grad E / (2 mu) =
-    L u - f(u) from `EnergyModel`.  Band rows carry only the self-cell edges
-    owned by those free nodes.
-    """
-    grid = table.grid
-    mu = grid.weights
-    D = table.D
-    M = D * -mu
-    np.fill_diagonal(M, D @ mu + 2.0 * table.zero_order)
-    k, nb, c = self_cell_edges(table, grid.inside(grid.R))
-    row, col = np.concatenate([k, nb, k, nb]), np.concatenate([k, nb, nb, k])
-    np.add.at(M, (row, col), np.concatenate([c, c, -c, -c]) / (2.0 * mu[row]))
-    return M
+from .doubly_radial import _blocks
+from .energy import KernelTable
 
 
 @dataclass
@@ -58,27 +36,31 @@ class MaxPrincipleReport:
         return asdict(self)
 
 
-def check_max_principle_structure(M: np.ndarray) -> MaxPrincipleReport:
-    """M-matrix certificate of the discrete maximum principle for M.
+def check_max_principle_structure(table: KernelTable) -> MaxPrincipleReport:
+    """M-matrix certificate of the discrete maximum principle for the L of `table`.
 
-    z_pattern: every off-diagonal entry is <= 0 (M is a Z-matrix).
-    row_sums_positive: M 1 > 0.  A Z-matrix with a positive vector v and
-    M v > 0 is a nonsingular M-matrix, and so is M + diag(c) for every
-    c >= 0 (the same v serves), so (M + diag(c))^-1 >= 0 entrywise
-    (Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
-    1994, Ch. 6): (M + diag(c)) u = g >= 0 gives u >= 0.
+    z_pattern: D_kj >= 0 for every k != j, so L is a Z-matrix.
+    row_sums_positive: Z > 0, so L 1 = 2 Z > 0.  A Z-matrix M with a positive
+    vector v and M v > 0 is a nonsingular M-matrix, and so is M + diag(c)
+    for every c >= 0 (the same v serves), so (M + diag(c))^-1 >= 0
+    entrywise (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, 1994, Ch. 6): (M + diag(c)) u = g >= 0 gives u >= 0.
     monotone_probe is that conclusion, z_pattern and row_sums_positive.
     A one-node grid has no off-diagonal entry to certify: DomainError.
-    The off-diagonal entries are the strided view of M in C order whose row
-    k runs from M[k, k + 1] up to M[k + 1, k].
     """
-    n = M.shape[0]
+    n, mu = table.grid.n_nodes, table.grid.weights
     if n < 2:
         raise DomainError(f"the operator certificate needs at least 2 nodes, the grid has {n}")
-    off = np.ascontiguousarray(M).ravel()[1:].reshape(n - 1, n + 1)[:, :n]
-    z_pattern = bool(off.max() <= 0.0)
-    row_sums_positive = bool(M.sum(axis=1).min() > 0.0)
-    return MaxPrincipleReport(
-        z_pattern=z_pattern, row_sums_positive=row_sums_positive,
-        monotone_probe=z_pattern and row_sums_positive,
-        min_offdiag=float(off.min()), max_offdiag=float(off.max()))
+    D = table.D
+    lows, highs = [], []
+    for lo, hi in _blocks(n, n):
+        block = D[lo:hi] * -mu
+        rows = np.arange(hi - lo)
+        block[rows, rows + lo] = block[rows, (rows + lo + 1) % n]  # off-diagonal values only
+        lows.append(block.min())
+        highs.append(block.max())
+    max_offdiag = float(np.max(highs))
+    z_pattern = bool(max_offdiag <= 0.0)
+    row_sums_positive = bool(table.zero_order.min() > 0.0)
+    return MaxPrincipleReport(z_pattern, row_sums_positive, z_pattern and row_sums_positive,
+                              min_offdiag=float(np.min(lows)), max_offdiag=max_offdiag)

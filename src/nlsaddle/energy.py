@@ -32,9 +32,9 @@ At S = R, where w y = 0, it is E = mu . (u o L u) + 2 mu . G(u) with
     L u = (D mu + 2 Z) u - D (mu u) + C u / (2 mu),
 
 so grad E = 2 mu (L u - f(u)): `EnergyModel` evaluates L on the nodes in
-B_R and `discrete_operator.assemble` over every node.  Energy, gradient and
-the diagonal of L take D and P only as `apply_D` and `apply_P`; `assemble`
-alone reads the dense tables.
+B_R, the one place L is written.  Energy, gradient and the diagonal of L
+take D and P only as `apply_D` and `apply_P`; `discrete_operator`'s
+certificate alone reads the dense D.
 """
 
 from __future__ import annotations
@@ -274,9 +274,9 @@ class KernelTable:
              `apply_D(v)` = D v and `apply_P(v)` = P v.  At m >= 2 the
              dense (2, n, n) block `pairs` comes from `j_values` with the
              table; at m=1 the products are the convolutions of `lattice`,
-             and `pairs`, which only `discrete_operator.assemble` reads, is
-             gathered from the same kernel values per lattice offset on the
-             first read of D or P and kept
+             and `pairs`, whose D only the certificate of
+             `discrete_operator` reads, is gathered from the same kernel
+             values per lattice offset on the first read of D or P and kept
     zcol[i]  int kbar(x_i, y*) dy over the outer octant truncated at
              R_out, by `zero_order_integral`, the integrator of
              `zero_order_coefficient`: for the power kernel at m=1 the
@@ -402,6 +402,24 @@ def _self_images(grid: Grid):
     a = np.stack([z, 2 * i + 1, z, 2 * i + 1, d, d, e, e])
     b = np.stack([z, z, 2 * j + 1, 2 * j + 1, d, e, d, e])
     return a, b, np.repeat([1.0, -1.0], 4)[:, None]
+
+
+def _radii_read(grid: Grid, rule: QuadratureRule) -> tuple[float, float]:
+    """The least and the greatest r at which `_self_cell_coefficients` reads
+    K, as the same floats; the other layers read between them on every grid
+    measured (m = 1 to 3), and so does J(x, (x + z)*) at m >= 2."""
+    zs, zt, _ = _self_cell_rule(grid.h)
+    if grid.m == 1:  # the lattice offsets 0 and ((2i + 1) h, (2j + 1) h) of the farthest node
+        far = grid.radius.argmax()
+        A, B = (grid.h * np.array([0, 2 * c[far] + 1])[:, None, None] for c in (grid.ii, grid.jj))
+        r = np.sqrt((A + zs) ** 2 + (B + zt) ** 2)
+    else:  # `_inner_rule`'s r^2 of J(x, x + z) at the largest and the least rule node
+        S, T = grid.s[:, None, None], grid.t[:, None, None]
+        aa, bb = S + zs, T + zt
+        d, u, v = (S - aa) ** 2 + (T - bb) ** 2, 2.0 * S * aa, 2.0 * T * bb
+        r = np.sqrt([(1.0 - th) * np.minimum(u, v) + d + (1.0 - th) * np.maximum(u, v)
+                     for th in (rule.nodes.max(), rule.nodes.min())])
+    return float(r.min()), float(r.max())
 
 
 def _one_sided_neighbors(grid: Grid):
@@ -532,7 +550,8 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
     the build peaks at the dense tables (none at m=1) plus a few blocks.
     Refuses a kernel of another m than the grid's, kernels that fail the
     sqrt-convexity check (a tabulated one sampled only over its table)
-    unless assume_positive=True, and, when they are allocated (at m >= 2
+    unless assume_positive=True, a kernel table missing the `_radii_read`
+    before the node columns are computed, and, when allocated (at m >= 2
     before anything else, at m=1 on the first read), dense tables that
     would exceed _TABLE_MEM_CAP_GB (use a larger h).
     """
@@ -548,6 +567,10 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
                 "to build the table anyway")
     rule = _default_rule(kernel.m, rule)
     if nodes is None:
+        lo, hi = _radii_read(grid, rule)
+        if lo < kernel.radii[0] or hi > kernel.radii[1]:
+            raise DomainError(f"the kernel table covers r in {list(kernel.radii)}, and the "
+                              f"build reads K over [{lo}, {hi}]; extrapolation is refused")
         zcol = zero_order_integral(kernel, grid.s, grid.t, grid.R_out, rule)
         ztail = 0.5 * exterior_tail_coefficient(kernel, grid.s, grid.t, grid.R_out)
         cs, ct = _self_cell_coefficients(grid, kernel, rule)
@@ -615,7 +638,7 @@ def load_node_columns(path, grid: Grid, kernel: RadialKernel,
 
 
 # ---------------------------------------------------------------------------
-# The quadratic form: self-cell part, operator diagonal and total energy
+# The quadratic form: self-cell part and total energy
 # ---------------------------------------------------------------------------
 
 def _as_index(grid: Grid, sel) -> np.ndarray:
@@ -652,11 +675,6 @@ def _self_cell_apply(edges, w: np.ndarray) -> np.ndarray:
     k, nb, c = edges
     delta = c * (w[k] - w[nb])
     return np.bincount(k, delta, w.size) - np.bincount(nb, delta, w.size)
-
-
-def operator_diagonal(table: KernelTable) -> np.ndarray:
-    """Diagonal D mu + 2 Z of L without its self-cell part, over all nodes."""
-    return table.apply_D(table.grid.weights) + 2.0 * table.zero_order
 
 
 def total_energy(profile: OddProfile, S: float, table: KernelTable,
@@ -715,7 +733,7 @@ class EnergyModel:
         self.potential = potential
         self.iin = np.where(grid.inside(grid.R))[0]
         self.mu = grid.weights[self.iin]
-        self.diag = operator_diagonal(table)[self.iin]
+        self.diag = (table.apply_D(grid.weights) + 2.0 * table.zero_order)[self.iin]
         self.edges = self_cell_edges(table, self.iin)
 
     def apply_L(self, u: np.ndarray) -> np.ndarray:

@@ -245,8 +245,6 @@ def _transfer(profile: OddProfile, grid: Grid) -> OddProfile:
 
 
 def _sup_diff(p1: OddProfile, p2: OddProfile, radius: float) -> float:
-    """sup |p1 - p2| over the nodes of p1 in B_radius, p2 read as 0 off its grid."""
+    """sup |p1 - p2| over p1's nodes in B_radius (radius <= p1's R), p2 read as 0 off its grid."""
     inside = p1.grid.radius <= radius
-    k = p2.grid.locate(p1.grid.ii[inside], p1.grid.jj[inside])
-    other = np.where(k >= 0, p2.values[k], 0.0)
-    return float(np.abs(p1.values[inside] - other).max(initial=0.0))
+    return float(np.abs(p1.values - _transfer(p2, p1.grid).values)[inside].max(initial=0.0))

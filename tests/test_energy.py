@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -344,6 +345,44 @@ def test_m1_tabulated_power_law_builds_the_fractional_table():
     # nor for the offsets no pair reaches, out to sqrt(2) (2 max(i) + 1) h = 16.3
     r = np.geomspace(1e-6, 2 * g.R_out + 1, 400)
     build_kernel_table(g, tabulated_kernel(r, r ** -3, 0.5, 1))
+
+
+@pytest.mark.parametrize("R, r_lo, r_hi", [(7.0, 0.1, 100.0), (12.0, 1e-3, 20.0)],
+                         ids=["self-cell-below-the-table", "pairs-past-the-table"])
+def test_table_missing_a_read_radius_is_refused_before_any_layer(R, r_lo, r_hi, monkeypatch):
+    # at h = 0.5 the self-cell rule reads K down to 0.0047 h, and the m=1
+    # pairs out to 2 max|x| (35.9 at R = 12); the refusal names the table's
+    # range and the build's, and a table over the build's range builds
+    grid = build_grid(R, 0.5, 1)
+    r = np.geomspace(r_lo, r_hi, 400)
+
+    def layer(*args, **kwargs):
+        raise AssertionError("a layer ran")
+
+    for name in ("zero_order_integral", "exterior_tail_coefficient",
+                 "_self_cell_coefficients", "_lattice_convolution"):
+        monkeypatch.setattr(energy, name, layer)
+    with pytest.raises(DomainError, match=re.escape(f"covers r in {[r_lo, r_hi]}")) as err:
+        build_kernel_table(grid, tabulated_kernel(r, r ** -3, 0.5, 1))
+    monkeypatch.undo()
+    lo, hi = map(float, re.search(r"reads K over \[(\S+), (\S+)\]", str(err.value)).groups())
+    assert lo < r_lo or hi > r_hi
+    r = np.geomspace(lo, hi, 400)
+    build_kernel_table(grid, tabulated_kernel(r, r ** -3, 0.5, 1))
+    with pytest.raises(DomainError, match="reads K over"):
+        build_kernel_table(grid, tabulated_kernel(r[1:], r[1:] ** -3, 0.5, 1))
+    with pytest.raises(DomainError, match="reads K over"):
+        build_kernel_table(grid, tabulated_kernel(r[:-1], r[:-1] ** -3, 0.5, 1))
+
+
+def test_table_covering_every_read_radius_builds():
+    # at m=2 the sphere angles keep every self-cell read well above the
+    # rule's nearest point 0.0047 h (above 0.058 at h = 0.5 on the default
+    # rule): a table from r = 0.01 builds, with every column finite
+    r = np.geomspace(0.01, 100.0, 400)
+    table = build_kernel_table(build_grid(3.0, 0.5, 2), tabulated_kernel(r, r ** -5, 0.5, 2),
+                               rule=gauss_jacobi_rule(8, 2))
+    assert np.isfinite(table.zero_order).all() and (table.cs > 0).all()
 
 
 def test_table_refuses_a_kernel_of_another_m(small_grid):
