@@ -36,11 +36,11 @@ or key is an error:
 report's `stages` gives each stage's R, total, n_iters, converged,
 el_residual (the projected residual of its profile that the stopping rule
 reads), sup_diff_common (null on the first) and flagged.  `check-operator`
-passes when discrete_operator's M-matrix certificate holds (monotone_probe)
-and Z, half of L's row sums, matches a refined reference to 1e-3 at up to
-zoc_nodes nodes.  Each flag of _OVERRIDES sets one key.  Exit status: 0
-success, 2 a property failed (for solve, a stage did not converge), 1 error
-(`config error:` lines, else diagnostic.json).
+passes when discrete_operator's M-matrix certificate holds (monotone_probe;
+at m=1 it holds no n x n array) and Z, half of L's row sums, matches a
+refined reference to 1e-3 at up to zoc_nodes nodes.  Each flag of _OVERRIDES
+sets one key.  Exit status: 0 success, 2 a property failed (for solve, a
+stage did not converge), 1 error (`config error:` lines, else diagnostic.json).
 """
 
 from __future__ import annotations

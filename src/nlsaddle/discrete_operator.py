@@ -8,9 +8,10 @@ which `EnergyModel` applies.  Off the diagonal L holds the kernel part
 -D_kj mu_j plus the self-cell edges of C, which are nonpositive
 (`self_cell_edges` keeps c > 0), and L 1 = 2 Z.  So D_kj >= 0 off the
 diagonal and Z > 0, two facts of the table, certify the discrete maximum
-principle with no solve and no assembled L.  `min_offdiag` and
-`max_offdiag` are the kernel part's extremes, over row blocks of D; the
-edges only lower L's nearest-neighbor entries below it.
+principle with no solve and no assembled L.  `min_offdiag` and `max_offdiag`
+are the kernel part's extremes over the rows of `KernelTable.d_rows` (at m=1,
+where mu is constant, D's upper triangle); the edges only lower L's
+nearest-neighbor entries below it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .doubly_radial import _blocks
 from .energy import KernelTable
 
 
@@ -51,13 +51,14 @@ def check_max_principle_structure(table: KernelTable) -> MaxPrincipleReport:
     n, mu = table.grid.n_nodes, table.grid.weights
     if n < 2:
         raise DomainError(f"the operator certificate needs at least 2 nodes, the grid has {n}")
-    D = table.D
     lows, highs = [], []
-    for lo, hi in _blocks(n, n):
-        block = D[lo:hi] * -mu
-        rows = np.arange(hi - lo)
-        block[rows, rows + lo] = block[rows, (rows + lo + 1) % n]  # off-diagonal values only
+    for lo, first, D in table.d_rows():
+        block = D * -mu[first:]
+        rows = np.arange(block.shape[0])
+        diag = rows, rows + lo - first  # masked: the last row has no other entry right of it
+        block[diag] = np.inf
         lows.append(block.min())
+        block[diag] = -np.inf
         highs.append(block.max())
     max_offdiag = float(np.max(highs))
     z_pattern = bool(max_offdiag <= 0.0)

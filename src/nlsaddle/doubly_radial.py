@@ -155,7 +155,7 @@ def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.n
         raise DomainError("orbit radii must be finite and nonnegative")
     s, t, sig, tau = np.broadcast_arrays(*radii)
     flat = [a.reshape(-1) for a in (s, t, sig, tau)]
-    closed = kernel.family == "fractional" and _weight_exponent(kernel.m) == 0.0
+    closed = _j_is_closed(kernel)
     width = 16 if closed else rule.order ** 2
     out = np.empty(s.size)
     for lo, hi in _blocks(s.size, width, grain=16):
@@ -166,6 +166,11 @@ def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.n
         out[lo:hi] = _j_closed(kernel, d, u, v) if closed else _inner_rule(kernel, d, u, v, rule)
     out *= rule.prefactor
     return out.reshape(s.shape)
+
+
+def _j_is_closed(kernel: RadialKernel) -> bool:
+    """Whether `j_values` takes `_j_closed`, which reads no rule node."""
+    return kernel.family == "fractional" and _weight_exponent(kernel.m) == 0.0
 
 
 def _inner_rule(kernel: RadialKernel, d, u, v, rule: QuadratureRule) -> np.ndarray:
@@ -188,10 +193,10 @@ def _j_closed(kernel: RadialKernel, d, u, v) -> np.ndarray:
                         + ((1 + x_u)(1 + x_v))^(1-k) R(-q, log(1 - q))],
     a sum of positive terms, so it keeps full relative accuracy at every
     ratio of d, u and v (1.3e-15 against 150-digit arithmetic over d, u, v
-    from 1e-12 to 1e4).  log(1 - q) is log1p(-q) for q <= 1/2 and the log of
-    1 - q = (1 + x_u + x_v) / ((1 + x_u)(1 + x_v)) above.  x_u, x_v and q are
-    floored at 1e-300, where R is 1, which also gives the limits u = 0 and
-    v = 0 (4 h(d) at u = v = 0).
+    from 1e-12 to 1e4), and every step is symmetric in u and v.  log(1 - q)
+    is log1p(-q) for q <= 1/2 and the log of 1 - q = (1 + (x_u + x_v)) /
+    ((1 + x_u)(1 + x_v)) above.  x_u, x_v and q are floored at 1e-300, where
+    R is 1, which also gives the limits u = 0 and v = 0 (4 h(d) at u = v = 0).
     """
     k = kernel.power / 2.0
     p = 2.0 - k
@@ -199,7 +204,7 @@ def _j_closed(kernel: RadialKernel, d, u, v) -> np.ndarray:
     xv = np.maximum(2.0 * v / d, 1e-300)
     den = (1.0 + xu) * (1.0 + xv)
     q = np.maximum(xu * xv / den, 1e-300)
-    log_w = np.where(q > 0.5, np.log((1.0 + xu + xv) / den), np.log1p(-np.minimum(q, 0.5)))
+    log_w = np.where(q > 0.5, np.log((1.0 + (xu + xv)) / den), np.log1p(-np.minimum(q, 0.5)))
     log_u, log_v = np.log1p(xu), np.log1p(xv)
 
     def rel(x, log):
@@ -270,9 +275,9 @@ def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
                              r_range=(1e-2, 1e2)) -> InequalityReport:
     """Draw random outer-orbit pairs and count gaps below -tol (relative).
 
-    The gap per pair is J(s,t,sigma,tau) - J(s,t,tau,sigma); for m=1 the
-    sums are exact, for m>=2 the quadrature order is doubled on the
-    unconverged subset until _INEQUALITY_REL_TOL relative agreement or
+    The gap per pair is J(s,t,sigma,tau) - J(s,t,tau,sigma), exact at m=1
+    and where `_j_is_closed`; otherwise the quadrature order is doubled on
+    the unconverged subset until _INEQUALITY_REL_TOL relative agreement or
     _INEQUALITY_MAX_ORDER.  J reads K at distances from the pair's nearer
     image min(|(s - sigma, t - tau)|, |(s - tau, t - sigma)|) to |x| + |y|,
     so over the kernel's `radii` [r_first, r_last] (a tabulated kernel is
@@ -303,22 +308,18 @@ def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
     swapped = j_values(kernel, xs, xt, yt, ys, rule)
     gap = direct - swapped
     n_unconverged = 0
-    if kernel.m >= 2:
+    if kernel.m >= 2 and not _j_is_closed(kernel):
         # escalate the quadrature order only on the unconverged subset
         unsettled = np.ones(n_samples, dtype=bool)
         cur = rule
         while cur.order < _INEQUALITY_MAX_ORDER and unsettled.any():
             cur = gauss_jacobi_rule(2 * cur.order, kernel.m)
             idx = np.where(unsettled)[0]
-            d2 = j_values(kernel, xs[idx], xt[idx], ys[idx], yt[idx], cur)
-            s2 = j_values(kernel, xs[idx], xt[idx], yt[idx], ys[idx], cur)
-            g2 = d2 - s2
+            direct[idx] = d2 = j_values(kernel, xs[idx], xt[idx], ys[idx], yt[idx], cur)
+            swapped[idx] = s2 = j_values(kernel, xs[idx], xt[idx], yt[idx], ys[idx], cur)
             scale = np.abs(d2) + np.abs(s2)
-            settled_now = np.abs(g2 - gap[idx]) <= _INEQUALITY_REL_TOL * scale
-            direct[idx] = d2
-            swapped[idx] = s2
-            gap[idx] = g2
-            unsettled[idx] = ~settled_now
+            unsettled[idx] = ~(np.abs(d2 - s2 - gap[idx]) <= _INEQUALITY_REL_TOL * scale)
+            gap[idx] = d2 - s2
         n_unconverged = int(unsettled.sum())
 
     tol = _INEQUALITY_REL_TOL * (np.abs(direct) + np.abs(swapped))

@@ -34,7 +34,7 @@ At S = R, where w y = 0, it is E = mu . (u o L u) + 2 mu . G(u) with
 so grad E = 2 mu (L u - f(u)): `EnergyModel` evaluates L on the nodes in
 B_R, the one place L is written.  Energy, gradient and the diagonal of L
 take D and P only as `apply_D` and `apply_P`; `discrete_operator`'s
-certificate alone reads the dense D.
+certificate alone reads D's entries, as `KernelTable.d_rows`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.fft import ifft, irfft, rfft2
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, PreconditionError, TableError
 from .kernels import RadialKernel, _h, check_sqrt_convexity, read_columns
@@ -61,6 +60,9 @@ _TABLE_MEM_CAP_GB = 6.0
 # polar angles and radial nodes of the self-cell quadrature
 _SELF_CELL_N_THETA = 16
 _SELF_CELL_N_RAD = 12
+# scratch arrays per row of `_lattice_rows`' blocks: its nine or so arrays then
+# fit a 2 MiB L2 cache, and it ran 1.6x faster at n = 495 (2-core Xeon)
+_GATHER_ARRAYS = 4
 # the per-node columns of a KernelTable that `save_node_columns` keeps, and
 # the version of that file's key (raise it when a column changes meaning)
 NODE_COLUMNS = ("zcol", "ztail", "cs", "ct")
@@ -244,6 +246,7 @@ class LatticeConvolution:
     out      flat index of node (i, j) in the output rows N..2N - 1
     diag     D's diagonal fix, the signed sum of G over `_self_images`: G[0, 0]
              is 0, and the fix leaves D's diagonal 0
+    G        the `_lattice_kernel`, which `_lattice_rows` gathers D and P from
     """
 
     N: int
@@ -252,6 +255,7 @@ class LatticeConvolution:
     swapped: np.ndarray
     out: np.ndarray
     diag: np.ndarray
+    G: np.ndarray = field(repr=False)
 
     def convolve(self, *placed) -> np.ndarray:
         """At every node, G convolved with the even extension of the lattice
@@ -274,9 +278,9 @@ class KernelTable:
              `apply_D(v)` = D v and `apply_P(v)` = P v.  At m >= 2 the
              dense (2, n, n) block `pairs` comes from `j_values` with the
              table; at m=1 the products are the convolutions of `lattice`,
-             and `pairs`, whose D only the certificate of
-             `discrete_operator` reads, is gathered from the same kernel
-             values per lattice offset on the first read of D or P and kept
+             `d_rows` gathers D's rows for the certificate from the same
+             kernel values per lattice offset, and `pairs` (for tests and
+             checks) is gathered from them on the first read and kept
     zcol[i]  int kbar(x_i, y*) dy over the outer octant truncated at
              R_out, by `zero_order_integral`, the integrator of
              `zero_order_coefficient`: for the power kernel at m=1 the
@@ -313,8 +317,10 @@ class KernelTable:
 
     def _pair_tables(self) -> np.ndarray:
         if self.pairs is None:
-            pairs = _pair_table_block(self.grid.n_nodes)
-            _lattice_pairs(self.grid, self.kernel, *pairs)
+            n = self.grid.n_nodes
+            pairs = _pair_table_block(n)
+            for lo, hi in _blocks(n, _GATHER_ARRAYS * n):
+                pairs[0, lo:hi], pairs[1, lo:hi] = _lattice_rows(self.grid, self.lattice.G, lo, hi)
             self.pairs = pairs
         return self.pairs
 
@@ -325,6 +331,17 @@ class KernelTable:
     @property
     def P(self) -> np.ndarray:
         return self._pair_tables()[1]
+
+    def d_rows(self):
+        """(lo, first, rows lo:hi of D over the columns first:) per row block:
+        the dense block's full rows, or without one (at m=1) the rows from the
+        diagonal rightwards, each pair once, gathered from the lattice."""
+        n = self.grid.n_nodes
+        for lo, hi in _blocks(n, _GATHER_ARRAYS * n):
+            if self.pairs is not None:
+                yield lo, 0, self.pairs[0, lo:hi]
+            else:
+                yield lo, lo, _lattice_rows(self.grid, self.lattice.G, lo, hi, lo)[0]
 
     def apply_D(self, v: np.ndarray) -> np.ndarray:
         """D v."""
@@ -475,7 +492,7 @@ def _lattice_convolution(grid: Grid, kernel: RadialKernel) -> LatticeConvolution
     a, b, sign = _self_images(grid)
     return LatticeConvolution(N=N, spectrum=rfft2(G[np.ix_(p, p)]), images=images,
                               swapped=swapped, out=i * L + N + j,
-                              diag=(sign * G[a, b]).sum(axis=0))
+                              diag=(sign * G[a, b]).sum(axis=0), G=G)
 
 
 def _refuse_past_cap(n: int, what: str) -> None:
@@ -494,42 +511,30 @@ def _pair_table_block(n: int) -> np.ndarray:
     return np.empty((2, n, n))
 
 
-def _lattice_pairs(grid: Grid, kernel: RadialKernel, D: np.ndarray, P: np.ndarray) -> None:
-    """Fill the dense m=1 pair tables D and P from the `_lattice_kernel` G.
-
-    G is even in b, and per lattice column i the table Q_i[x, y] =
-    G[|i - x|, |y|] + G[i + x + 1, |y|] gives kbar = Q_i[k, j - l] +
-    Q_i[k, j + l + 1] and kbar* = Q_i[l, j - k] + Q_i[l, j + k + 1].  Column
-    i's rows are its nodes j = 0, 1, ... in node order, and each term sits in
-    Q_i flattened at j plus an offset fixed per node (k, l): one gather from
-    row j of the J + 1 sliding windows over Q_i (J = max j), with no index
-    arithmetic per entry.  D's diagonal is overwritten with 0.  Row blocks
-    are built from their diagonal rightwards and mirrored: D and P are
-    bitwise symmetric.
+def _lattice_rows(grid: Grid, G: np.ndarray, lo: int, hi: int, first: int = 0):
+    """Rows lo:hi of the m=1 D and P over the columns first:, gathered from
+    the `_lattice_kernel` G, with D's diagonal 0.  Node (i, j) sees (k, l) at
+    a in {|i - k|, i + k + 1}, b in {|j - l|, j + l + 1} in kbar, and at
+    a in {|i - l|, i + l + 1}, b in {|j - k|, j + k + 1} in kbar*.  With A, B,
+    C, E the terms at (near a, near b), (far, near), (near, far), (far, far),
+    kbar is (A + B) + (C + E) and kbar* (A + E) + (B + C).  G is symmetric,
+    so swapping the nodes keeps kbar's terms and exchanges kbar*'s B and C:
+    D and P are bitwise symmetric, whatever rows and columns a call takes.
     """
-    n = grid.n_nodes
-    ii, jj = grid.ii, grid.jj
-    I, J = int(ii[-1]), int(jj.max())
-    Y = 2 * I + J + 2  # Q_i's columns: y in [-I, I + J + 1] at y + I
-    G = _lattice_kernel(grid, kernel)[:, np.abs(np.arange(Y) - I)]
-    x = np.arange(I + 1)
-    offsets = (ii * Y + I - jj, ii * Y + I + jj + 1, jj * Y + I - ii, jj * Y + I + ii + 1)
-    starts = np.searchsorted(ii, np.arange(I + 2)).tolist()
-    for i in range(1, I + 1):
-        window = sliding_window_view((G[np.abs(i - x)] + G[i + x + 1]).reshape(-1), x.size * Y - J)
-        for lo, hi in _blocks(starts[i + 1] - starts[i], n - starts[i]):
-            rows, lo, hi = window[lo:hi], lo + starts[i], hi + starts[i]
-            o1, o2, o3, o4 = (o[lo:] for o in offsets)
-            star = rows[:, o3] + rows[:, o4]
-            diff = rows[:, o1] + rows[:, o2]
-            diff -= star
-            sq = hi - lo
-            diff[np.arange(sq), np.arange(sq)] = 0.0
-            low = np.tril_indices(sq, -1)
-            for table, block in ((D, diff), (P, star)):
-                block[:, :sq][low] = block[:, :sq].T[low]
-                table[lo:hi, lo:] = block
-                table[hi:, lo:hi] = block[:, sq:].T
+    g, W = G.reshape(-1), G.shape[1]
+    iW, j = grid.ii[lo:hi, None] * W, grid.jj[lo:hi, None]
+
+    def offsets(p, q):  # near and far a W, near and far b
+        return np.abs(iW - p * W), iW + (p + 1) * W, np.abs(j - q), j + q + 1
+
+    na, fa, nb, fb = offsets(grid.ii[first:], grid.jj[first:])
+    diff = (g.take(na + nb) + g.take(fa + nb)) + (g.take(na + fb) + g.take(fa + fb))
+    na, fa, nb, fb = offsets(grid.jj[first:], grid.ii[first:])
+    star = (g.take(na + nb) + g.take(fa + fb)) + (g.take(fa + nb) + g.take(na + fb))
+    diff -= star
+    rows = np.arange(max(lo, first), hi)
+    diff[rows - lo, rows - first] = 0.0
+    return diff, star
 
 
 def build_kernel_table(grid: Grid, kernel: RadialKernel,
@@ -586,14 +591,11 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
         n = grid.n_nodes
         om2 = omega_sphere(grid.m) ** 2
         for lo, hi in _blocks(n, n):
-            S = grid.s[lo:hi][:, None]
-            T = grid.t[lo:hi][:, None]
-            direct = j_values(kernel, S, T, grid.s[None, :], grid.t[None, :], rule)
-            swapped = j_values(kernel, S, T, grid.t[None, :], grid.s[None, :], rule)
+            S, T = grid.s[lo:hi, None], grid.t[lo:hi, None]
+            swapped = j_values(kernel, S, T, grid.t, grid.s, rule)
             P[lo:hi] = swapped / om2
-            diag = np.arange(lo, hi)
-            direct[diag - lo, diag] = swapped[diag - lo, diag]  # zero difference on the diagonal
-            D[lo:hi] = (direct - swapped) / om2
+            D[lo:hi] = (j_values(kernel, S, T, grid.s, grid.t, rule) - swapped) / om2
+            D[np.arange(lo, hi), np.arange(lo, hi)] = 0.0
     return KernelTable(grid=grid, kernel=kernel, rule=rule, zcol=zcol,
                        ztail=np.asarray(ztail), cs=cs, ct=ct, es=es, et=et,
                        lattice=lattice, pairs=pairs)

@@ -205,14 +205,9 @@ def _midpoint_gaps(h: Callable, tau: np.ndarray):
     gap(i,j) = h(t_i) + h(t_j) - 2 h((t_i+t_j)/2), normalized by |h(mid)|.
     """
     ht = h(tau)
-    t1 = tau[:, None]
-    t2 = tau[None, :]
-    mid = 0.5 * (t1 + t2)
     iu = np.triu_indices(tau.size, k=1)
-    mids = mid[iu]
-    gaps = ht[iu[0]] + ht[iu[1]] - 2.0 * h(mids)
-    rel = gaps / np.abs(h(mids))
-    return iu, rel
+    hm = h(0.5 * (tau[iu[0]] + tau[iu[1]]))
+    return iu, (ht[iu[0]] + ht[iu[1]] - 2.0 * hm) / np.abs(hm)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -310,6 +310,36 @@ def test_verify_inequality_m2_converges_on_every_sample():
     assert rep.n_unconverged == 0
 
 
+@pytest.mark.parametrize("kernel, calls", [
+    (fractional_kernel(0.5, 2, c_norm=standard_c_norm(0.5, 2)), [32, 32]),
+    (tabulated_kernel(np.geomspace(1e-3, 1e3, 64), np.geomspace(1e-3, 1e3, 64) ** -5.0,
+                      gamma=0.5, m=2), [32, 32, 64, 64, 128, 128])],
+    ids=["closed", "rule"])
+def test_verify_inequality_escalates_only_where_j_reads_its_rule(kernel, calls, monkeypatch):
+    # the closed-form J reads no rule node, so a doubled order would give the
+    # same values bit for bit: the direct and the swapped call suffice.  J on
+    # the rule doubles its order on the unsettled samples until none is left
+    orders = []
+
+    def counted(kernel, s, t, sig, tau, rule):
+        orders.append(rule.order)
+        return j_values(kernel, s, t, sig, tau, rule)
+
+    monkeypatch.setattr(doubly_radial, "j_values", counted)
+    verify_kernel_inequality(kernel, seed=0, n_samples=64)
+    assert orders == calls
+
+
+def test_closed_j_is_its_own_doubled_rule():
+    # what makes the escalation redundant for the closed form
+    k2 = fractional_kernel(0.5, 2, c_norm=standard_c_norm(0.5, 2))
+    xs, xt = sample_outer_orbits(np.random.default_rng(0), 500)
+    ys, yt = sample_outer_orbits(np.random.default_rng(1), 500)
+    for a, b in (((xs, xt), (ys, yt)), ((xs, xt), (yt, ys))):
+        assert np.array_equal(j_values(k2, *a, *b, gauss_jacobi_rule(32, 2)),
+                              j_values(k2, *a, *b, gauss_jacobi_rule(64, 2)))
+
+
 def test_tabulated_kernel_at_m2_takes_the_tensor_rule():
     # the tabulated power law is the fractional kernel up to rounding, but
     # only the latter integrates the angles in closed form
@@ -323,6 +353,24 @@ def test_tabulated_kernel_at_m2_takes_the_tensor_rule():
 
 
 # --- averaged kernel ----------------------------------------------------------
+
+DEFECT_1 = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP Defect 1: J's rule carries the weight (1 - th^2)^((m-2)/2), where the "
+    "uniform measure on S^(m-1) gives (m-3)/2; K = 1 gives 16 against 4 pi^2 at m=2"))
+
+
+@pytest.mark.parametrize("m", [1, *(pytest.param(m, marks=DEFECT_1) for m in (2, 3, 4, 5))])
+def test_flat_kernel_averages_to_one(m):
+    # K = 1: J integrates 1 over both spheres, so kbar = J / |S^(m-1)|^2 = 1 at
+    # every pair, an identity that shares no formula with the program
+    r = np.geomspace(1e-3, 1e3, 8)
+    flat = tabulated_kernel(r, np.ones_like(r), gamma=0.5, m=m)
+    s, t = sample_outer_orbits(np.random.default_rng(4), 50, (0.1, 10.0))
+    sig, tau = sample_outer_orbits(np.random.default_rng(5), 50, (0.1, 10.0))
+    for a, b in ((sig, tau), (tau, sig)):
+        kbar = j_values(flat, s, t, a, b, gauss_jacobi_rule(32, m)) / omega_sphere(m) ** 2
+        np.testing.assert_allclose(kbar, 1.0, rtol=1e-13, atol=0.0)
+
 
 def test_kbar_is_quarter_of_j_for_m1():
     # kbar = J / |S^0|^2 = J / 4

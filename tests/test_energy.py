@@ -232,6 +232,15 @@ def test_m1_lattice_table_matches_the_four_term_sums(kernel, grid_args):
     assert np.array_equal(tab.D, tab.D.T) and np.array_equal(tab.P, tab.P.T)
 
 
+@pytest.mark.parametrize("R", [4.0, 6.0])
+def test_m2_pair_tables_are_bitwise_symmetric(R):
+    # the closed-form J(x, y*) and J(y, x*) take the same steps with u and v
+    # exchanged, each step symmetric in them (the m=1 gather: above)
+    tab = build_kernel_table(build_grid(R, 0.5, 2), fractional_kernel(0.5, 2))
+    assert np.array_equal(tab.D, tab.D.T) and np.array_equal(tab.P, tab.P.T)
+    assert np.all(np.diag(tab.D) == 0.0)
+
+
 # the FFT circle has side 216 = 3N, 108 = 3N, 45 > 3N on 10x10, and 32 = 3N - 1,
 # the least side that holds the convolution without wrap-around
 APPLY_GRIDS = {"R12-h0.25": (12.0, 0.25, None), **LATTICE_GRIDS, "R4-side-3N-1": (4.0, 0.5, 5.5)}
@@ -684,18 +693,29 @@ def test_table_build_scratch_is_bounded_by_the_block_budget():
     assert peak <= 2 * n * n * 8 + 12 * doubly_radial._BLOCK_VALUES * 8
 
 
-def test_m1_layer_scratch_is_bounded_when_a_column_exceeds_a_block():
+def test_m1_layer_scratch_is_bounded_when_a_column_exceeds_a_block(monkeypatch):
     # R = 24, h = 0.25: n = 8095 and lattice columns of up to 101 rows, so a
-    # column times n is 12 blocks; the pair pass gathers it in row blocks and
-    # the self-cell sums its offsets in blocks.  The pair tables are stood in
-    # for by n values each (row stride 0), so that only the scratch counts
+    # column times n is 12 blocks; the certificate's rows of D and the dense
+    # view gather in row blocks, and the self-cell sums its offsets in blocks.
+    # The dense view's (2, n, n) block is stood in for by n values (row
+    # stride 0), so that only the scratch counts
     g = build_grid(R=24.0, h=0.25, m=1)
     n = g.n_nodes
     assert np.bincount(g.ii).max() * n > 12 * doubly_radial._BLOCK_VALUES
     kernel = fractional_kernel(0.5, 1)
-    D, P = (np.lib.stride_tricks.as_strided(np.empty(n), (n, n), (0, 8)) for _ in range(2))
+    stand_in = np.lib.stride_tricks.as_strided(np.empty(n), (2, n, n), (0, 0, 8))
+    monkeypatch.setattr(energy, "_pair_table_block", lambda n: stand_in)
+    zeros = np.zeros(n)
+    table = energy.KernelTable(g, kernel, gauss_jacobi_rule(32, 1), zeros, zeros, zeros, zeros,
+                               *energy._one_sided_neighbors(g),
+                               lattice=energy._lattice_convolution(g, kernel))
+
+    def certificate_rows():
+        for _ in table.d_rows():
+            pass
+
     peaks = []
-    for layer in (lambda: energy._lattice_pairs(g, kernel, D, P),
+    for layer in (certificate_rows, lambda: table.D,
                   lambda: energy._self_cell_coefficients(g, kernel, gauss_jacobi_rule(32, 1))):
         tracemalloc.start()
         try:
@@ -703,4 +723,5 @@ def test_m1_layer_scratch_is_bounded_when_a_column_exceeds_a_block():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    assert table.pairs is stand_in
     assert max(peaks) <= 16 * doubly_radial._BLOCK_VALUES * 8, peaks

@@ -9,13 +9,31 @@ from hypothesis import example, given, settings, strategies as st
 
 from nlsaddle.cli import RunConfig
 from nlsaddle.errors import DomainError, PreconditionError
-from nlsaddle.kernels import (RadialKernel, check_sqrt_convexity, counterexample_kernel,
-                              default_tau_grid, ellipticity_margins, eval_kernel,
-                              fractional_kernel, sqrt_profile, standard_c_norm,
+from nlsaddle.kernels import (RadialKernel, _midpoint_gaps, check_sqrt_convexity,
+                              counterexample_kernel, default_tau_grid, ellipticity_margins,
+                              eval_kernel, fractional_kernel, sqrt_profile, standard_c_norm,
                               tabulated_kernel)
 
 
 # --- evaluation -----------------------------------------------------------
+
+def test_midpoint_gaps_evaluate_h_once_per_point():
+    # h at the n grid points and once at each of the n(n-1)/2 midpoints, and
+    # the gaps of the definition over the upper triangle, bit for bit
+    tau = default_tau_grid(40, 1e-2, 1e2)
+    sizes = []
+
+    def h(x):
+        sizes.append(np.size(x))
+        return x ** -0.75
+
+    iu, rel = _midpoint_gaps(h, tau)
+    n = tau.size
+    assert sum(sizes) == n + n * (n - 1) // 2
+    mid = 0.5 * (tau[:, None] + tau[None, :])
+    want = (tau[:, None] ** -0.75 + tau[None, :] ** -0.75 - 2.0 * mid ** -0.75) / mid ** -0.75
+    assert np.array_equal(rel, want[iu])
+
 
 def test_fractional_power_law():
     k = fractional_kernel(0.5, 1)

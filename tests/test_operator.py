@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,24 @@ def test_max_principle_structure_report(tables_and_ops):
         assert rep.max_offdiag < 0.0, table.grid.m
         assert set(rep.as_dict()) == {"z_pattern", "row_sums_positive", "monotone_probe",
                                       "min_offdiag", "max_offdiag"}
+
+
+def test_m1_certificate_holds_no_n_by_n_array():
+    # R = 12, h = 0.25 (n = 2011), where the dense D and P take 62 MB: the
+    # certificate gathers D's rows from the diagonal rightwards, a few blocks
+    # at a time, and reads the extremes the dense D gives
+    table = build_kernel_table(build_grid(12.0, 0.25, 1), K1)
+    tracemalloc.start()
+    try:
+        streamed = check_max_principle_structure(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.pairs is None
+    assert peak < 16 * dr._BLOCK_VALUES * 8, peak
+    table.D  # the dense view, which the certificate reads from here on
+    assert table.pairs is not None
+    assert check_max_principle_structure(table) == streamed
 
 
 def test_adversarial_positive_offdiagonal_detected(tables_and_ops):
