@@ -599,25 +599,31 @@ def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np
     negative at rho = 0, so the ray is inside W between the two roots and
     leaves at the rim root rho_disk if that comes first; the radial integral
     c_norm int rho^(-1-2 gamma) drho = c_norm (lo^(-2 gamma) - hi^(-2 gamma))
-    / (2 gamma) is exact.  The angle goes through Gauss-Legendre panels of
-    `order` nodes, split per node where the interval's ends change formula:
-    at the directions to the origin and to the rim points
-    (+-R_out, +-R_out)/sqrt(2), and along the cone lines.  A block holds five
-    scratch arrays: the weights and four updated in place.
+    / (2 gamma) is exact.  Only some directions see W.  V = {z_1 > |z_2|,
+    |z| < R_out} is convex and holds x, so a ray leaves it exactly once:
+    through a cone edge into W, or through V's arc out of the disk for good,
+    adding 0.  The rays of the second kind are the directions between those
+    to the arc's ends, the rim points (R_out, -+R_out)/sqrt(2), so th runs
+    counter-clockwise from the direction to the (+, +) one, which lies in
+    (pi/4, 3 pi/4), to that to the (+, -) one, in (5 pi/4, 7 pi/4).  It goes
+    through Gauss-Legendre panels of `order` nodes, split per node where the
+    interval's ends change formula: at the directions to the origin and to
+    the rim points (-R_out, +-R_out)/sqrt(2), and along the cone lines,
+    3 pi/4 and 5 pi/4, all of which lie in [3 pi/4, 5 pi/4].  A block holds
+    five scratch arrays: the weights and four updated in place.
     """
     two_g = 2.0 * kernel.gamma
     gl, wgl = _leggauss(order)
     rim_z1 = R_out / math.sqrt(2.0) * np.array([1.0, -1.0, 1.0, -1.0])
     rim_z2 = R_out / math.sqrt(2.0) * np.array([1.0, 1.0, -1.0, -1.0])
-    cone = math.pi / 4.0 * np.array([1.0, 3.0, 5.0, 7.0])
+    cone = math.pi / 4.0 * np.array([3.0, 5.0])
     out = np.empty(s.size)
-    for lo, hi in _blocks(s.size, 9 * order):
+    for lo, hi in _blocks(s.size, 6 * order):
         S, T = s[lo:hi, None], t[lo:hi, None]
         brk = np.concatenate([np.arctan2(-T, -S),
                               np.arctan2(rim_z2 - T, rim_z1 - S),
-                              np.broadcast_to(cone, (S.shape[0], 4))], axis=1)
-        rel = np.sort(np.mod(brk - brk[:, :1], 2.0 * math.pi), axis=1)
-        edges = brk[:, :1] + np.concatenate([rel, np.full_like(S, 2.0 * math.pi)], axis=1)
+                              np.broadcast_to(cone, (S.shape[0], 2))], axis=1)
+        edges = np.sort(np.mod(brk, 2.0 * math.pi), axis=1)
         mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
         half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
         w = (half * wgl).reshape(S.shape[0], -1)

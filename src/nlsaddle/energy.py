@@ -34,7 +34,10 @@ At S = R, where w y = 0, it is E = mu . (u o L u) + 2 mu . G(u) with
 so grad E = 2 mu (L u - f(u)): `EnergyModel` evaluates L on the nodes in
 B_R, the one place L is written.  Energy, gradient and the diagonal of L
 take D and P only as `apply_D` and `apply_P`; `discrete_operator`'s
-certificate alone reads D's entries, as `KernelTable.d_rows`.
+certificate alone reads D's entries, as `KernelTable.d_rows`.  At m=1 the
+table's products, D mu and those of `total_energy`, convolve on the lattice
+of every node out to R_out, and the descent's D (mu u) on that of the free
+nodes in B_R alone, the only nodes where mu u lives and L u is read.
 """
 
 from __future__ import annotations
@@ -231,7 +234,13 @@ class EnergyBreakdown:
 class LatticeConvolution:
     """kbar and kbar* on the m=1 lattice as one circular convolution.
 
-    With G the `_lattice_kernel` of the grid's N lattice columns, sum_l
+    It serves a set of nodes sorted by (i, j), on N = max i + 1 lattice
+    columns, and takes `apply_D` and `apply_P` over them alone.  A table's
+    covers every node of the grid (D mu, `total_energy`, and G for the
+    certificate's rows); `EnergyModel`'s covers the free nodes in B_R, all
+    the descent's products need, on the corner G[:2N, :2N] of the table's G.
+
+    With G the `_lattice_kernel` of the N lattice columns, sum_l
     kbar(x_k, x_l) v_l is G convolved with the lattice values V of v,
     extended evenly about -1/2 on both axes (Martucci, IEEE Trans. Signal
     Process. 42, 1994), and sum_l kbar*(x_k, x_l) v_l the same with V
@@ -266,6 +275,14 @@ class LatticeConvolution:
             E[cells] = values
         rows = ifft(rfft2(E.reshape(2 * N, 2 * N), s=(L, L)) * self.spectrum, axis=0)[N:2 * N]
         return irfft(rows, n=L, axis=1).reshape(-1)[self.out]
+
+    def apply_D(self, v: np.ndarray) -> np.ndarray:
+        """D v over this lattice's nodes."""
+        return self.convolve((self.images, v), (self.swapped, -v)) - self.diag * v
+
+    def apply_P(self, v: np.ndarray) -> np.ndarray:
+        """P v over this lattice's nodes."""
+        return self.convolve((self.swapped, v))
 
 
 @dataclass
@@ -345,17 +362,11 @@ class KernelTable:
 
     def apply_D(self, v: np.ndarray) -> np.ndarray:
         """D v."""
-        lat = self.lattice
-        if lat is None:
-            return self.D @ v
-        return lat.convolve((lat.images, v), (lat.swapped, -v)) - lat.diag * v
+        return self.D @ v if self.lattice is None else self.lattice.apply_D(v)
 
     def apply_P(self, v: np.ndarray) -> np.ndarray:
         """P v."""
-        lat = self.lattice
-        if lat is None:
-            return self.P @ v
-        return lat.convolve((lat.swapped, v))
+        return self.P @ v if self.lattice is None else self.lattice.apply_P(v)
 
 
 def _self_cell_rule(h: float):
@@ -386,7 +397,7 @@ def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRu
     h, m = grid.h, grid.m
     zs, zt, meas = _self_cell_rule(h)
     if m == 1:
-        a, b, sign = _self_images(grid)
+        a, b, sign = _self_images(grid.ii, grid.jj)
         W = 2 * int(grid.ii[-1]) + 2  # every offset is at most 2 max(i) + 1
         keys, inv = np.unique(np.maximum(a, b) * W + np.minimum(a, b), return_inverse=True)
         A, B = (h * c[:, None, None] for c in np.divmod(keys, W))
@@ -410,11 +421,10 @@ def _self_cell_coefficients(grid: Grid, kernel: RadialKernel, rule: QuadratureRu
     return np.maximum(cs, 0.0) * scale, np.maximum(ct, 0.0) * scale
 
 
-def _self_images(grid: Grid):
-    """The m=1 lattice offsets (a, b), each (8, n), of node (i, j)'s eight
+def _self_images(i: np.ndarray, j: np.ndarray):
+    """The m=1 lattice offsets (a, b), each (8, n), of each node (i, j)'s eight
     images of itself, with their (8, 1) signs: + for kbar's, a in {0, 2i + 1},
     b in {0, 2j + 1} (row 0 the node itself), - for kbar*'s, in {i - j, i + j + 1}."""
-    i, j = grid.ii, grid.jj
     z, d, e = 0 * i, i - j, i + j + 1
     a = np.stack([z, 2 * i + 1, z, 2 * i + 1, d, d, e, e])
     b = np.stack([z, z, 2 * j + 1, 2 * j + 1, d, e, d, e])
@@ -475,21 +485,22 @@ def _fft_side(n: int) -> int:
     return next(k for k in range(n, 2 * n + 1) if pow(30, k.bit_length(), k) == 0)
 
 
-def _lattice_convolution(grid: Grid, kernel: RadialKernel) -> LatticeConvolution:
-    """The `LatticeConvolution` of the m=1 grid and kernel."""
-    G = _lattice_kernel(grid, kernel)
-    N = G.shape[0] // 2
+def _lattice_convolution(i: np.ndarray, j: np.ndarray, G: np.ndarray) -> LatticeConvolution:
+    """The `LatticeConvolution` of the m=1 nodes at lattice cells (i, j),
+    sorted by (i, j), over G[:2N, :2N], N = max i + 1: the table's nodes with
+    its `_lattice_kernel`, or a leading part of them with a corner of it."""
+    N = int(i[-1]) + 1
+    G = G[:2 * N, :2 * N]
     L = _fft_side(3 * N - 1)
     # circle position p < 2N holds the offset p, and p >= 2N the offset p - L,
     # -N < p - L < 0 (L < 4N: the 5-smooth numbers from 3 on are at most 4/3 apart)
     p = np.arange(L)
     p = np.where(p < 2 * N, p, L - p)
-    i, j = grid.ii, grid.jj
     # lattice cell k and its reflection -k - 1 sit at N + k and N - 1 - k
     rows, cols = np.stack([N + i, N - 1 - i]), np.stack([N + j, N - 1 - j])
     images = (rows[:, None] * (2 * N) + cols[None, :]).reshape(4, -1)
     swapped = (cols[:, None] * (2 * N) + rows[None, :]).reshape(4, -1)
-    a, b, sign = _self_images(grid)
+    a, b, sign = _self_images(i, j)
     return LatticeConvolution(N=N, spectrum=rfft2(G[np.ix_(p, p)]), images=images,
                               swapped=swapped, out=i * L + N + j,
                               diag=(sign * G[a, b]).sum(axis=0), G=G)
@@ -585,7 +596,7 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
 
     lattice = None
     if pairs is None:
-        lattice = _lattice_convolution(grid, kernel)
+        lattice = _lattice_convolution(grid.ii, grid.jj, _lattice_kernel(grid, kernel))
     else:
         D, P = pairs
         n = grid.n_nodes
@@ -720,13 +731,20 @@ class EnergyModel:
     """E(u) = E(w_u, B_R) for u living on the nodes inside B_R.
 
     Holds the free block of the operator L of the module docstring: its
-    diagonal D mu + 2 Z and the self-cell edges of the nodes in B_R, whose
-    C u is scaled by 1/(2 mu).  `apply_L` takes L u from one product of the
-    full D (`apply_D`) with mu u embedded in the grid, and
-    `value_and_grad_from` turns u and L u, with no product, into
-    E = mu . (u o L u) + 2 mu . G(u) and its exact gradient
+    diagonal D mu + 2 Z, a product of D with the weights of every node on
+    the table's own lattice, and the self-cell edges of the nodes in B_R,
+    whose C u is scaled by 1/(2 mu).  `apply_L` takes L u from one product
+    D (mu u), and `value_and_grad_from` turns u and L u, with no product,
+    into E = mu . (u o L u) + 2 mu . G(u) and its exact gradient
     2 mu (L u - f(u)).  L is linear, so a descent step u + lam d needs only
     L u and L d: one product per direction, whatever the line search tries.
+
+    mu u lives on the free nodes, and L u is read only there.  At m=1 the
+    product is therefore the `LatticeConvolution` of the free nodes alone
+    (`free`), whose N_R = max i + 1 lattice columns are 2/3 of the table's
+    at the default R_out = 1.5 R, and whose FFT circle has about 4/9 of the
+    points; it reads a corner of the table's G.  At m >= 2 (`free` None) it
+    is the dense D's product with mu u embedded in the grid.
     """
 
     def __init__(self, table: KernelTable, potential: Potential):
@@ -737,13 +755,20 @@ class EnergyModel:
         self.mu = grid.weights[self.iin]
         self.diag = (table.apply_D(grid.weights) + 2.0 * table.zero_order)[self.iin]
         self.edges = self_cell_edges(table, self.iin)
+        self.free = None
+        if table.lattice is not None and self.iin.size:
+            self.free = _lattice_convolution(grid.ii[self.iin], grid.jj[self.iin],
+                                             table.lattice.G)
 
     def apply_L(self, u: np.ndarray) -> np.ndarray:
         """L u on the nodes in B_R."""
         w = np.zeros(self.grid.n_nodes)
         w[self.iin] = u
-        return (self.diag * u - self.table.apply_D(self.grid.weights * w)[self.iin]
-                + _self_cell_apply(self.edges, w)[self.iin] * (0.5 / self.mu))
+        if self.free is None:
+            du = self.table.apply_D(self.grid.weights * w)[self.iin]
+        else:
+            du = self.free.apply_D(self.mu * u)
+        return self.diag * u - du + _self_cell_apply(self.edges, w)[self.iin] * (0.5 / self.mu)
 
     def value_and_grad_from(self, u: np.ndarray, lu: np.ndarray):
         """E(u) and its gradient from u and lu = L u."""

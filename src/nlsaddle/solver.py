@@ -8,15 +8,23 @@ It works over node values constrained to [0, 1] (the sign-rearranged
 representative is energetically optimal, so the outer-octant values are
 kept nonnegative).  Monotone spectral projected gradient: Barzilai-Borwein
 trial steps with Armijo backtracking along the projection arc, so the
-energy trace is non-increasing by construction.  clip is monotone, so
-every g_i d_i of a projected step d is <= 0, and g . d >= 0 only when d is
-0 wherever g is not: the projected step vanishes, and it does so for every
+energy trace is non-increasing by construction.  The gradient is
+g = 2 mu (L u - f(u)), with the orbit weight mu ~ s^(m-1) t^(m-1), so the
+descent steps along the residual g / (2 mu), the gradient in the metric
+2 mu, which the stopping rule also reads, and takes the Barzilai-Borwein
+ratio s . (2 mu s) / s . y in that metric (Birgin, Martinez & Raydan, SIAM
+J. Optim. 10, 2000).  A step along g itself would be scaled node by node
+by mu, which spans a factor 39 over B_R at m=2, R=4, h=1/2 (96 steps
+against 14 in the metric).  At m=1, mu is one constant and the iterates
+are those of a step along g.  clip is monotone and 2 mu > 0, so every
+g_i d_i of a projected step d is <= 0, and g . d >= 0 only when d is 0
+wherever g is not: the projected step vanishes, and it does so for every
 step length.  The energy is the quadratic form of L plus the potential,
 and L is linear, so the descent carries L u and makes one operator product
 per step, L d for its direction d: every backtracking trial reads
-L(u + lam d) = L u + lam L d (Birgin, Martinez & Raydan, SIAM J. Optim. 10,
-2000).  A solve of n_iters steps makes n_iters + 2 products: the first
-L u, one per step, and a fresh L u for the final residual.
+L(u + lam d) = L u + lam L d.  A solve of n_iters steps makes n_iters + 2
+products: the first L u, one per step, and a fresh L u for the final
+residual.
 """
 
 from __future__ import annotations
@@ -146,14 +154,15 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
     E, g = model.value_and_grad_from(u, lu)
     tol = max(config.grad_tol * _residual(u, g, model), 1e-300)
     trace.energies.append(E)
-    alpha = 1.0 / max(1e-12, float(np.abs(g).max()))
+    metric = 2.0 * model.mu
+    alpha = 1.0 / max(1e-12, float(np.abs(g / metric).max()))
 
     for it in range(config.max_iters):
         pg = _residual(u, g, model)
         trace.pg_norms.append(pg)
         if pg <= tol:
             break
-        d = _project(u - alpha * g) - u
+        d = _project(u - alpha * g / metric) - u
         gd = float(g @ d)
         if gd >= 0.0:  # the projected step vanishes
             break
@@ -183,7 +192,7 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
         trace.steps.append(lam)
         sy = float(s @ y)
         if sy > 0.0:
-            alpha = float(s @ s) / sy
+            alpha = float(s @ (metric * s)) / sy
         else:
             alpha *= 2.0
         alpha = min(max(alpha, _STEP_MIN), _STEP_MAX)

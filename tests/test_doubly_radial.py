@@ -725,19 +725,40 @@ def test_zero_order_scratch_does_not_grow_with_the_grid(kernel, R):
     assert max(peaks) <= 24 * block
 
 
-def _rays_out_of_place(kernel, s, t, R_out, order):
-    """`doubly_radial._zero_order_rays` written with a fresh array per step,
-    all blocks at once: the reference for the in-place form."""
-    two_g = 2.0 * kernel.gamma
-    gl, wgl = np.polynomial.legendre.leggauss(order)
+def _breakpoints(S, T, R_out, cone):
+    """Per node, the directions to the origin and to the four rim points
+    (+-R_out, +-R_out)/sqrt(2), and the cone directions `cone`."""
     rim_z1 = R_out / math.sqrt(2.0) * np.array([1.0, -1.0, 1.0, -1.0])
     rim_z2 = R_out / math.sqrt(2.0) * np.array([1.0, 1.0, -1.0, -1.0])
-    cone = math.pi / 4.0 * np.array([1.0, 3.0, 5.0, 7.0])
-    S, T = s[:, None], t[:, None]
-    brk = np.concatenate([np.arctan2(-T, -S), np.arctan2(rim_z2 - T, rim_z1 - S),
-                          np.broadcast_to(cone, (S.shape[0], 4))], axis=1)
+    return np.concatenate([np.arctan2(-T, -S), np.arctan2(rim_z2 - T, rim_z1 - S),
+                           np.broadcast_to(cone, (S.shape[0], cone.size))], axis=1)
+
+
+def _full_circle_edges(S, T, R_out):
+    """The panel edges of the full circle of directions, split at the
+    breakpoints with all four cone directions: nine panels per node."""
+    brk = _breakpoints(S, T, R_out, math.pi / 4.0 * np.array([1.0, 3.0, 5.0, 7.0]))
     rel = np.sort(np.mod(brk - brk[:, :1], 2.0 * math.pi), axis=1)
-    edges = brk[:, :1] + np.concatenate([rel, np.full_like(S, 2.0 * math.pi)], axis=1)
+    return brk[:, :1] + np.concatenate([rel, np.full_like(S, 2.0 * math.pi)], axis=1)
+
+
+def _live_arc_edges(S, T, R_out):
+    """The panel edges of the live arc alone, from the direction to the rim
+    point (R_out, R_out)/sqrt(2) to that to (R_out, -R_out)/sqrt(2), with the
+    same splits inside it: six panels per node."""
+    brk = _breakpoints(S, T, R_out, math.pi / 4.0 * np.array([3.0, 5.0]))
+    return np.sort(np.mod(brk, 2.0 * math.pi), axis=1)
+
+
+def _rays_out_of_place(kernel, s, t, R_out, order, edges=_full_circle_edges):
+    """`doubly_radial._zero_order_rays` written with a fresh array per step,
+    all blocks at once, over the panels `edges` gives: over the full circle
+    the oracle of the live arc, and over the live arc the reference for the
+    in-place form."""
+    two_g = 2.0 * kernel.gamma
+    gl, wgl = np.polynomial.legendre.leggauss(order)
+    S, T = s[:, None], t[:, None]
+    edges = edges(S, T, R_out)
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     th = (mid[:, :, None] + half[:, :, None] * gl).reshape(S.shape[0], -1)
@@ -754,6 +775,25 @@ def _rays_out_of_place(kernel, s, t, R_out, order):
     return (ray * w).sum(axis=1) * (kernel.c_norm / two_g)
 
 
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("h", [0.5, 0.25])
+def test_live_arc_rays_match_the_full_circle(h, gamma):
+    # the rays that leave V = {z_1 > |z_2|} through its arc add exactly 0, so
+    # the live arc's six panels sum what the full circle's nine do, to
+    # rounding; the grid's nodes come within h of the rim and of t = 0, and
+    # four points come within 1e-9 R_out of the rim or on the axis
+    g = build_grid(R=12.0, h=h, m=1)
+    assert (g.R_out - g.radius).min() < h and g.t.min() < h
+    far = g.R_out * (1.0 - 1e-9)
+    s = np.concatenate([g.s, [far, far * math.cos(0.7), 1e-3, 5.0]])
+    t = np.concatenate([g.t, [0.0, far * math.sin(0.7), 0.0, 0.0]])
+    kernel = fractional_kernel(gamma, 1)
+    for order in (32, 64):
+        got = doubly_radial._zero_order_rays(kernel, s, t, g.R_out, order)
+        want = _rays_out_of_place(kernel, s, t, g.R_out, order)
+        assert np.max(np.abs(got - want) / want) <= 4e-15
+
+
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("h", [0.5, 0.25])
 def test_zero_order_rays_in_place_match_the_out_of_place_form(h, gamma):
@@ -762,7 +802,8 @@ def test_zero_order_rays_in_place_match_the_out_of_place_form(h, gamma):
     kernel = fractional_kernel(gamma, 1)
     for order in (32, 64):  # the table's and the check-operator reference's
         got = doubly_radial._zero_order_rays(kernel, g.s, g.t, g.R_out, order)
-        assert got.tobytes() == _rays_out_of_place(kernel, g.s, g.t, g.R_out, order).tobytes()
+        want = _rays_out_of_place(kernel, g.s, g.t, g.R_out, order, _live_arc_edges)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_zero_order_rays_scratch_is_a_few_blocks():

@@ -708,7 +708,8 @@ def test_m1_layer_scratch_is_bounded_when_a_column_exceeds_a_block(monkeypatch):
     zeros = np.zeros(n)
     table = energy.KernelTable(g, kernel, gauss_jacobi_rule(32, 1), zeros, zeros, zeros, zeros,
                                *energy._one_sided_neighbors(g),
-                               lattice=energy._lattice_convolution(g, kernel))
+                               lattice=energy._lattice_convolution(
+                                   g.ii, g.jj, energy._lattice_kernel(g, kernel)))
 
     def certificate_rows():
         for _ in table.d_rows():

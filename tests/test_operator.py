@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlsaddle import doubly_radial as dr
-from nlsaddle.kernels import fractional_kernel
+from nlsaddle.kernels import fractional_kernel, tabulated_kernel
 from nlsaddle.doubly_radial import zero_order_coefficient
 from nlsaddle.energy import (EnergyModel, OddProfile, allen_cahn, build_grid,
                              build_kernel_table, self_cell_edges, zero_profile)
@@ -205,6 +205,23 @@ def test_solver_gradient_is_assembled_operator(name, request):
     w = model.embed(u).values
     lf = (assemble(table) @ w - allen_cahn().f(w))[model.iin]
     assert np.abs(grad / (2.0 * model.mu) - lf).max() <= 1e-12 * np.abs(lf).max()
+
+
+_R = np.geomspace(1e-3, 1e3, 400)
+
+
+@pytest.mark.parametrize("kernel", [K1, tabulated_kernel(_R, _R ** -3.0, 0.5, 1)],
+                         ids=["fractional", "tabulated"])
+@pytest.mark.parametrize("R_out", [6.5, 9.0, 18.0], ids=["R+h", "1.5R", "3R"])
+def test_model_product_on_the_free_lattice_matches_the_dense_free_block(R_out, kernel):
+    # at m=1 L u takes D (mu u) on the lattice of the nodes in B_R alone,
+    # narrower than the table's lattice however far R_out lies past R
+    table = build_kernel_table(build_grid(6.0, 0.5, 1, R_out), kernel, assume_positive=True)
+    model = EnergyModel(table, allen_cahn())
+    assert model.free.N < table.lattice.N
+    u = np.random.default_rng(7).uniform(0.0, 1.0, model.iin.size)
+    want = assemble(table)[np.ix_(model.iin, model.iin)] @ u
+    np.testing.assert_allclose(model.apply_L(u), want, rtol=1e-12, atol=0.0)
 
 
 def test_zero_matrix_fails_the_certificate(small_table):

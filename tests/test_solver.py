@@ -6,9 +6,9 @@ import pytest
 from nlsaddle.errors import ConvergenceError, DomainError
 from nlsaddle.kernels import (counterexample_kernel, fractional_kernel, standard_c_norm,
                               tabulated_kernel)
-from nlsaddle.energy import (EnergyModel, OddProfile, Potential, allen_cahn, build_grid,
-                             build_kernel_table, total_energy, zero_potential,
-                             zero_profile)
+from nlsaddle.energy import (EnergyModel, LatticeConvolution, OddProfile, Potential,
+                             allen_cahn, build_grid, build_kernel_table, total_energy,
+                             zero_potential, zero_profile)
 from nlsaddle.solver import (SolverConfig, _sup_diff, _transfer, continuation,
                              initial_guess, minimize)
 
@@ -312,7 +312,9 @@ def test_minimize_doubles_the_step_on_negative_curvature(small_table):
 
 def _descent_reference(config, kernel, table):
     """The descent of `minimize` with a full energy and gradient evaluation,
-    value_and_grad, at every trial point: (n_iters, energies)."""
+    value_and_grad, at every trial point: (n_iters, energies).  It steps
+    along the residual g / (2 mu), with the Barzilai-Borwein ratio in the
+    metric 2 mu."""
     model = EnergyModel(table, allen_cahn())
     u = np.clip(model.restrict(initial_guess(table.grid, config.mu0)), 0.0, 1.0)
     E, g = model.value_and_grad(u)
@@ -321,11 +323,11 @@ def _descent_reference(config, kernel, table):
         return np.abs(u - np.clip(u - g / (2.0 * model.mu), 0.0, 1.0)).max()
 
     energies, tol = [E], config.grad_tol * residual(u, g)
-    alpha = 1.0 / np.abs(g).max()
+    alpha = 1.0 / np.abs(g / (2.0 * model.mu)).max()
     for _ in range(config.max_iters):
         if residual(u, g) <= tol:
             break
-        d = np.clip(u - alpha * g, 0.0, 1.0) - u
+        d = np.clip(u - alpha * g / (2.0 * model.mu), 0.0, 1.0) - u
         gd = g @ d
         assert gd < 0.0
         lam = 1.0
@@ -337,23 +339,24 @@ def _descent_reference(config, kernel, table):
         s, y = lam * d, g_new - g
         u, E, g = u + lam * d, E_new, g_new
         energies.append(E)
-        alpha = min(max(s @ s / (s @ y) if s @ y > 0.0 else 2.0 * alpha, 1e-10), 1e10)
+        alpha = min(max(s @ (2.0 * model.mu * s) / (s @ y) if s @ y > 0.0 else 2.0 * alpha,
+                        1e-10), 1e10)
     return len(energies) - 1, energies
 
 
 def test_descent_makes_one_operator_product_per_step(monkeypatch):
-    # m=1, R=12, h=0.5: the first L u, one L d per step, a fresh L u for the
-    # final residual, and with the model's diagonal D mu and the breakdown's
-    # four products (three with D, one with P) the table takes n_iters + 7;
-    # backtracking trials cost none
+    # m=1, R=12, h=0.5: the first L u, one L d per step and a fresh L u for
+    # the final residual on the free nodes' lattice, and the model's diagonal
+    # D mu and the breakdown's four products (three with D, one with P) on the
+    # table's: n_iters + 7 convolutions; backtracking trials cost none
     grid = build_grid(12.0, 0.5, 1)
     table = build_kernel_table(grid, KSTD)
     cfg = SolverConfig(R=12.0, h=0.5, gamma=0.5, m=1)
     n_iters, energies = _descent_reference(cfg, KSTD, table)
     calls = []
-    for name in ("apply_D", "apply_P"):
-        product = getattr(table, name)
-        monkeypatch.setattr(table, name, lambda v, product=product: calls.append(1) or product(v))
+    convolve = LatticeConvolution.convolve
+    monkeypatch.setattr(LatticeConvolution, "convolve",
+                        lambda self, *placed: calls.append(1) or convolve(self, *placed))
     res = minimize(cfg, KSTD, table=table)
     assert res.trace.converged
     assert sum(lam < 1.0 for lam in res.trace.steps) > 0  # the line search backtracked
