@@ -39,8 +39,11 @@ reads), sup_diff_common (null on the first) and flagged.  `check-operator`
 passes when discrete_operator's M-matrix certificate holds (monotone_probe;
 at m=1 it holds no n x n array) and Z, half of L's row sums, matches a
 refined reference to 1e-3 at up to zoc_nodes nodes.  Each flag of _OVERRIDES
-sets one key.  Exit status: 0 success, 2 a property failed (for solve, a
-stage did not converge), 1 error (`config error:` lines, else diagnostic.json).
+sets one key.  Exit status: 0 success (and --help), 2 a property failed (for
+solve, a stage did not converge; kernel-check, a verdict other than
+strictly-convex), 1 error: `config error:` lines on stderr for a bad
+command line (a missing --config, an unknown flag or subcommand), INI file
+or key, else diagnostic.json in the output directory.
 """
 
 from __future__ import annotations
@@ -257,12 +260,12 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
             finite = lambda x: x if math.isfinite(x) else None
             report("convexity", {
                 "verdict": rep.verdict,
-                "witnesses": [[t1, t2, finite(gap)] for t1, t2, gap in rep.witnesses[:16]],
+                "witnesses": [[t1, t2, finite(gap)] for t1, t2, gap in rep.witnesses],
                 "n_pairs": rep.n_pairs, "n_fail": rep.n_fail, "n_tight": rep.n_tight,
                 "min_rel_gap": finite(rep.min_rel_gap),
                 "concavity_interval": rep.concavity_interval,
                 "ellipticity_min": finite(lo), "ellipticity_max": finite(hi)})
-            return 0 if rep.verdict == "strictly-convex" else 2
+            return 0 if rep.verdict == K.VERDICT_STRICT else 2
 
         if subcommand == "verify-inequality":
             rep = dr.verify_kernel_inequality(kern, seed=seed,
@@ -350,9 +353,13 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="INI run configuration")
     for flag, (section, key) in _OVERRIDES.items():
         parser.add_argument(flag, dest=key, help=f"override {section}.{key}")
-    args = vars(parser.parse_args(argv))
 
+    def usage_error(message):  # exit 1 like any bad input, not argparse's 2
+        raise ConfigError([message])
+
+    parser.error = usage_error
     try:
+        args = vars(parser.parse_args(argv))
         cfg = _read_config(args["config"])
         for section, key in _OVERRIDES.values():
             if args[key] is not None:

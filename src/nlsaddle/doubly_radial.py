@@ -434,8 +434,8 @@ def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float) -> np.nd
     s = np.asarray(s, float)
     t = np.asarray(t, float)
     a = np.hypot(s, t)
-    if np.any(a >= R_out):
-        raise DomainError("tail coefficient requires |x| < R_out")
+    if not (np.all((s >= 0.0) & (t >= 0.0)) and np.all(a < R_out)):
+        raise DomainError("tail coefficient requires s, t >= 0 and |x| < R_out")
     tail = _tail_rays if kernel.m == 1 else _tail_sphere_slices
     out = tail(kernel, a.reshape(-1), R_out).reshape(a.shape)
     return out if a.ndim else float(out)
@@ -542,7 +542,7 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
     if not np.all((s > t) & (t >= 0.0)):
         raise DomainError("the zero-order integral requires orbits strictly outside the cone")
-    if np.any(np.hypot(s, t) >= R_out):
+    if not np.all(np.hypot(s, t) < R_out):
         raise PreconditionError("need |p| < R_out")
     m = kernel.m
     if kernel.family == "fractional" and m == 1:

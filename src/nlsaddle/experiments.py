@@ -44,7 +44,7 @@ def check_competitor_s(S: float, R: float) -> None:
 def radial_ramp(radius, S: float):
     """Two-level radial profile: -1 inside B_(S+1), linear on [S+1, S+2],
     +1 outside."""
-    if S < 2.0:
+    if not S >= 2.0:
         raise DomainError("the ramp is defined for S >= 2")
     r = np.asarray(radius, dtype=float)
     out = np.clip(-1.0 + 2.0 * (r - S - 1.0), -1.0, 1.0)
@@ -53,7 +53,7 @@ def radial_ramp(radius, S: float):
 
 def cone_ramp(s, t, S: float, mu: float):
     """The cone-adapted ramp: radial_ramp scaled by min(1, mu dist(x, cone))."""
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise DomainError("mu must be positive")
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -87,36 +87,27 @@ def measured_lipschitz(profile: OddProfile, radius: float) -> float:
 
 @dataclass
 class CompetitorReport:
+    """build_competitor's checks H1-H5 and their figures, named by the report's JSON keys."""
+
     S: float
     mu: float
-    h1_bounds: bool
-    h2_vanishes_on_cone: bool
-    h3_matches_on_shell: bool
-    h4_pure_phase_core: bool
-    h5_lipschitz: bool
-    h5_constant: float
-    h5_allowed: float
+    H1_bounds: bool
+    H2_vanishes_on_cone: bool
+    H3_matches_on_shell: bool
+    H4_pure_phase_core: bool
+    H5_lipschitz: bool
+    H5_constant: float
+    H5_allowed: float
     lipschitz_measured: float
     max_abs_near_cone: float
     shell_mismatch: float
 
     def all_pass(self) -> bool:
-        return (self.h1_bounds and self.h2_vanishes_on_cone and self.h3_matches_on_shell
-                and self.h4_pure_phase_core and self.h5_lipschitz)
+        return (self.H1_bounds and self.H2_vanishes_on_cone and self.H3_matches_on_shell
+                and self.H4_pure_phase_core and self.H5_lipschitz)
 
     def as_dict(self) -> dict:
-        return {"S": self.S, "mu": self.mu,
-                "H1_bounds": self.h1_bounds,
-                "H2_vanishes_on_cone": self.h2_vanishes_on_cone,
-                "H3_matches_on_shell": self.h3_matches_on_shell,
-                "H4_pure_phase_core": self.h4_pure_phase_core,
-                "H5_lipschitz": self.h5_lipschitz,
-                "H5_constant": self.h5_constant,
-                "H5_allowed": self.h5_allowed,
-                "lipschitz_measured": self.lipschitz_measured,
-                "max_abs_near_cone": self.max_abs_near_cone,
-                "shell_mismatch": self.shell_mismatch,
-                "all_pass": self.all_pass()}
+        return {**asdict(self), "all_pass": self.all_pass()}
 
 
 def build_competitor(u: OddProfile, S: float, mu: float | None = None
@@ -133,7 +124,7 @@ def build_competitor(u: OddProfile, S: float, mu: float | None = None
     lip_u = measured_lipschitz(u, S + 3.0)
     if mu is None:
         mu = lip_u
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise PreconditionError("mu must be positive")
     h = grid.h
     d = grid.cone_dist
@@ -176,10 +167,10 @@ def build_competitor(u: OddProfile, S: float, mu: float | None = None
         c_meas = float(np.max(dv[ok] * d[xs][ok] / sep[ok])) if ok.any() else 0.0
     h5 = bool(c_meas <= h5_allowed)
 
-    report = CompetitorReport(S=S, mu=float(mu), h1_bounds=h1,
-                              h2_vanishes_on_cone=h2, h3_matches_on_shell=h3,
-                              h4_pure_phase_core=h4, h5_lipschitz=h5,
-                              h5_constant=c_meas, h5_allowed=h5_allowed,
+    report = CompetitorReport(S=S, mu=float(mu), H1_bounds=h1,
+                              H2_vanishes_on_cone=h2, H3_matches_on_shell=h3,
+                              H4_pure_phase_core=h4, H5_lipschitz=h5,
+                              H5_constant=c_meas, H5_allowed=h5_allowed,
                               lipschitz_measured=lip_u,
                               max_abs_near_cone=max_near, shell_mismatch=mismatch)
     return w, report

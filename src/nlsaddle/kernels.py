@@ -28,9 +28,9 @@ VERDICT_NONSTRICT = "convex-nonstrict"
 VERDICT_FAILS = "fails"
 
 # relative midpoint-gap tolerance of the convexity check, and the most
-# witnesses it reports
+# witnesses it reports (all of which kernel-check writes)
 _CONVEXITY_TOL = 1e-10
-_MAX_WITNESSES = 32
+_MAX_WITNESSES = 16
 
 
 @dataclass(frozen=True)
@@ -173,12 +173,6 @@ def ellipticity_margins(kernel: RadialKernel, r_samples) -> tuple[float, float]:
     return float(ratio.min()), float(ratio.max())
 
 
-def default_tau_grid(n: int = 512, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
-    """Geometric grid; n even so that tau = 1 is never a grid point (kernels of
-    interest have their breakpoint there)."""
-    return np.geomspace(lo, hi, n)
-
-
 @dataclass
 class ConvexityReport:
     """Outcome of the sampled midpoint-convexity check.
@@ -228,9 +222,9 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None) -> ConvexityReport
     kernel's `window`, so a tabulated kernel is sampled only over its table).
     With tol = _CONVEXITY_TOL, gaps above tol*|h(mid)| count as strict; gaps
     inside [-tol, tol]*|h(mid)| as tight (verdict "convex-nonstrict" at
-    best); any gap below -tol*|h(mid)| is a failure witness, and at most
-    _MAX_WITNESSES witnesses are reported.  Near-tight pairs trigger one
-    refinement pass of 64 extra points around the offending bracket.
+    best); any gap below -tol*|h(mid)| fails.  At most _MAX_WITNESSES = 16
+    witnesses, the smallest gaps first, are reported.  Near-tight pairs
+    trigger one refinement pass of 64 extra points around the offending bracket.
 
     Independently, consecutive-triple second divided differences are scanned
     for an interval of concavity: a run of >= 3 consecutive negative triples
@@ -238,7 +232,8 @@ def check_sqrt_convexity(kernel: RadialKernel, tau_grid=None) -> ConvexityReport
     triples, so the piecewise counterexample never certifies an interval).
     """
     if tau_grid is None:
-        tau_grid = default_tau_grid(512, *kernel.window(1e-3, 1e3, squared=True))
+        # an even count keeps the counterexample's breakpoint tau = 1 off the grid
+        tau_grid = np.geomspace(*kernel.window(1e-3, 1e3, squared=True), 512)
     tau = np.asarray(tau_grid, dtype=float)
     if tau.size < 3:
         raise DomainError("tau_grid needs at least 3 points")

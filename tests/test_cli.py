@@ -316,6 +316,26 @@ def test_unknown_subcommand_gives_a_diagnostic(tmp_path):
     assert diag["error"] == "ConfigError" and "unknown subcommand 'plot'" in diag["message"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["solve"], "the following arguments are required: --config"),
+    (["solve", "--config", "x.ini", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["bogus", "--config", "x.ini"], "argument subcommand: invalid choice"),
+], ids=["no-config", "unknown-flag", "unknown-subcommand"])
+def test_command_line_usage_error_is_a_config_error(tmp_path, capsys, monkeypatch, argv, error):
+    # argparse exited 2, the status of a failed property
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"config error: {error}"), errors
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["--help"])
+    assert stop.value.code == 0 and "--config" in capsys.readouterr().out
+
+
 def test_line_plot_of_a_constant_series(tmp_path):
     # equal values span no decade: the y axis gets one, and the line lies inside the frame
     svgplot.line_plot(tmp_path / "flat.svg", [1.0, 2.0, 4.0], {"E": [3.0, 3.0, 3.0]})

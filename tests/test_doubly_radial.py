@@ -554,6 +554,23 @@ def test_zero_order_integral_domain_errors():
         zero_order_integral(K1, np.array([3.0, 40.0]), np.array([1.0, 30.0]), 50.0)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: exterior_tail_coefficient(K1, math.nan, 1.0, 50.0), DomainError),
+    (lambda: exterior_tail_coefficient(K1, -1.0, 0.5, 50.0), DomainError),
+    (lambda: exterior_tail_coefficient(K2, 3.0, -1.0, 50.0), DomainError),
+    (lambda: exterior_tail_coefficient(K1, 3.0, 1.0, math.nan), DomainError),
+    (lambda: zero_order_integral(K1, 3.0, 1.0, math.nan), PreconditionError),
+    (lambda: zero_order_integral(K2, 3.0, 1.0, math.nan), PreconditionError),
+    (lambda: zero_order_coefficient(K1, (3.0, 1.0), math.nan), PreconditionError),
+], ids=["tail-nan-s", "tail-negative-s", "tail-negative-t", "tail-nan-r-out",
+        "integral-nan-r-out-m1", "integral-nan-r-out-m2", "coefficient-nan-r-out"])
+def test_nan_or_negative_inputs_are_refused(call, error):
+    # each returned a number (NaN, or a value at s < 0) while the guards read
+    # `|x| >= R_out` and `|p| >= R_out`, which a NaN does not meet
+    with pytest.raises(error):
+        call()
+
+
 def _wedge_dblquad(gamma, s, t, R_out):
     """Independent oracle: int |x - z|^(-2-2 gamma) dz over the double wedge
     {|z_1| < |z_2|, |z| < R_out} of R^2, x = (s, t), by adaptive Cartesian

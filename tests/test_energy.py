@@ -99,6 +99,15 @@ def test_locate_agrees_with_node_index(name, request):
 
 # --- profiles ------------------------------------------------------------------
 
+@pytest.mark.parametrize("S", [math.nan, -math.inf, -1.0])
+def test_total_energy_needs_s_in_0_r_out(small_table, S):
+    # each gave an all-zero breakdown while the guard read `S > R_out`
+    u = OddProfile(small_table.grid, np.ones(small_table.grid.n_nodes))
+    assert total_energy(u, 0.0, small_table).kinetic_in_in == 0.0  # S = 0 stays allowed
+    with pytest.raises(DomainError, match="evaluation radius"):
+        total_energy(u, S, small_table)
+
+
 def test_profile_zeroed_outside_support(small_grid):
     vals = np.ones(small_grid.n_nodes)
     p = OddProfile(small_grid, vals)

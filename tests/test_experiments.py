@@ -146,7 +146,7 @@ def test_competitor_h3_fails_for_small_mu(saddle_run):
     g = u.grid
     S, mu = 3.5, 0.2
     w, rep = build_competitor(u, S=S, mu=mu)
-    assert not rep.h3_matches_on_shell
+    assert not rep.H3_matches_on_shell
     inner_shell = (np.abs(g.radius - (S + 2.0)) <= 0.5 * g.h) & (g.radius <= S + 2.0)
     excess = np.maximum(u.values - np.minimum(1.0, mu * g.cone_dist), 0.0)[inner_shell]
     assert rep.shell_mismatch == pytest.approx(excess.max(), rel=1e-12)
@@ -174,6 +174,17 @@ def test_competitor_radius_precondition(saddle_run):
 ], ids=["ramp-mu", "competitor-mu"])
 def test_experiment_input_checks(call, error, medium_grid):
     with pytest.raises(error, match="mu must be positive"):
+        call(zero_profile(medium_grid))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda u: radial_ramp(3.0, math.nan), DomainError),
+    (lambda u: cone_ramp(3.0, 1.0, 2.0, math.nan), DomainError),
+    (lambda u: build_competitor(u, S=2.0, mu=math.nan), PreconditionError),
+], ids=["ramp-s", "ramp-mu", "competitor-mu"])
+def test_nan_inputs_are_refused(call, error, medium_grid):
+    # each ran on with NaN while its guard read `S < 2` or `mu <= 0`
+    with pytest.raises(error):
         call(zero_profile(medium_grid))
 
 

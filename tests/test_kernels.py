@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from nlsaddle.cli import RunConfig
 from nlsaddle.errors import DomainError, PreconditionError
 from nlsaddle.kernels import (RadialKernel, _midpoint_gaps, check_sqrt_convexity,
-                              counterexample_kernel, default_tau_grid, ellipticity_margins,
+                              counterexample_kernel, ellipticity_margins,
                               eval_kernel, fractional_kernel, sqrt_profile, standard_c_norm,
                               tabulated_kernel)
 
@@ -20,7 +20,7 @@ from nlsaddle.kernels import (RadialKernel, _midpoint_gaps, check_sqrt_convexity
 def test_midpoint_gaps_evaluate_h_once_per_point():
     # h at the n grid points and once at each of the n(n-1)/2 midpoints, and
     # the gaps of the definition over the upper triangle, bit for bit
-    tau = default_tau_grid(40, 1e-2, 1e2)
+    tau = np.geomspace(1e-2, 1e2, 40)
     sizes = []
 
     def h(x):
