@@ -307,10 +307,11 @@ def run(subcommand: str, cfg: RunConfig, out_dir, seed: int | None = None) -> in
         if subcommand == "check-operator":
             n_ref = min(grid.n_nodes, cfg.value("experiment", "zoc_nodes"))
             ref_idx = np.sort(default_rng(seed).choice(grid.n_nodes, size=n_ref, replace=False))
-            # the table's zero-order integrator with doubled angular nodes (m=1
-            # power kernel: 64 per ray panel; n_rho, rule unused) and, on the
-            # polar J form, doubled radial nodes and m >= 2 J order, plus the
-            # table's own tail: the reference for Z, whose double is L's row sum
+            # the table's zero-order integrator with doubled nodes per angular
+            # panel, 64 (m=1 power kernel: on each ray panel, n_rho and rule
+            # unused; otherwise on each of the polar J form's two graded
+            # panels, with doubled n_rho and m >= 2 J order), plus the table's
+            # own tail: the reference for Z, whose double is L's row sum
             zoc = dr.zero_order_integral(kern, grid.s[ref_idx], grid.t[ref_idx], grid.R_out,
                                          rule=dr.gauss_jacobi_rule(64, kern.m),
                                          n_phi=320, n_rho=48) + table.ztail[ref_idx]

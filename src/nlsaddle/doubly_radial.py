@@ -10,8 +10,9 @@ odd-sector kernel difference kbar(x,y) - kbar(x,y*) of the rotation average
 kbar = J / |S^(m-1)|^2, its closed hypergeometric form
 for the pure power kernel (m >= 2), the zero-order coefficient of the
 odd-sector operator (for the power kernel at m=1 a planar integral along
-exact rays, which needs no J; otherwise a polar integral of J), and a
-randomized verifier for the kernel inequality.  An m=1 table build makes
+exact rays, which needs no J; otherwise a polar integral of J over the
+directions that see the octant, in two graded panels), and a randomized
+verifier for the kernel inequality.  An m=1 table build makes
 no J call for its pairs and self-cell (nor, for the power kernel, its
 zero-order column): J is the 4-term sum over the sign reflections, each
 lattice distance is h sqrt(a^2 + b^2), and both sum K per offset (a, b).
@@ -37,8 +38,6 @@ from .kernels import RadialKernel, _h
 
 # Gauss-Jacobi nodes of J's rule where the caller passes none
 _RULE_ORDER = 32
-# Gauss-Legendre nodes per phi panel of the polar zero-order integral
-_ZERO_ORDER_PHI_ORDER = 4
 # values per scratch array of every blocked loop (512 KiB of float64), here
 # and in energy: small enough that the C allocator reuses heap pages from
 # block to block instead of mapping, zeroing and returning fresh ones
@@ -69,6 +68,8 @@ def _coords(p) -> tuple[float, float]:
 
 def omega_sphere(m: int) -> float:
     """Surface measure of the unit sphere S^(m-1); counting measure 2 for m=1."""
+    if not m >= 1:
+        raise DomainError("the sphere S^(m-1) needs m >= 1")
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
@@ -284,7 +285,7 @@ def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
     read only over its table) it draws radii from [r_first, r_last / 2]
     within r_range and re-draws pairs whose nearer image is below r_first.
     """
-    if n_samples < 1:
+    if not n_samples >= 1:
         raise DomainError("n_samples must be >= 1")
     r_near, r_far = kernel.radii
     r_range = (max(r_range[0], r_near), min(r_range[1], 0.5 * r_far))
@@ -363,9 +364,9 @@ def appell_f2(a: float, b1: float, b2: float, c1: float, c2: float,
     smaller argument in y for the fastest decay.
     """
     from scipy.special import hyp2f1
-    if x < 0.0 or y < 0.0:
+    if not (x >= 0.0 and y >= 0.0):
         raise DomainError("series arguments must be nonnegative")
-    if x + y >= 1.0:
+    if not x + y < 1.0:
         raise DomainError("series requires x + y < 1")
     if y > x:
         x, y, b1, b2, c1, c2 = y, x, b2, b1, c2, c1
@@ -520,73 +521,72 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     and n_rho.  At m >= 2 a ray form would integrate over the true sphere
     measure, which the Gauss-Jacobi weight of `j_values` does not carry yet,
     so the column stays on the polar J form below.  So do the counterexample
-    and tabulated kernels, whose radial integral is not closed: along the
-    rays a Gauss rule in log rho misses the counterexample's kink at r = 1
-    (4e-3 off near the cone, where the polar form is 6e-4 off).
+    and tabulated kernels, whose radial integral is not closed.  Along rays
+    and in the polar form alike, a Gauss rule in log rho misses the
+    counterexample's kink at r = 1: next to the cone at R_out = 6 the polar
+    column is 2e-3 to 4e-3 off a Cartesian quadrature.
 
     The polar form integrates J(s,t,b,a) a^(m-1) b^(m-1) over the truncated
-    outer octant {0 <= b < a, a^2 + b^2 <= R_out^2} in polar coordinates
-    (rho, phi) centered at the reflected orbit (t, s), the only singularity
-    of the integrand, which lies outside the region at distance sqrt(2)
-    times the cone distance of x.  phi runs over the half-plane arc that can
-    see the region in n_phi Gauss-Legendre panels of _ZERO_ORDER_PHI_ORDER
-    nodes; along each ray the region is entered at the cone and left at
-    b = 0 or at the rim, and log(rho) is integrated with n_rho
-    Gauss-Legendre nodes.  For the fractional kernel at m=2 `j_values` is
-    exact at every (phi, rho) point and reads only the rule's prefactor, so
-    the column's error is that of the phi and rho rules alone; the other
-    kernels and m add the error of J's rule.
-    Nodes go in blocks of _BLOCK_VALUES (node, phi, rho) points, and only
-    the (node, phi) rays that cross the region are evaluated.
+    outer octant O_R = {0 <= b <= a, a^2 + b^2 <= R_out^2} in polar
+    coordinates (rho, phi) around the reflected orbit c = (t, s), the only
+    singularity of the integrand, at the distance delta = (s - t) / sqrt(2)
+    across the cone.  O_R is convex and c lies inside the disk, so a ray
+    from c meets O_R only through the cone segment from O to
+    P_2 = (R_out, R_out) / sqrt(2): the live directions run from the
+    direction to O to that to P_2.  A ray enters at rho = delta / cos psi, psi = phi + pi/4,
+    and leaves through b = 0 up to the direction to P_1 = (R_out, 0), the
+    kink that splits the two panels, and through the rim after it.  Each
+    panel takes n_phi // 5 Gauss-Legendre nodes in u = asinh(tan psi)
+    (phi = -pi/4 + atan(sinh u), dphi = sech u du), graded toward the foot
+    of the normal from c, where the ray integrals of nodes next to the cone
+    peak (Johnston & Elliott, IJNME 62, 2005); log(rho) takes n_rho nodes.
+    For the fractional kernel at m=2 `j_values` is exact and reads only the
+    rule's prefactor, so the column's error is that of the phi and rho rules
+    alone (5e-15 against four times the nodes at R=4, h=1/2, gamma = 1/2;
+    5e-12 at R=8, h=1/4); other kernels and m add the error of J's rule.
+    Nodes go in blocks of _BLOCK_VALUES (node, phi, rho) points.
     """
     s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
     if not np.all((s > t) & (t >= 0.0)):
         raise DomainError("the zero-order integral requires orbits strictly outside the cone")
     if not np.all(np.hypot(s, t) < R_out):
         raise PreconditionError("need |p| < R_out")
-    m = kernel.m
+    m, order = kernel.m, max(1, n_phi // 5)
     if kernel.family == "fractional" and m == 1:
         return _zero_order_rays(kernel, s.reshape(-1), t.reshape(-1), R_out,
-                                max(1, n_phi // 5)).reshape(s.shape)
+                                order).reshape(s.shape)
     rule = _default_rule(m, rule)
-
-    edges = np.linspace(-3.0 * math.pi / 4.0, math.pi / 4.0, n_phi + 1)
-    gl, wgl = _leggauss(_ZERO_ORDER_PHI_ORDER)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    phi = (mid[:, None] + half[:, None] * gl[None, :]).reshape(-1)
-    wphi = (half[:, None] * wgl[None, :]).reshape(-1)
-    cosp, sinp = np.cos(phi), np.sin(phi)
-    cosd = np.cos(phi + math.pi / 4.0)
+    gl, wgl = _leggauss(order)
     xgl, xw = _leggauss(n_rho)
-
     flat_s, flat_t = s.reshape(-1), t.reshape(-1)
-    out = np.zeros(flat_s.size)
-    for lo, hi in _blocks(flat_s.size, phi.size * n_rho):
+    out = np.empty(flat_s.size)
+    for lo, hi in _blocks(flat_s.size, 2 * gl.size * n_rho):
         S, T = flat_s[lo:hi, None], flat_t[lo:hi, None]
-        delta = (S - T) / math.sqrt(2.0)
-        # enter through the cone, exit through b = 0 or the disk
-        # a^2 + b^2 = R_out^2 (center offset p* = (t, s))
-        rho_in = np.where(cosd > 0.0, delta / np.maximum(cosd, 1e-300), np.inf)
-        rho_b = np.where(sinp < 0.0, S / np.maximum(-sinp, 1e-300), np.inf)
+        # u = asinh(tan psi) at the directions to O, P_1 and P_2
+        ends = np.concatenate([np.arcsinh(-(S + T) / (S - T)),
+                               np.arcsinh((R_out - T - S) / (R_out - T + S)),
+                               np.arcsinh((math.sqrt(2.0) * R_out - T - S) / (S - T))], axis=1)
+        mid = 0.5 * (ends[:, 1:] + ends[:, :-1])[:, :, None]
+        half = 0.5 * (ends[:, 1:] - ends[:, :-1])[:, :, None]
+        u = (mid + half * gl).reshape(S.shape[0], -1)
+        ch, sh = np.cosh(u), np.sinh(u)
+        wphi = (half * wgl).reshape(u.shape) / ch
+        cosp, sinp = (1.0 + sh) / (math.sqrt(2.0) * ch), (sh - 1.0) / (math.sqrt(2.0) * ch)
+        rho_in = (S - T) / math.sqrt(2.0) * ch
         pe = T * cosp + S * sinp
-        rho_disk = -pe + np.sqrt(pe ** 2 + R_out ** 2 - np.hypot(S, T) ** 2)
-        rho_out = np.minimum(rho_b, rho_disk)
-        live = rho_in < rho_out * (1.0 - 1e-14)
-        node, k = np.nonzero(live)
-        xi_lo = np.log(rho_in[live])[:, None]
-        xi_hi = np.log(rho_out[live])[:, None]
-        xi = 0.5 * (xi_hi + xi_lo) + 0.5 * (xi_hi - xi_lo) * xgl[None, :]
-        wxi = 0.5 * (xi_hi - xi_lo) * xw[None, :]
-        rho = np.exp(xi)
-        aa = T[node] + rho * cosp[k][:, None]
-        bb = S[node] + rho * sinp[k][:, None]
-        vals = j_values(kernel, S[node], T[node], bb, aa, rule)
+        rho_out = np.sqrt(pe ** 2 + (R_out ** 2 - S ** 2 - T ** 2)) - pe
+        rho_out[:, :gl.size] = S / -sinp[:, :gl.size]
+        span = 0.5 * np.log(rho_out / rho_in)  # half of each ray's log(rho) interval
+        rho = rho_in[:, :, None] * np.exp(span[:, :, None] * (1.0 + xgl))
+        aa = T[:, :, None] + rho * cosp[:, :, None]
+        bb = S[:, :, None] + rho * sinp[:, :, None]
+        # rho becomes each point's weight: the measure rho drho dphi, with
+        # drho = rho dxi, times a^(m-1) b^(m-1)
+        rho *= rho * xw
         if m > 1:
-            vals = vals * aa ** (m - 1) * bb ** (m - 1)
-        # measure rho drho dphi, with drho = rho dxi
-        ray = (vals * rho ** 2 * wxi).sum(axis=1) * wphi[k]
-        out[lo:hi] = np.bincount(node, weights=ray, minlength=hi - lo)
+            rho *= (aa * bb) ** (m - 1)
+        ray = (j_values(kernel, S[:, :, None], T[:, :, None], bb, aa, rule) * rho).sum(axis=2)
+        out[lo:hi] = (ray * span * wphi).sum(axis=1)
     return out.reshape(s.shape)
 
 
@@ -670,8 +670,9 @@ def zero_order_coefficient(kernel: RadialKernel, p, R_out: float,
     p = (s, t), floats or arrays (a float for scalar input).
 
     `zero_order_integral` over the octant truncated at R_out (exact rays
-    for the fractional kernel at m=1, where n_rho is unused; the polar J
-    form otherwise), plus half the analytic exterior tail.  Comparable to
+    for the fractional kernel at m=1, where n_rho is unused; otherwise the
+    polar J form on two graded angular panels of n_phi // 5 nodes and n_rho
+    nodes in log rho), plus half the analytic exterior tail.  Comparable to
     |s - t|^(-2 gamma) from both sides.
     """
     s, t = p

@@ -15,10 +15,11 @@ in (s, t), with two corrections.  Z_i replaces the midpoint mass (P mu)_i
 of the pairs reflected across the cone: the integral that defines
 `zero_order_coefficient` (`doubly_radial.zero_order_integral`: exact rays
 from x_i for the power kernel at m=1, a polar integral of J around the
-reflected corner otherwise) inside R_out, plus the analytic power-law tail
-beyond it.  (1/2) w^T C w, C from `self_cell_edges`, reinstates the
-self-cell part of the quadratic term (the only sub-h pairs on the lattice),
-~ |grad w|^2 h^(2-2 gamma) per node with constants integrated exactly.
+reflected corner on two graded angular panels otherwise) inside R_out,
+plus the analytic power-law tail beyond it.  (1/2) w^T C w, C from
+`self_cell_edges`, reinstates the self-cell part of the quadratic term (the
+only sub-h pairs on the lattice), ~ |grad w|^2 h^(2-2 gamma) per node with
+constants integrated exactly.
 With x = mu 1_{B_S}, y = mu - x, w^2 = w o w and C_S the C owned by the
 nodes in B_S, the one quadratic form is
 
@@ -306,6 +307,7 @@ class KernelTable:
              `zero_order_coefficient`: for the power kernel at m=1 the
              planar integral of K along exact rays from x_i, otherwise J
              in polar coordinates around the reflected corner (t_i, s_i)
+             on the two graded panels of directions that see the octant
     ztail[i] analytic zero-order tail, (1/2) int_{|y|>R_out} K_env(|x_i-y|) dy
     cs, ct   self-cell correction coefficients: the omitted quadratic-term
              mass is cs_i (dw_s)^2 + ct_i (dw_t)^2 with one-sided dw; at

@@ -72,6 +72,8 @@ def measured_lipschitz(profile: OddProfile, radius: float) -> float:
     node (j = i - 1), and its quotient |u|/h is below the cone quotient
     |u|/dist = sqrt(2) |u|/h of that node, so it is not taken separately.
     """
+    if not radius > 0.0:
+        raise DomainError("the Lipschitz radius must be positive")
     grid = profile.grid
     h = grid.h
     vals = profile.values

@@ -610,6 +610,50 @@ def test_m1_zero_order_column_is_converged_in_the_angle(gamma):
     assert np.max(np.abs(z - ref) / ref) <= 1e-7
 
 
+def _octant_dblquad(gamma, s, t, R_out):
+    """Independent oracle: int J(s,t,b,a) a b over the truncated outer octant
+    {0 <= b <= a, a^2 + b^2 <= R_out^2} for the m=2 kernel r^(-4-2 gamma),
+    by adaptive Cartesian quadrature, b outer and a inner.  J is written as
+    the mixed second difference of x^(2-k), k = 2 + gamma, over the steps
+    2u = 4 s b and 2v = 4 t a at d = |(s - b, t - a)|^2, divided by
+    (k-1)(k-2) u v and times |S^0|^2 = 4: the textbook form, which cancels
+    where u or v is small, next to b = 0 or for small t, where a b is small.
+    """
+    k = 2.0 + gamma
+
+    def f(a, b):
+        d = (s - b) ** 2 + (t - a) ** 2
+        u, v = 2.0 * s * b, 2.0 * t * a
+        diff = ((d + 2.0 * u + 2.0 * v) ** (2.0 - k) - (d + 2.0 * u) ** (2.0 - k)
+                - (d + 2.0 * v) ** (2.0 - k) + d ** (2.0 - k))
+        return diff / (u * v) * a * b
+
+    total = integrate.dblquad(f, 0.0, R_out / math.sqrt(2.0), lambda b: b,
+                              lambda b: math.sqrt(R_out ** 2 - b ** 2),
+                              epsabs=0.0, epsrel=1e-11)[0]
+    return 4.0 * total / ((k - 1.0) * (k - 2.0))
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+def test_m2_zero_order_column_matches_cartesian_quadrature(gamma):
+    # near the origin, an interior node, near the cone, in the band, near the
+    # cone at the rim
+    nodes = np.array([(0.375, 0.125), (3.0, 1.0), (5.125, 4.875), (16.875, 1.875),
+                      (12.625, 12.375)])
+    z = zero_order_integral(fractional_kernel(gamma, 2), nodes[:, 0], nodes[:, 1], 18.0)
+    ref = [_octant_dblquad(gamma, s, t, 18.0) for s, t in nodes]
+    assert np.allclose(z, ref, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+def test_m2_zero_order_column_is_converged(gamma):
+    g = build_grid(R=8.0, h=0.25, m=2)
+    kernel = fractional_kernel(gamma, 2)
+    z = zero_order_integral(kernel, g.s, g.t, g.R_out)
+    ref = zero_order_integral(kernel, g.s, g.t, g.R_out, n_phi=320, n_rho=48)
+    assert np.max(np.abs(z - ref) / ref) <= 1e-9
+
+
 def test_m1_power_zero_order_column_makes_no_j_call(small_grid, monkeypatch):
     def no_j(*args, **kwargs):
         raise AssertionError("j_values was called")

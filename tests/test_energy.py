@@ -612,10 +612,13 @@ PINNED_BREAKDOWNS = {
     # m2: J in closed form over both angles; the order-32 outer rule of the
     # closed inner angle it replaced gave 77.50373 for kinetic_in_in at
     # S = R, refining to 77.5154, 77.5169, 77.51705, 77.51708 at orders 64,
-    # 128, 256, 512
-    "m2": [(0.07710826804869284, 2.630317771456226, 0.8949380899465832),
-           (4.337489769658354, 43.188569857780664, 3.6483720687239654),
-           (77.51707891439027, 496.74296192897117, 38.53561548832912)],
+    # 128, 256, 512.  kinetic_in_out from the two graded panels of the polar
+    # zero-order column; the 160 fixed phi panels it replaced give 2.6303178,
+    # 2.6303186, 2.6303181, 2.63031819 at S = R/3 for n_phi/n_rho = 160/24,
+    # 320/48, 640/96, 1280/192
+    "m2": [(0.07710826804869284, 2.6303181789922414, 0.8949380899465832),
+           (4.337489769658354, 43.18854030036146, 3.6483720687239654),
+           (77.51707891439027, 496.742637454448, 38.53561548832912)],
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from nlsaddle.errors import DomainError, PreconditionError
 from nlsaddle.kernels import fractional_kernel, standard_c_norm
-from nlsaddle.doubly_radial import omega_sphere
+from nlsaddle.doubly_radial import appell_f2, omega_sphere, verify_kernel_inequality
 from nlsaddle.energy import (Grid, OddProfile, allen_cahn, build_grid, total_energy,
                              zero_profile)
 from nlsaddle.solver import SolverConfig, minimize
@@ -181,9 +181,20 @@ def test_experiment_input_checks(call, error, medium_grid):
     (lambda u: radial_ramp(3.0, math.nan), DomainError),
     (lambda u: cone_ramp(3.0, 1.0, 2.0, math.nan), DomainError),
     (lambda u: build_competitor(u, S=2.0, mu=math.nan), PreconditionError),
-], ids=["ramp-s", "ramp-mu", "competitor-mu"])
+    (lambda u: omega_sphere(math.nan), DomainError),
+    (lambda u: verify_kernel_inequality(fractional_kernel(0.5, 2), seed=0, n_samples=math.nan),
+     DomainError),
+    (lambda u: appell_f2(2.5, 1.0, 1.0, 2.0, 2.0, math.nan, 0.1), DomainError),
+    (lambda u: appell_f2(2.5, 1.0, 1.0, 2.0, 2.0, 0.1, math.nan), DomainError),
+    (lambda u: measured_lipschitz(u, math.nan), DomainError),
+], ids=["ramp-s", "ramp-mu", "competitor-mu", "omega-sphere", "inequality-samples",
+        "f2-x", "f2-y", "lipschitz-radius"])
 def test_nan_inputs_are_refused(call, error, medium_grid):
-    # each ran on with NaN while its guard read `S < 2` or `mu <= 0`
+    # each ran on with NaN while its guard read the failing condition
+    # (`S < 2`, `mu <= 0`, `n_samples < 1`, `x < 0.0`) or there was none:
+    # omega_sphere returned nan, verify_kernel_inequality raised numpy's
+    # TypeError, appell_f2 a ConvergenceError after 4000 terms, and
+    # measured_lipschitz its 0.1 floor
     with pytest.raises(error):
         call(zero_profile(medium_grid))
 
