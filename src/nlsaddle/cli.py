@@ -22,8 +22,7 @@ INI sections and keys, with the one place that writes their defaults; each
 section is checked by building what it configures, and an unknown section
 or key is an error:
 
-    [kernel]      family, gamma, m, lambda (0.1 for the piecewise counterexample),
-                  Lambda, c_norm (a number or `standard`), table: _KEYS
+    [kernel]      family, gamma, m, c_norm (a number or `standard`), table: _KEYS
     [grid]        R, h (required), R_out (1.5 R): energy.build_grid
     [solver]      max_iters, grad_tol, mu0, R_schedule (strictly increasing,
                   ending at R), assume_positive: solver.SolverConfig; seed: _KEYS
@@ -97,9 +96,7 @@ def _default_s_list(R: float) -> tuple:
 # the [solver] keys but seed go to SolverConfig only when set: it holds their defaults
 _KEYS = {
     "kernel": {"family": (str, "fractional"), "gamma": (float, 0.5), "m": (_at_least(), 1),
-               "lambda": (float, lambda c: 0.1 if c.value("kernel", "family")
-                          == "piecewise-counterexample" else 1.0),
-               "Lambda": (float, 1.0), "table": (str, None), "c_norm": (lambda raw: "standard"
+               "table": (str, None), "c_norm": (lambda raw: "standard"
                           if str(raw).strip() == "standard" else float(raw), 1.0)},
     "grid": {"R": (float, _REQUIRED), "h": (float, _REQUIRED), "R_out": (float, None)},
     "solver": {"max_iters": (_at_least(1), None), "grad_tol": (float, None), "mu0": (float, None),
@@ -149,8 +146,7 @@ class RunConfig:
         if k["c_norm"] == "standard":
             k["c_norm"] = K.standard_c_norm(k["gamma"], k["m"])
         table = None if k["table"] is None else K.load_kernel_table(k["table"])
-        return K.RadialKernel(k["family"], k["gamma"], k["m"], k["lambda"], k["Lambda"],
-                              k["c_norm"], table)
+        return K.RadialKernel(k["family"], k["gamma"], k["m"], k["c_norm"], table)
 
     def make_grid(self, kernel: K.RadialKernel) -> en.Grid:
         return en.build_grid(self.value("grid", "R"), self.value("grid", "h"), kernel.m,
@@ -211,7 +207,7 @@ class RunConfig:
 
 def _read_config(path) -> RunConfig:
     cp = configparser.ConfigParser()
-    cp.optionxform = str  # keys such as R, R_out, Lambda and S_list are case-sensitive
+    cp.optionxform = str  # keys such as R, R_out and S_list are case-sensitive
     try:
         with open(path) as fh:
             cp.read_file(fh)

@@ -418,11 +418,11 @@ def j_kernel_appell(gamma: float, m: int, p, q, series_tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 def exterior_tail_coefficient(kernel: RadialKernel, s, t, R_out: float) -> np.ndarray:
-    """int_{|y| > R_out} K_env(|x - y|) dy for the power envelope
-    K_env = Lam c_norm r^(-2m-2 gamma), vectorized over orbit coordinates.
+    """int_{|y| > R_out} K_env(|x - y|) dy for the power envelope K_env =
+    c_norm r^(-2m-2 gamma) of every family, vectorized over orbit coordinates.
 
     At m=1 `_tail_rays` integrates along exact rays from x: within 1.4e-13
-    of the closed form Lam c_norm |S^(2m-1)| R_out^(-2 gamma) / (2 gamma)
+    of the closed form c_norm |S^(2m-1)| R_out^(-2 gamma) / (2 gamma)
     2F1(m + gamma, gamma; m; |x|^2 / R_out^2) for |x| / R_out <= 0.999,
     gamma from 0.1 to 0.9, m = 1..4.  At m >= 2 the fixed sphere-slice rule
     `_tail_sphere_slices` stays: at gamma = 1/2 it is off the closed form by
@@ -450,7 +450,7 @@ def _tail_rays(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np.ndarray:
     (2 gamma).  With e2 = R_out^2 - a^2 and, for phi in [0, pi/2],
     D = a cos phi + sqrt(e2 + a^2 cos^2 phi), the ray at phi has
     rho_rim = e2 / D and the ray at pi - phi has rho_rim = D, so
-        tail = Lam c_norm |S^(2m-2)| / (2 gamma)
+        tail = c_norm |S^(2m-2)| / (2 gamma)
                int_0^(pi/2) ((D / e2)^(2 gamma) + D^(-2 gamma)) sin^(2m-2) phi dphi,
     with no cancellation.  The integrand varies on the scale
     eps = sqrt(e2) / R_out around pi/2, so phi = pi/2 - eps sinh u carries
@@ -475,15 +475,15 @@ def _tail_rays(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np.ndarray:
         if m > 1:
             f *= np.cos(psi) ** (2 * m - 2)
         out[lo:hi] = f.sum(axis=1) * (0.5 * umax * eps)[:, 0]
-    return out * (kernel.Lam * kernel.c_norm * omega_sphere(2 * m - 1) / two_g)
+    return out * (kernel.c_norm * omega_sphere(2 * m - 1) / two_g)
 
 
 def _tail_sphere_slices(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np.ndarray:
-    """The exterior tail at |x| = a, a flat array, by the sphere-slice
-    decomposition, with the radial variable substituted so that the
-    integrand is analytic up to r = infinity: _TAIL_N_THETA Gauss-Jacobi
-    nodes against the first coordinate times _TAIL_N_RAD Gauss-Legendre
-    nodes in r."""
+    """The exterior tail c_norm |S^(2m-1)| int_R_out^inf <|x - y|^(-2m-2 gamma)>
+    r^(2m-1) dr at |x| = a, a flat array, <.> the mean over the sphere |y| = r
+    by slices: _TAIL_N_THETA Gauss-Jacobi nodes against the first coordinate
+    times _TAIL_N_RAD Gauss-Legendre nodes in r, substituted so that the
+    integrand is analytic up to r = infinity."""
     n = 2 * kernel.m
     p = kernel.power
     gam = kernel.gamma
@@ -506,7 +506,7 @@ def _tail_sphere_slices(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np
         dist2 = Rr ** 2 + A ** 2 - 2.0 * A * Rr * th
         avg = (dist2 ** (-p / 2.0) * wth).sum(axis=-1)
         rad[lo:hi] = (avg * wr).sum(axis=-1)
-    return kernel.Lam * kernel.c_norm * omega_sphere(n - 1) * rad
+    return kernel.c_norm * omega_sphere(n - 1) * rad
 
 
 def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,

@@ -68,7 +68,7 @@ _SELF_CELL_N_RAD = 12
 # fit a 2 MiB L2 cache, and it ran 1.6x faster at n = 495 (2-core Xeon)
 _GATHER_ARRAYS = 4
 # the per-node columns of a KernelTable that `save_node_columns` keeps, and
-# the version of that file's key (raise it when a column changes meaning)
+# the version of that file's key (raise it when a column's values or meaning change)
 NODE_COLUMNS = ("zcol", "ztail", "cs", "ct")
 _NODE_FILE_VERSION = 1
 
@@ -356,11 +356,11 @@ class KernelTable:
 
     def d_rows(self):
         """(lo, first, rows lo:hi of D over the columns first:) per row block:
-        the dense block's full rows, or without one (at m=1) the rows from the
-        diagonal rightwards, each pair once, gathered from the lattice."""
+        at m >= 2 the dense block's full rows, at m=1 the rows from the diagonal
+        rightwards, each pair once, gathered from the lattice even once D is read."""
         n = self.grid.n_nodes
         for lo, hi in _blocks(n, _GATHER_ARRAYS * n):
-            if self.pairs is not None:
+            if self.lattice is None:
                 yield lo, 0, self.pairs[0, lo:hi]
             else:
                 yield lo, lo, _lattice_rows(self.grid, self.lattice.G, lo, hi, lo)[0]
@@ -773,7 +773,8 @@ class EnergyModel:
     def value_and_grad_from(self, u: np.ndarray, lu: np.ndarray):
         """E(u) and its gradient from u and lu = L u."""
         mu = self.mu
-        E = float(mu @ (u * lu)) + 2.0 * float(mu @ np.asarray(self.potential.G(u)))
+        # sums, not 1-D `@`: OpenBLAS's ddot wakes its threads between the FFTs
+        E = float((mu * (u * lu)).sum()) + 2.0 * float((mu * self.potential.G(u)).sum())
         return E, 2.0 * mu * (lu - np.asarray(self.potential.f(u)))
 
     def value_and_grad(self, u: np.ndarray):

@@ -35,12 +35,11 @@ _MAX_WITNESSES = 16
 
 @dataclass(frozen=True)
 class RadialKernel:
-    """Radial kernel profile with its ellipticity parameters.
+    """Radial kernel profile: its fields are exactly what determines K.
 
     family    one of FAMILIES
     gamma     fractional order, in (0, 1)
     m         half-dimension; the ambient space is R^(2m)
-    lam, Lam  ellipticity constants, 0 < lam <= Lam
     c_norm    dimensionless normalizing multiplier (default 1; the standard
               fractional-Laplacian constant may be supplied instead)
     table     (r, K) samples for family="tabulated" (and no other), stored
@@ -51,8 +50,6 @@ class RadialKernel:
     family: str
     gamma: float
     m: int
-    lam: float = 1.0
-    Lam: float = 1.0
     c_norm: float = 1.0
     table: tuple | None = None
 
@@ -63,9 +60,8 @@ class RadialKernel:
             raise DomainError(f"gamma must lie in (0,1), got {self.gamma}")
         if int(self.m) != self.m or self.m < 1:
             raise DomainError(f"m must be an integer >= 1, got {self.m}")
-        if not (0.0 < self.lam <= self.Lam < math.inf and 0.0 < self.c_norm < math.inf):
-            raise DomainError("need 0 < lambda <= Lambda < inf and 0 < c_norm < inf, got "
-                              f"{self.lam}, {self.Lam}, {self.c_norm}")
+        if not (0.0 < self.c_norm < math.inf):
+            raise DomainError(f"need 0 < c_norm < inf, got {self.c_norm}")
         if (self.family == "tabulated") != (self.table is not None):
             raise DomainError("a tabulated kernel requires a table, and no other kernel "
                               f"takes one (family {self.family!r})")
@@ -109,17 +105,17 @@ def standard_c_norm(gamma: float, m: int) -> float:
 
 
 def fractional_kernel(gamma: float, m: int, c_norm: float = 1.0) -> RadialKernel:
-    return RadialKernel("fractional", gamma, m, 1.0, 1.0, c_norm)
+    return RadialKernel("fractional", gamma, m, c_norm)
 
 
 def counterexample_kernel(gamma: float, m: int) -> RadialKernel:
-    # On [1, inf) the profile 1/(10 r^p - 9) sits between r^-p/10 and r^-p.
-    return RadialKernel("piecewise-counterexample", gamma, m, lam=0.1, Lam=1.0)
+    # K r^p is 1 below r = 1, r^p / (10 r^p - 9) above: kernel-check measures 0.1 to 1
+    return RadialKernel("piecewise-counterexample", gamma, m)
 
 
 def tabulated_kernel(r: Sequence[float], k: Sequence[float], gamma: float, m: int,
-                     lam: float = 1.0, Lam: float = 1.0, c_norm: float = 1.0) -> RadialKernel:
-    return RadialKernel("tabulated", gamma, m, lam, Lam, c_norm, table=(r, k))
+                     c_norm: float = 1.0) -> RadialKernel:
+    return RadialKernel("tabulated", gamma, m, c_norm, table=(r, k))
 
 
 def _h(kernel: RadialKernel, tau: np.ndarray) -> np.ndarray:
@@ -164,8 +160,8 @@ def sqrt_profile(kernel: RadialKernel, tau):
 def ellipticity_margins(kernel: RadialKernel, r_samples) -> tuple[float, float]:
     """Min and max of K(r) / (c_norm r^(-2m-2gamma)) over the samples.
 
-    The kernel class requires the pair to sit inside [lam, Lam].  A tabulated
-    kernel is sampled only over its table: samples past it are refused.
+    This measured pair is the ellipticity the kernel class bounds; no kernel
+    declares one.  A tabulated kernel refuses samples past its table.
     """
     r = np.asarray(r_samples, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing kernel gives NaN

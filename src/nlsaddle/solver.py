@@ -163,7 +163,7 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
         if pg <= tol:
             break
         d = _project(u - alpha * g / metric) - u
-        gd = float(g @ d)
+        gd = float((g * d).sum())  # no 1-D `@`, see value_and_grad_from
         if gd >= 0.0:  # the projected step vanishes
             break
         ld = model.apply_L(d)
@@ -190,9 +190,9 @@ def minimize(config: SolverConfig, kernel: RadialKernel, potential: Potential | 
         u, lu, E, g = u_new, lu_new, E_new, g_new
         trace.energies.append(E)
         trace.steps.append(lam)
-        sy = float(s @ y)
+        sy = float((s * y).sum())
         if sy > 0.0:
-            alpha = float(s @ (metric * s)) / sy
+            alpha = float((s * (metric * s)).sum()) / sy
         else:
             alpha *= 2.0
         alpha = min(max(alpha, _STEP_MIN), _STEP_MAX)

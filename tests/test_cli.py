@@ -44,11 +44,9 @@ REPORTS = {"kernel-check": "convexity_report", "verify-inequality": "inequality_
 
 def test_parse_config_keeps_key_case(tmp_path):
     ini = tmp_path / "run.ini"
-    ini.write_text(INI.replace("c_norm = standard",
-                               "c_norm = standard\nlambda = 0.5\nLambda = 2.0"))
+    ini.write_text(INI)
     cfg = cli.parse_config(ini)
     assert cfg.grid["R"] == "7" and cfg.grid["R_out"] == "10.5"
-    assert cfg.kernel["lambda"] == "0.5" and cfg.kernel["Lambda"] == "2.0"
     assert cfg.s_list() == [2.0, 2.5, 2.75, 3.0]
 
 
@@ -95,16 +93,12 @@ def test_check_operator_on_a_one_node_grid_gives_a_diagnostic(tmp_path):
 
 
 def test_kernel_section_is_checked_by_the_kernel(tmp_path):
-    # the piecewise counterexample defaults lambda to 0.1, so Lambda = 0.5 is valid
-    ini = tmp_path / "run.ini"
-    grid = "\n[grid]\nR = 7\nh = 0.5\n"
-    ini.write_text("[kernel]\nfamily = piecewise-counterexample\nLambda = 0.5\n" + grid)
-    kern = cli.parse_config(ini).make_kernel()
-    assert (kern.family, kern.lam, kern.Lam) == ("piecewise-counterexample", 0.1, 0.5)
     # whatever the kernel refuses is one violation of the section, and a
     # value no key's parser reads one violation of that key
+    ini = tmp_path / "run.ini"
+    grid = "\n[grid]\nR = 7\nh = 0.5\n"
     (tmp_path / "kern.csv").write_text("r,K\n0.1,1000\n10,0.001\n")
-    for bad, prefix in (("family = piecewise-counterexample\nLambda = 0.05", "kernel: "),
+    for bad, prefix in (("family = piecewise-counterexample\nc_norm = -1", "kernel: "),
                         ("gamma = 1.5\nm = 0", "kernel: "),
                         ("gamma = half", "kernel.gamma: "),
                         (f"family = tabulated\ntable = {tmp_path / 'missing.csv'}", "kernel: "),
@@ -493,8 +487,12 @@ def test_output_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
     # the trial count of check-operator's random solves, which its M-matrix
     # certificate replaced
     (INI + "mp_trials = 0\n", "experiment.mp_trials: unknown key"),
-    (INI + "\n[experimnt]\nmp_trials = 5\n", "[experimnt]: unknown section")],
-    ids=["kernel-key", "solver-key", "experiment-key", "section"])
+    (INI + "\n[experimnt]\nmp_trials = 5\n", "[experimnt]: unknown section"),
+    # the ellipticity constants, which kernel-check measures from K: Lambda
+    # once scaled the exterior tail whatever K was
+    (INI.replace("m = 1", "m = 1\nlambda = 0.1"), "kernel.lambda: unknown key"),
+    (INI.replace("m = 1", "m = 1\nLambda = 2"), "kernel.Lambda: unknown key")],
+    ids=["kernel-key", "solver-key", "experiment-key", "section", "lambda", "Lambda"])
 def test_unknown_section_or_key_is_a_config_error(tmp_path, capsys, ini, error):
     # each used to be ignored: kernel-check ran and exited 0
     code, errors = _kernel_check_errors(tmp_path, capsys, ini)
@@ -663,12 +661,14 @@ def test_node_columns_of_another_key_are_not_loaded(tmp_path, small_grid, change
 
 @pytest.mark.parametrize("kern, grid, digest", [
     (K.tabulated_kernel(np.geomspace(1e-2, 1e2, 9), np.geomspace(1e-2, 1e2, 9) ** -3, 0.5, 1),
-     (4, 0.5, 1), "bfbae9ae9d040dc933ea8f547d910b8b107897465d83bdda73bbae66013d19a3"),
+     (4, 0.5, 1), "820b6a5600fcf626445eda8b5728ffd376a4a8d632714b805a6d8f1599067e55"),
     (K.fractional_kernel(0.5, 2, K.standard_c_norm(0.5, 2)),
-     (3, 0.5, 2), "83ac3b719560c35a62fcc58ed02fc522dff1173125753c67f8e197dc3a26ee30")],
+     (3, 0.5, 2), "d60fea24abe250e17328b1ba10e0a740a4dad0498891ece9928d9a386697ee49")],
     ids=["tabulated", "fractional-m2"])
 def test_node_file_key_is_pinned(kern, grid, digest):
-    # a table.npz written before holds this key; a changed key rebuilds it
+    # a table.npz written before holds this key; a changed key rebuilds it.
+    # Re-pinned when the kernel lost its lambda and Lambda fields, which the
+    # key listed: a file written with them is rebuilt, not misread
     key = en._node_key(en.build_grid(*grid), kern, dr.gauss_jacobi_rule(32, kern.m))
     assert hashlib.sha256(key.encode()).hexdigest() == digest
 

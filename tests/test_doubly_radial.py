@@ -675,11 +675,11 @@ def test_exterior_tail_closed_form_at_origin():
 
 
 def _tail_closed_form(kernel, a, R_out):
-    """Independent oracle: int_{|y| > R_out} Lam c_norm |x - y|^(-2m-2 gamma) dy
-    at |x| = a in R^(2m), Lam c_norm |S^(2m-1)| R_out^(-2 gamma) / (2 gamma)
+    """Independent oracle: int_{|y| > R_out} c_norm |x - y|^(-2m-2 gamma) dy
+    at |x| = a in R^(2m), c_norm |S^(2m-1)| R_out^(-2 gamma) / (2 gamma)
     2F1(m + gamma, gamma; m; a^2 / R_out^2)."""
     m, g = kernel.m, kernel.gamma
-    return (kernel.Lam * kernel.c_norm * 2.0 * math.pi ** m / math.gamma(m)
+    return (kernel.c_norm * 2.0 * math.pi ** m / math.gamma(m)
             * R_out ** (-2.0 * g) / (2.0 * g) * hyp2f1(m + g, g, m, (a / R_out) ** 2))
 
 
@@ -701,10 +701,10 @@ def test_exterior_tail_rays_match_the_closed_form(m):
 
 
 def test_exterior_tail_rays_take_the_envelope_of_every_family():
-    # Lam c_norm r^(-2m-2 gamma) whatever the kernel's own profile
+    # c_norm r^(-2m-2 gamma) whatever the kernel's own profile
     g = build_grid(R=4.0, h=0.5, m=1)
     table = tabulated_kernel(np.geomspace(0.1, 20.0, 9), np.geomspace(0.1, 20.0, 9) ** -2,
-                             gamma=0.25, m=1, lam=0.5, Lam=2.0, c_norm=3.0)
+                             gamma=0.25, m=1, c_norm=3.0)
     for kernel in (counterexample_kernel(0.5, 1), table):
         got = exterior_tail_coefficient(kernel, g.s, g.t, g.R_out)
         assert np.allclose(got, _tail_closed_form(kernel, g.radius, g.R_out), rtol=1e-12, atol=0)

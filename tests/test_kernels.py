@@ -66,8 +66,6 @@ def test_bad_parameters_rejected():
     with pytest.raises(DomainError):
         RadialKernel("fractional", 0.5, 0)
     with pytest.raises(DomainError):
-        RadialKernel("fractional", 0.5, 1, lam=2.0, Lam=1.0)
-    with pytest.raises(DomainError):
         RadialKernel("mystery", 0.5, 1)
 
 
@@ -122,8 +120,7 @@ def test_standard_c_norm_refuses_a_pole_or_an_overflow(gamma, m):
 
 
 @pytest.mark.parametrize("params", [
-    dict(c_norm=math.nan), dict(c_norm=math.inf), dict(Lam=math.inf),
-    dict(lam=math.inf, Lam=math.inf), dict(lam=math.nan)])
+    dict(c_norm=math.nan), dict(c_norm=math.inf)])
 def test_non_finite_kernel_parameters_are_refused(params):
     with pytest.raises(DomainError):
         RadialKernel("fractional", 0.5, 1, **params)
@@ -378,9 +375,8 @@ def test_default_convexity_grid_reads_a_table_only_over_its_range():
 
 def test_kernel_section_roundtrip(tmp_path):
     k = RunConfig(kernel={"family": "fractional", "gamma": "0.25", "m": "2",
-                          "lambda": "0.5", "Lambda": "2.0", "c_norm": "1.5"}).make_kernel()
-    assert (k.family, k.gamma, k.m, k.lam, k.Lam, k.c_norm) == \
-        ("fractional", 0.25, 2, 0.5, 2.0, 1.5)
+                          "c_norm": "1.5"}).make_kernel()
+    assert k == RadialKernel("fractional", 0.25, 2, 1.5)
 
     table_path = tmp_path / "kern.csv"
     r = np.geomspace(0.1, 10, 20)
