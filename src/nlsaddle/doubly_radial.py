@@ -16,11 +16,13 @@ verifier for the kernel inequality.  An m=1 table build makes
 no J call for its pairs and self-cell (nor, for the power kernel, its
 zero-order column): J is the 4-term sum over the sign reflections, each
 lattice distance is h sqrt(a^2 + b^2), and both sum K per offset (a, b).
-An m=1 run needs numpy alone: it takes no Gauss-Jacobi rule, since its tail
-runs along exact rays on Gauss-Legendre nodes.  The m=2 rule of J is
-numpy's Gauss-Legendre rule too.  scipy.special, whose import takes longer
-than numpy's, is imported where used: roots_jacobi for the m >= 3 rules of
-J and the m >= 2 sphere-slice tail, hyp2f1 for the Appell-F2 oracle.
+Every Gauss rule comes from `_gauss`: numpy's Gauss-Legendre rule on the
+flat weight (J at m=2, the m=1 tail rays, the zero-order integrators) and
+Gauss-Chebyshev of the second kind on (1 - x^2)^(1/2) (J at m=3, the m=2
+sphere-slice tail), so an m=1 or m=2 run needs numpy alone.  scipy.special,
+whose import takes longer than numpy's, is imported where used: roots_jacobi
+for the other weights (J at m >= 4, the tail at m >= 3), hyp2f1 for the
+Appell-F2 oracle.
 """
 
 from __future__ import annotations
@@ -78,18 +80,14 @@ class QuadratureRule:
     """Nodes/weights for the spherical weight (1-theta^2)^((m-2)/2) on [-1,1].
 
     For m = 1 the sphere S^0 is two points and the rule is exact by
-    construction.  For m >= 2 these are Gauss-Jacobi nodes (Gauss-Legendre
-    on the flat weight of m=2); `prefactor` carries the constant
-    c_m^2 = |S^(m-2)|^2 of the double spherical integral.  `order` is the
-    number of nodes, which `j_values` puts on both sphere angles; where it
-    integrates J in closed form (the fractional kernel on a flat weight) it
-    reads only `prefactor`.
+    construction.  For m >= 2 these are the Gauss nodes of `_gauss`
+    (Gauss-Legendre on the flat weight of m=2).  `order` is the number of
+    nodes, which `j_values` puts on both sphere angles.
     """
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-    prefactor: float
 
 
 def _weight_exponent(m: int) -> float:
@@ -98,32 +96,30 @@ def _weight_exponent(m: int) -> float:
     return (m - 2) / 2.0
 
 
-def _jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending n-node Gauss-Jacobi rule of (1 - x^2)^a on [-1, 1], for
-    a = (m - 2)/2 (J) and (2m - 3)/2 (the sphere-slice tail) at m >= 2:
-    numpy's Gauss-Legendre rule at a = 0, scipy's roots_jacobi otherwise."""
-    if a == 0.0:
-        return _leggauss(n)
-    from scipy.special import roots_jacobi
-    return roots_jacobi(n, a, a)
-
-
 @functools.lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's Gauss-Legendre rule on [-1, 1], read-only and kept per order:
-    leggauss takes 0.2 to 0.9 ms per call, as long as the m=1 tail."""
-    x, w = leggauss(order)
+def _gauss(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending n-node Gauss rule of (1 - x^2)^a on [-1, 1], read-only
+    and kept per (n, a): numpy's Gauss-Legendre rule at a = 0 (leggauss
+    takes 0.2 to 0.9 ms per call, as long as the m=1 tail), Gauss-Chebyshev
+    of the second kind at a = 1/2, scipy's roots_jacobi otherwise."""
+    if a == 0.0:
+        x, w = leggauss(n)
+    elif a == 0.5:
+        th = np.arange(n, 0, -1) * (math.pi / (n + 1))
+        x, w = np.cos(th), math.pi / (n + 1) * np.sin(th) ** 2
+    else:
+        from scipy.special import roots_jacobi
+        x, w = roots_jacobi(n, a, a)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
 def gauss_jacobi_rule(order: int, m: int) -> QuadratureRule:
     if m == 1:
-        return QuadratureRule(2, np.array([1.0, -1.0]), np.array([1.0, 1.0]), 1.0)
+        return QuadratureRule(2, np.array([1.0, -1.0]), np.array([1.0, 1.0]))
     if order < 2:
         raise DomainError("quadrature order must be >= 2")
-    return QuadratureRule(order, *_jacobi(order, _weight_exponent(m)),
-                          omega_sphere(m - 1) ** 2)
+    return QuadratureRule(order, *_gauss(order, _weight_exponent(m)))
 
 
 def _default_rule(m: int, rule: QuadratureRule | None) -> QuadratureRule:
@@ -141,8 +137,9 @@ def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.n
     nothing cancels near the diagonal and J is bit-for-bit symmetric under
     (s,t) <-> (sig,tau).  One blocked loop hands d, u and v to an integrator:
     for the fractional kernel on a flat weight (m=2) `_j_closed`, exact over
-    both angles, which reads only the rule's prefactor; otherwise
-    `_inner_rule`, the rule's tensor sum.  The 1e-60 floor on d only keeps
+    both angles, which reads no rule field; otherwise `_inner_rule`, the
+    rule's tensor sum.  At m >= 2 the angle integrals carry the constant
+    c_m^2 = |S^(m-2)|^2 of the two spheres.  The 1e-60 floor on d only keeps
     exact zeros finite: the diagonal entries that `build_kernel_table`
     computes at m >= 2 and then overwrites.  A block holds order^2 values
     per point on the rule (16 arrays of one value in closed form), in
@@ -165,7 +162,8 @@ def j_values(kernel: RadialKernel, s, t, sig, tau, rule: QuadratureRule) -> np.n
         np.maximum(d, 1e-60, out=d)
         u, v = 2.0 * S * SIG, 2.0 * T * TAU
         out[lo:hi] = _j_closed(kernel, d, u, v) if closed else _inner_rule(kernel, d, u, v, rule)
-    out *= rule.prefactor
+    if kernel.m >= 2:
+        out *= omega_sphere(kernel.m - 1) ** 2
     return out.reshape(s.shape)
 
 
@@ -459,7 +457,7 @@ def _tail_rays(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np.ndarray:
     |x| / R_out = 0.999 and 1.6e-7 at m=4, 16 + 4m at most 1.4e-13.
     """
     m, two_g = kernel.m, 2.0 * kernel.gamma
-    x, w = _leggauss(_TAIL_ORDER_BASE + 4 * m)
+    x, w = _gauss(_TAIL_ORDER_BASE + 4 * m, 0.0)
     x = 0.5 * (x + 1.0)
     out = np.empty(a.size)
     for lo, hi in _blocks(a.size, 5 * x.size):
@@ -481,16 +479,16 @@ def _tail_rays(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np.ndarray:
 def _tail_sphere_slices(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np.ndarray:
     """The exterior tail c_norm |S^(2m-1)| int_R_out^inf <|x - y|^(-2m-2 gamma)>
     r^(2m-1) dr at |x| = a, a flat array, <.> the mean over the sphere |y| = r
-    by slices: _TAIL_N_THETA Gauss-Jacobi nodes against the first coordinate
-    times _TAIL_N_RAD Gauss-Legendre nodes in r, substituted so that the
-    integrand is analytic up to r = infinity."""
+    by slices: _TAIL_N_THETA Gauss nodes of (1 - x^2)^((2m-3)/2) against the
+    first coordinate times _TAIL_N_RAD Gauss-Legendre nodes in r, substituted
+    so that the integrand is analytic up to r = infinity."""
     n = 2 * kernel.m
     p = kernel.power
     gam = kernel.gamma
     # angular slice of S^(n-1) against the first coordinate
-    th, wth = _jacobi(_TAIL_N_THETA, (n - 3) / 2.0)
+    th, wth = _gauss(_TAIL_N_THETA, (n - 3) / 2.0)
     # radial nodes: v = u^(1/(2 gamma)), r = R_out / v
-    ugl, wugl = _leggauss(_TAIL_N_RAD)
+    ugl, wugl = _gauss(_TAIL_N_RAD, 0.0)
     u = 0.5 * (ugl + 1.0)
     wu = 0.5 * wugl
     v = u ** (1.0 / (2.0 * gam))
@@ -540,10 +538,10 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     (phi = -pi/4 + atan(sinh u), dphi = sech u du), graded toward the foot
     of the normal from c, where the ray integrals of nodes next to the cone
     peak (Johnston & Elliott, IJNME 62, 2005); log(rho) takes n_rho nodes.
-    For the fractional kernel at m=2 `j_values` is exact and reads only the
-    rule's prefactor, so the column's error is that of the phi and rho rules
-    alone (5e-15 against four times the nodes at R=4, h=1/2, gamma = 1/2;
-    5e-12 at R=8, h=1/4); other kernels and m add the error of J's rule.
+    For the fractional kernel at m=2 `j_values` is exact and reads no rule
+    node, so the column's error is that of the phi and rho rules alone
+    (5e-15 against four times the nodes at R=4, h=1/2, gamma = 1/2; 5e-12
+    at R=8, h=1/4); other kernels and m add the error of J's rule.
     Nodes go in blocks of _BLOCK_VALUES (node, phi, rho) points.
     """
     s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
@@ -556,8 +554,8 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
         return _zero_order_rays(kernel, s.reshape(-1), t.reshape(-1), R_out,
                                 order).reshape(s.shape)
     rule = _default_rule(m, rule)
-    gl, wgl = _leggauss(order)
-    xgl, xw = _leggauss(n_rho)
+    gl, wgl = _gauss(order, 0.0)
+    xgl, xw = _gauss(n_rho, 0.0)
     flat_s, flat_t = s.reshape(-1), t.reshape(-1)
     out = np.empty(flat_s.size)
     for lo, hi in _blocks(flat_s.size, 2 * gl.size * n_rho):
@@ -613,7 +611,7 @@ def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np
     five scratch arrays: the weights and four updated in place.
     """
     two_g = 2.0 * kernel.gamma
-    gl, wgl = _leggauss(order)
+    gl, wgl = _gauss(order, 0.0)
     rim_z1 = R_out / math.sqrt(2.0) * np.array([1.0, -1.0, 1.0, -1.0])
     rim_z2 = R_out / math.sqrt(2.0) * np.array([1.0, 1.0, -1.0, -1.0])
     cone = math.pi / 4.0 * np.array([3.0, 5.0])

@@ -55,7 +55,7 @@ from numpy.fft import ifft, irfft, rfft2
 
 from .errors import DomainError, PreconditionError, TableError
 from .kernels import VERDICT_FAILS, RadialKernel, _h, check_sqrt_convexity, read_columns
-from .doubly_radial import (QuadratureRule, _blocks, _default_rule, _leggauss,
+from .doubly_radial import (QuadratureRule, _blocks, _default_rule, _gauss,
                             exterior_tail_coefficient, j_values, omega_sphere,
                             zero_order_integral)
 
@@ -379,7 +379,7 @@ def _self_cell_rule(h: float):
     n_theta = _SELF_CELL_N_THETA
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     rmax = 0.5 * h / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
-    gx, gw = _leggauss(_SELF_CELL_N_RAD)
+    gx, gw = _gauss(_SELF_CELL_N_RAD, 0.0)
     rr = rmax[:, None] * (0.5 * (gx + 1.0))[None, :]
     meas = rr * (rmax[:, None] * (0.5 * gw)[None, :]) * (2.0 * math.pi / n_theta)
     return rr * np.cos(theta)[:, None], rr * np.sin(theta)[:, None], meas

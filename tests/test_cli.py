@@ -342,6 +342,19 @@ def test_line_plot_of_a_constant_series(tmp_path):
     assert labels and all(math.isfinite(v) and v > 0.0 for v in labels)
 
 
+def test_line_plot_at_one_x(tmp_path):
+    # one distinct x spans no decade: the x axis gets one, starting at that x
+    svgplot.line_plot(tmp_path / "one.svg", [2.0, 2.0], {"E": [3.0, 30.0]})
+    root = ET.parse(tmp_path / "one.svg").getroot()
+    line, = root.iter("{http://www.w3.org/2000/svg}polyline")
+    points = [tuple(map(float, point.split(","))) for point in line.get("points").split()]
+    assert {x for x, _ in points} == {svgplot._ML}
+    assert all(svgplot._MT < y < svgplot._H - svgplot._MB for _, y in points)
+    labels = [float(t.text) for t in root.iter("{http://www.w3.org/2000/svg}text")
+              if t.get("font-size") == "11"]
+    assert labels and all(math.isfinite(v) and v > 0.0 for v in labels)
+
+
 @pytest.mark.parametrize("profile", [None, "s,t,u\n1.0,0.5,abc\n"], ids=["missing", "malformed"])
 def test_missing_or_malformed_profile_gives_a_diagnostic(tmp_path, profile):
     ini = tmp_path / "run.ini"

@@ -90,8 +90,23 @@ def test_omega_sphere_values():
 
 
 def test_c_m_at_two():
-    # prefactor carries c_m^2 with c_2 = 2 sqrt(pi)/Gamma(1/2) = 2
-    assert gauss_jacobi_rule(8, 2).prefactor == pytest.approx(4.0, rel=1e-12)
+    # with u = 2 s sigma = 0 and v = 2 t tau = 0 both sphere averages are
+    # trivial: J = c_2^2 int int K(sqrt d) = 16 K(sqrt d), with c_2 = |S^0| = 2,
+    # in closed form (fractional) and on the tensor rule (counterexample)
+    for kernel in (K2, counterexample_kernel(0.5, 2)):
+        assert J(kernel, (0.0, 1.0), (2.0, 0.0), RULE2) == pytest.approx(
+            16.0 * float(eval_kernel(kernel, math.sqrt(5.0))), rel=1e-14)
+
+
+def test_the_half_weight_rule_is_exact_to_rounding():
+    # the closed Gauss-Chebyshev rule of (1 - x^2)^(1/2) (J at m=3, the m=2
+    # sphere-slice tail) integrates x^(2j) to B(j + 1/2, 3/2) for 2j <= 2n - 1;
+    # scipy's roots_jacobi is off by up to 1.5e-13 relative at n = 48
+    x, w = doubly_radial._gauss(48, 0.5)
+    assert np.all(np.diff(x) > 0.0) and not (x.flags.writeable or w.flags.writeable)
+    for j in range(48):
+        exact = math.exp(math.lgamma(j + 0.5) + math.lgamma(1.5) - math.lgamma(j + 2.0))
+        assert w @ x ** (2 * j) == pytest.approx(exact, rel=4e-15)
 
 
 # --- J kernel ----------------------------------------------------------------
@@ -171,11 +186,12 @@ def test_j_quadrature_doubling_converges():
 # --- closed form of the power kernel at m=2 -----------------------------------
 
 def tensor_sum(kernel, s, t, sig, tau, rule):
-    """Independent oracle: c_m^2 sum_ij w_i w_j K(r_ij), written out."""
+    """Independent oracle: c_2^2 sum_ij w_i w_j K(r_ij) with c_2 = |S^0| = 2,
+    written out."""
     th, w = rule.nodes, rule.weights
     r2 = ((s - sig) ** 2 + (t - tau) ** 2
           + 2 * s * sig * (1 - th)[:, None] + 2 * t * tau * (1 - th)[None, :])
-    return rule.prefactor * float(w @ eval_kernel(kernel, np.sqrt(r2)) @ w)
+    return 4.0 * float(w @ eval_kernel(kernel, np.sqrt(r2)) @ w)
 
 
 def test_j_power_m2_matches_tensor_sum():

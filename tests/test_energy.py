@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlsaddle.errors import DomainError, PreconditionError, TableError
-from nlsaddle import doubly_radial, energy
+from nlsaddle import doubly_radial, energy, kernels
 from nlsaddle.kernels import (counterexample_kernel, fractional_kernel, standard_c_norm,
                               tabulated_kernel)
 from nlsaddle.doubly_radial import (gauss_jacobi_rule, j_values, kernel_difference,
@@ -169,6 +169,9 @@ def test_profile_csv_rows_load_in_any_order_once_each(tmp_path, small_grid):
             load(rows[:3] + [bad] + rows[4:])
     with pytest.raises(DomainError):
         load([row.rsplit(",", 1)[0] for row in rows])           # no u column
+    for lines in (rows[:-1], rows + rows[:1]):                  # a row short, a row over
+        with pytest.raises(DomainError, match="one s,t,u row per grid node"):
+            load(lines)
 
 
 def test_potential_properties():
@@ -391,6 +394,30 @@ def test_table_missing_a_read_radius_is_refused_before_any_layer(R, r_lo, r_hi, 
         build_kernel_table(grid, tabulated_kernel(r[1:], r[1:] ** -3, 0.5, 1))
     with pytest.raises(DomainError, match="reads K over"):
         build_kernel_table(grid, tabulated_kernel(r[:-1], r[:-1] ** -3, 0.5, 1))
+
+
+@pytest.mark.parametrize("m, R, order", [(1, 7.0, 32), (1, 12.0, 32), (2, 3.0, 32),
+                                         (2, 4.0, 32), (3, 3.0, 16)])
+def test_radii_read_bound_every_kernel_read_of_a_build(m, R, order, monkeypatch):
+    # every layer of the build, and the dense D, reads K only inside
+    # `_radii_read`, which the refusal of a short table relies on; the table
+    # here is twice as wide at both ends, so a read past the bound is recorded
+    # rather than refused
+    grid, rule = build_grid(R, 0.5, m), gauss_jacobi_rule(order, m)
+    lo, hi = energy._radii_read(grid, rule)
+    r = np.geomspace(0.5 * lo, 2.0 * hi, 400)
+    kernel = tabulated_kernel(r, r ** (-2 * m - 1), 0.5, m)
+    reads, h_of = [], kernels._h
+
+    def h(kern, tau):
+        reads.append((float(np.min(tau)), float(np.max(tau))))
+        return h_of(kern, tau)
+
+    for module in (kernels, doubly_radial, energy):
+        monkeypatch.setattr(module, "_h", h)
+    build_kernel_table(grid, kernel, rule, assume_positive=True).D
+    tau = np.array(reads)
+    assert lo <= math.sqrt(tau[:, 0].min()) and math.sqrt(tau[:, 1].max()) <= hi
 
 
 def test_table_covering_every_read_radius_builds():

@@ -1,4 +1,5 @@
-"""What a CLI process loads: numpy alone for the import and for an m=1 run.
+"""What a CLI process loads: numpy alone for the import, an m=1 run and an
+m=2 table build.
 
 Each test runs in a fresh interpreter, since this one already has scipy
 loaded (the tests import it as an oracle).
@@ -68,17 +69,21 @@ print(json.dumps({"code": code, "verdict": report["verdict"], "new": sorted(new)
     assert new == {"code": 2, "verdict": "convex-nonstrict", "new": []}
 
 
-def test_the_m3_rule_is_what_loads_scipy_special(tmp_path):
-    # the m=1 sign rule and the flat m=2 weight's Gauss-Legendre rule are
-    # numpy's; the Gauss-Jacobi rules of m >= 3 are the one use of scipy on
-    # the path of J
+def test_only_the_rules_of_other_weights_load_scipy_special(tmp_path):
+    # J's rules at m = 1, 2, 3 (the sign rule, Gauss-Legendre, and the closed
+    # Gauss-Chebyshev rule of (1 - x^2)^(1/2)) are numpy's, and so is the m=2
+    # sphere-slice tail on the same weight; the m=3 tail's (1 - x^2)^(3/2)
+    # takes roots_jacobi
     loaded = _run("""
 import json
-from nlsaddle import cli, doubly_radial as dr
+from nlsaddle import cli, doubly_radial as dr, energy as en, kernels as K
 seen = []
 for m in (1, 2, 3):
     dr.gauss_jacobi_rule(32, m)
     seen.append("scipy.special" in sys.modules)
+for m in (2, 3):
+    en.build_kernel_table(en.build_grid(3.0, 0.5, m), K.fractional_kernel(0.5, m))
+    seen.append(any(name.split(".")[0] == "scipy" for name in sys.modules))
 print(json.dumps(seen))
 """, tmp_path)
-    assert loaded == [False, False, True]
+    assert loaded == [False, False, False, False, True]
