@@ -37,12 +37,13 @@ el_residual (the projected residual of its profile that the stopping rule
 reads), sup_diff_common (null on the first) and flagged.  `check-operator`
 passes when discrete_operator's M-matrix certificate holds (monotone_probe;
 at m=1 it holds no n x n array) and Z, half of L's row sums, matches a
-refined reference to 1e-3 at up to zoc_nodes nodes.  Each flag of _OVERRIDES
-sets one key.  Exit status: 0 success (and --help), 2 a property failed (for
-solve, a stage did not converge; kernel-check, a verdict other than
-strictly-convex), 1 error: `config error:` lines on stderr for a bad
-command line (a missing --config, an unknown flag or subcommand), INI file
-or key, else diagnostic.json in the output directory.
+refined reference to 1e-3 at up to zoc_nodes nodes.  The command line is
+the subcommand, --config and --out, which sets output.dir; every other
+setting comes from the INI.  Exit status: 0 success (and --help), 2 a
+property failed (for solve, a stage did not converge; kernel-check, a
+verdict other than strictly-convex), 1 error: `config error:` lines on
+stderr for a bad command line (a missing --config, an unknown flag or
+subcommand), INI file or key, else diagnostic.json in the output directory.
 """
 
 from __future__ import annotations
@@ -108,13 +109,6 @@ _KEYS = {
                    "competitor_s": (float, lambda c: max(2.0, c.value("grid", "R") - 6.0))},
     "output": {"dir": (str, "out"), "profile": (str, None)},
 }
-
-# command-line flag -> the (section, key) it sets
-_OVERRIDES = {"--out": ("output", "dir"), "--seed": ("solver", "seed"),
-              "--gamma": ("kernel", "gamma"), "--m": ("kernel", "m"), "--R": ("grid", "R"),
-              "--h": ("grid", "h"), "--n-samples": ("experiment", "n_samples"),
-              "--profile": ("output", "profile")}
-
 
 @dataclass
 class RunConfig:
@@ -348,20 +342,18 @@ def main(argv=None) -> int:
         "Averaged cone kernels, odd-sector energies, saddle minimizers."))
     parser.add_argument("subcommand", choices=_SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="INI run configuration")
-    for flag, (section, key) in _OVERRIDES.items():
-        parser.add_argument(flag, dest=key, help=f"override {section}.{key}")
+    parser.add_argument("--out", help="output directory, in place of output.dir")
 
     def usage_error(message):  # exit 1 like any bad input, not argparse's 2
         raise ConfigError([message])
 
     parser.error = usage_error
     try:
-        args = vars(parser.parse_args(argv))
-        cfg = _read_config(args["config"])
-        for section, key in _OVERRIDES.values():
-            if args[key] is not None:
-                getattr(cfg, section)[key] = args[key]
-        return run(args["subcommand"], cfg.check(), cfg.value("output", "dir"))
+        args = parser.parse_args(argv)
+        cfg = _read_config(args.config)
+        if args.out is not None:
+            cfg.output["dir"] = args.out
+        return run(args.subcommand, cfg.check(), cfg.value("output", "dir"))
     except ConfigError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)

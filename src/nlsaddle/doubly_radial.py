@@ -16,8 +16,8 @@ verifier for the kernel inequality.  An m=1 table build makes
 no J call for its pairs and self-cell (nor, for the power kernel, its
 zero-order column): J is the 4-term sum over the sign reflections, each
 lattice distance is h sqrt(a^2 + b^2), and both sum K per offset (a, b).
-Every Gauss rule comes from `_gauss`: numpy's Gauss-Legendre rule on the
-flat weight (J at m=2, the m=1 tail rays, the zero-order integrators) and
+Every Gauss rule comes from `_gauss` (`_panels` places it on intervals):
+numpy's Gauss-Legendre rule on the flat weight (J at m=2, every panel) and
 Gauss-Chebyshev of the second kind on (1 - x^2)^(1/2) (J at m=3, the m=2
 sphere-slice tail), so an m=1 or m=2 run needs numpy alone.  scipy.special,
 whose import takes longer than numpy's, is imported where used: roots_jacobi
@@ -112,6 +112,18 @@ def _gauss(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
         x, w = roots_jacobi(n, a, a)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on each interval between consecutive
+    columns of `edges` (..., k + 1), as (..., k n) arrays, panel by panel."""
+    gl, wgl = _gauss(n, 0.0)
+    edges = np.asarray(edges, float)
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
+    x = half * gl
+    x += 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    return x.reshape(shape), (half * wgl).reshape(shape)
 
 
 def gauss_jacobi_rule(order: int, m: int) -> QuadratureRule:
@@ -223,9 +235,9 @@ def _check_pair(p, q):
     return ps, pt, qs, qt
 
 
-def kernel_difference(kernel: RadialKernel, p, q,
-                      rule: QuadratureRule | None = None) -> float:
-    """kbar(x, y) - kbar(x, y*) for orbits strictly on the outer side.
+def kernel_difference(kernel: RadialKernel, p, q) -> float:
+    """kbar(x, y) - kbar(x, y*) for orbits strictly on the outer side, J on
+    the _RULE_ORDER-node rule.
 
     kbar = J / |S^(m-1)|^2 is the mean of K(|Rx - y|) over O(m)^2, since the
     orbit of x covers the product of spheres uniformly.  Positive whenever
@@ -234,7 +246,7 @@ def kernel_difference(kernel: RadialKernel, p, q,
     s, t, sig, tau = _check_pair(p, q)
     if not (s > t and sig >= tau):
         raise DomainError("kernel_difference requires orbits on the outer side of the cone")
-    rule = _default_rule(kernel.m, rule)
+    rule = gauss_jacobi_rule(_RULE_ORDER, kernel.m)
     direct = float(j_values(kernel, s, t, sig, tau, rule))
     swapped = float(j_values(kernel, s, t, tau, sig, rule))
     return (direct - swapped) / omega_sphere(kernel.m) ** 2
@@ -270,14 +282,14 @@ def sample_outer_orbits(rng: np.random.Generator, n: int,
 
 
 def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
-                             rule: QuadratureRule | None = None,
                              r_range=(1e-2, 1e2)) -> InequalityReport:
     """Draw random outer-orbit pairs and count gaps below -tol (relative).
 
     The gap per pair is J(s,t,sigma,tau) - J(s,t,tau,sigma), exact at m=1
-    and where `_j_is_closed`; otherwise the quadrature order is doubled on
-    the unconverged subset until _INEQUALITY_REL_TOL relative agreement or
-    _INEQUALITY_MAX_ORDER.  J reads K at distances from the pair's nearer
+    and where `_j_is_closed`; otherwise the order of J's rule, from
+    _RULE_ORDER, is doubled on the unconverged subset until
+    _INEQUALITY_REL_TOL relative agreement or _INEQUALITY_MAX_ORDER.  J reads
+    K at distances from the pair's nearer
     image min(|(s - sigma, t - tau)|, |(s - tau, t - sigma)|) to |x| + |y|,
     so over the kernel's `radii` [r_first, r_last] (a tabulated kernel is
     read only over its table) it draws radii from [r_first, r_last / 2]
@@ -302,7 +314,7 @@ def verify_kernel_inequality(kernel: RadialKernel, seed: int, n_samples: int,
         k = int(redraw.sum())
         ys[redraw], yt[redraw] = sample_outer_orbits(rng, k, r_range)
 
-    rule = _default_rule(kernel.m, rule)
+    rule = gauss_jacobi_rule(_RULE_ORDER, kernel.m)
     direct = j_values(kernel, xs, xt, ys, yt, rule)
     swapped = j_values(kernel, xs, xt, yt, ys, rule)
     gap = direct - swapped
@@ -457,8 +469,7 @@ def _tail_rays(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np.ndarray:
     |x| / R_out = 0.999 and 1.6e-7 at m=4, 16 + 4m at most 1.4e-13.
     """
     m, two_g = kernel.m, 2.0 * kernel.gamma
-    x, w = _gauss(_TAIL_ORDER_BASE + 4 * m, 0.0)
-    x = 0.5 * (x + 1.0)
+    x, w = _panels([0.0, 1.0], _TAIL_ORDER_BASE + 4 * m)
     out = np.empty(a.size)
     for lo, hi in _blocks(a.size, 5 * x.size):
         A = a[lo:hi, None]
@@ -472,7 +483,7 @@ def _tail_rays(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np.ndarray:
         f = (D / e2 ** two_g + 1.0 / D) * np.cosh(u) * w
         if m > 1:
             f *= np.cos(psi) ** (2 * m - 2)
-        out[lo:hi] = f.sum(axis=1) * (0.5 * umax * eps)[:, 0]
+        out[lo:hi] = f.sum(axis=1) * (umax * eps)[:, 0]
     return out * (kernel.c_norm * omega_sphere(2 * m - 1) / two_g)
 
 
@@ -488,9 +499,7 @@ def _tail_sphere_slices(kernel: RadialKernel, a: np.ndarray, R_out: float) -> np
     # angular slice of S^(n-1) against the first coordinate
     th, wth = _gauss(_TAIL_N_THETA, (n - 3) / 2.0)
     # radial nodes: v = u^(1/(2 gamma)), r = R_out / v
-    ugl, wugl = _gauss(_TAIL_N_RAD, 0.0)
-    u = 0.5 * (ugl + 1.0)
-    wu = 0.5 * wugl
+    u, wu = _panels([0.0, 1.0], _TAIL_N_RAD)
     v = u ** (1.0 / (2.0 * gam))
     r = R_out / v
     dv = (1.0 / (2.0 * gam)) * u ** (1.0 / (2.0 * gam) - 1.0)
@@ -518,11 +527,12 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     n_phi // 5 angular nodes per panel, makes no J call, and ignores `rule`
     and n_rho.  At m >= 2 a ray form would integrate over the true sphere
     measure, which the Gauss-Jacobi weight of `j_values` does not carry yet,
-    so the column stays on the polar J form below.  So do the counterexample
-    and tabulated kernels, whose radial integral is not closed.  Along rays
-    and in the polar form alike, a Gauss rule in log rho misses the
-    counterexample's kink at r = 1: next to the cone at R_out = 6 the polar
-    column is 2e-3 to 4e-3 off a Cartesian quadrature.
+    so the column stays on the polar J form below, J on `rule`.  So do the
+    counterexample and tabulated kernels, whose radial integral is not
+    closed.  K's `kink` is the circle rho = kink around c in J's nearest
+    image at m=1, where each ray's log(rho) rule splits; the other images'
+    are not split at (the m=1 counterexample's column is 3.3e-5 off exact
+    rays at its corner node, 1e-5 next to the cone; 2.9e-3 unsplit).
 
     The polar form integrates J(s,t,b,a) a^(m-1) b^(m-1) over the truncated
     outer octant O_R = {0 <= b <= a, a^2 + b^2 <= R_out^2} in polar
@@ -537,7 +547,8 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     panel takes n_phi // 5 Gauss-Legendre nodes in u = asinh(tan psi)
     (phi = -pi/4 + atan(sinh u), dphi = sech u du), graded toward the foot
     of the normal from c, where the ray integrals of nodes next to the cone
-    peak (Johnston & Elliott, IJNME 62, 2005); log(rho) takes n_rho nodes.
+    peak (Johnston & Elliott, IJNME 62, 2005); log(rho) takes n_rho nodes,
+    in two panels split at K's kink if it has one.
     For the fractional kernel at m=2 `j_values` is exact and reads no rule
     node, so the column's error is that of the phi and rho rules alone
     (5e-15 against four times the nodes at R=4, h=1/2, gamma = 1/2; 5e-12
@@ -554,33 +565,38 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
         return _zero_order_rays(kernel, s.reshape(-1), t.reshape(-1), R_out,
                                 order).reshape(s.shape)
     rule = _default_rule(m, rule)
-    gl, wgl = _gauss(order, 0.0)
-    xgl, xw = _gauss(n_rho, 0.0)
     flat_s, flat_t = s.reshape(-1), t.reshape(-1)
     out = np.empty(flat_s.size)
-    for lo, hi in _blocks(flat_s.size, 2 * gl.size * n_rho):
+    for lo, hi in _blocks(flat_s.size, 2 * order * n_rho):
         S, T = flat_s[lo:hi, None], flat_t[lo:hi, None]
         # u = asinh(tan psi) at the directions to O, P_1 and P_2
         ends = np.concatenate([np.arcsinh(-(S + T) / (S - T)),
                                np.arcsinh((R_out - T - S) / (R_out - T + S)),
                                np.arcsinh((math.sqrt(2.0) * R_out - T - S) / (S - T))], axis=1)
-        mid = 0.5 * (ends[:, 1:] + ends[:, :-1])[:, :, None]
-        half = 0.5 * (ends[:, 1:] - ends[:, :-1])[:, :, None]
-        u = (mid + half * gl).reshape(S.shape[0], -1)
+        u, wphi = _panels(ends, order)
         ch, sh = np.cosh(u), np.sinh(u)
-        wphi = (half * wgl).reshape(u.shape) / ch
+        wphi /= ch
         cosp, sinp = (1.0 + sh) / (math.sqrt(2.0) * ch), (sh - 1.0) / (math.sqrt(2.0) * ch)
         rho_in = (S - T) / math.sqrt(2.0) * ch
         pe = T * cosp + S * sinp
         rho_out = np.sqrt(pe ** 2 + (R_out ** 2 - S ** 2 - T ** 2)) - pe
-        rho_out[:, :gl.size] = S / -sinp[:, :gl.size]
+        rho_out[:, :order] = S / -sinp[:, :order]
         span = 0.5 * np.log(rho_out / rho_in)  # half of each ray's log(rho) interval
-        rho = rho_in[:, :, None] * np.exp(span[:, :, None] * (1.0 + xgl))
+        # log(rho) = log(rho_in) + span y, y in [0, 2]: one panel, or two of
+        # n_rho // 2 nodes split at the kink (at y = 1 on rays that miss it)
+        if kernel.kink is None:
+            y, wy = _panels([0.0, 2.0], n_rho)
+        else:
+            at = np.log(kernel.kink / rho_in) / span
+            at[~((at > 0.0) & (at < 2.0))] = 1.0
+            edges = np.stack([np.zeros_like(at), at, np.full_like(at, 2.0)], axis=-1)
+            y, wy = _panels(edges, n_rho // 2)
+        rho = rho_in[:, :, None] * np.exp(span[:, :, None] * y)
         aa = T[:, :, None] + rho * cosp[:, :, None]
         bb = S[:, :, None] + rho * sinp[:, :, None]
         # rho becomes each point's weight: the measure rho drho dphi, with
         # drho = rho dxi, times a^(m-1) b^(m-1)
-        rho *= rho * xw
+        rho *= rho * wy
         if m > 1:
             rho *= (aa * bb) ** (m - 1)
         ray = (j_values(kernel, S[:, :, None], T[:, :, None], bb, aa, rule) * rho).sum(axis=2)
@@ -608,10 +624,9 @@ def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np
     interval's ends change formula: at the directions to the origin and to
     the rim points (-R_out, +-R_out)/sqrt(2), and along the cone lines,
     3 pi/4 and 5 pi/4, all of which lie in [3 pi/4, 5 pi/4].  A block holds
-    five scratch arrays: the weights and four updated in place.
+    five scratch arrays, the weights and four updated in place, freed at its end.
     """
     two_g = 2.0 * kernel.gamma
-    gl, wgl = _gauss(order, 0.0)
     rim_z1 = R_out / math.sqrt(2.0) * np.array([1.0, -1.0, 1.0, -1.0])
     rim_z2 = R_out / math.sqrt(2.0) * np.array([1.0, 1.0, -1.0, -1.0])
     cone = math.pi / 4.0 * np.array([3.0, 5.0])
@@ -621,13 +636,7 @@ def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np
         brk = np.concatenate([np.arctan2(-T, -S),
                               np.arctan2(rim_z2 - T, rim_z1 - S),
                               np.broadcast_to(cone, (S.shape[0], 2))], axis=1)
-        edges = np.sort(np.mod(brk, 2.0 * math.pi), axis=1)
-        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
-        half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
-        w = (half * wgl).reshape(S.shape[0], -1)
-        sn = half * gl  # the angles, then their sines
-        sn += mid
-        sn = sn.reshape(w.shape)
+        sn, w = _panels(np.sort(np.mod(brk, 2.0 * math.pi), axis=1), order)  # then sines
         c = np.cos(sn)
         np.sin(sn, out=sn)
         # rho_a = (S - T) / (sn - c) where sn > c and rho_b = (S + T) / -(sn + c)
@@ -658,6 +667,7 @@ def _zero_order_rays(kernel: RadialKernel, s, t, R_out: float, order: int) -> np
         np.maximum(c, 0.0, out=c)
         c *= w
         out[lo:hi] = c.sum(axis=1)
+        del sn, w  # else the next block's panels are allocated beside them
     return out * (kernel.c_norm / two_g)
 
 
@@ -668,10 +678,10 @@ def zero_order_coefficient(kernel: RadialKernel, p, R_out: float,
     p = (s, t), floats or arrays (a float for scalar input).
 
     `zero_order_integral` over the octant truncated at R_out (exact rays
-    for the fractional kernel at m=1, where n_rho is unused; otherwise the
-    polar J form on two graded angular panels of n_phi // 5 nodes and n_rho
-    nodes in log rho), plus half the analytic exterior tail.  Comparable to
-    |s - t|^(-2 gamma) from both sides.
+    for the fractional kernel at m=1, where rule and n_rho are unused;
+    otherwise the polar J form, J on `rule`, on two graded angular panels
+    of n_phi // 5 nodes and n_rho nodes in log rho, split at K's kink), plus
+    half the analytic exterior tail.  Comparable to |s - t|^(-2 gamma).
     """
     s, t = p
     z = (zero_order_integral(kernel, s, t, R_out, rule, n_phi, n_rho)

@@ -55,7 +55,7 @@ from numpy.fft import ifft, irfft, rfft2
 
 from .errors import DomainError, PreconditionError, TableError
 from .kernels import VERDICT_FAILS, RadialKernel, _h, check_sqrt_convexity, read_columns
-from .doubly_radial import (QuadratureRule, _blocks, _default_rule, _gauss,
+from .doubly_radial import (QuadratureRule, _blocks, _default_rule, _panels,
                             exterior_tail_coefficient, j_values, omega_sphere,
                             zero_order_integral)
 
@@ -70,7 +70,7 @@ _GATHER_ARRAYS = 4
 # the per-node columns of a KernelTable that `save_node_columns` keeps, and
 # the version of that file's key (raise it when a column's values or meaning change)
 NODE_COLUMNS = ("zcol", "ztail", "cs", "ct")
-_NODE_FILE_VERSION = 1
+_NODE_FILE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -379,9 +379,9 @@ def _self_cell_rule(h: float):
     n_theta = _SELF_CELL_N_THETA
     theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     rmax = 0.5 * h / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
-    gx, gw = _gauss(_SELF_CELL_N_RAD, 0.0)
-    rr = rmax[:, None] * (0.5 * (gx + 1.0))[None, :]
-    meas = rr * (rmax[:, None] * (0.5 * gw)[None, :]) * (2.0 * math.pi / n_theta)
+    x, w = _panels([0.0, 1.0], _SELF_CELL_N_RAD)
+    rr = rmax[:, None] * x[None, :]
+    meas = rr * (rmax[:, None] * w[None, :]) * (2.0 * math.pi / n_theta)
     return rr * np.cos(theta)[:, None], rr * np.sin(theta)[:, None], meas
 
 
@@ -654,28 +654,19 @@ def load_node_columns(path, grid: Grid, kernel: RadialKernel,
 # The quadratic form: self-cell part and total energy
 # ---------------------------------------------------------------------------
 
-def _as_index(grid: Grid, sel) -> np.ndarray:
-    sel = np.asarray(sel)
-    if sel.dtype == bool:
-        if sel.shape != (grid.n_nodes,):
-            raise TableError("mask length does not match the grid")
-        return np.where(sel)[0]
-    idx = sel.astype(np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= grid.n_nodes):
-        raise TableError("node index outside the table")
-    return idx
-
-
 def self_cell_edges(table: KernelTable, owners):
     """The edges (k, nb, c) of the symmetric C over all nodes with
 
         (1/2) w^T C w = sum_k cs_k (w_es(k) - w_k)^2 + ct_k (w_et(k) - w_k)^2
 
-    over the owner nodes k (an index array or a mask); each edge puts c at
+    over the owner nodes k, a boolean mask over the grid; each edge puts c at
     (k, k) and (nb, nb) and -c at (k, nb) and (nb, k).  The form is one-sided:
     a node without an in-octant neighbor on an axis drops that axis' term.
     """
-    k = _as_index(table.grid, owners)
+    owners = np.asarray(owners)
+    if owners.dtype != bool or owners.shape != (table.grid.n_nodes,):
+        raise TableError("owners must be a boolean mask of the grid's length")
+    k = np.flatnonzero(owners)
     nb = np.concatenate([table.es[k], table.et[k]])
     c = np.concatenate([table.cs[k], table.ct[k]])
     k = np.concatenate([k, k])
@@ -754,7 +745,7 @@ class EnergyModel:
         self.iin = np.where(grid.inside(grid.R))[0]
         self.mu = grid.weights[self.iin]
         self.diag = (table.apply_D(grid.weights) + 2.0 * table.zero_order)[self.iin]
-        self.edges = self_cell_edges(table, self.iin)
+        self.edges = self_cell_edges(table, grid.inside(grid.R))
         self.free = None
         if table.lattice is not None and self.iin.size:
             self.free = _lattice_convolution(grid.ii[self.iin], grid.jj[self.iin],

@@ -85,6 +85,11 @@ class RadialKernel:
         """Where K may be read: a tabulated kernel's table radii, every r > 0 otherwise."""
         return (self.table[0][0], self.table[0][-1]) if self.table else (0.0, math.inf)
 
+    @property
+    def kink(self) -> float | None:
+        """Where K has a corner: r = 1 for the counterexample (`_h`), else None."""
+        return 1.0 if self.family == "piecewise-counterexample" else None
+
     def window(self, lo: float, hi: float, squared: bool = False) -> tuple[float, float]:
         """[lo, hi] cut to `radii`, or to their squares for a window in tau = r^2."""
         ends = tuple(r * r for r in self.radii) if squared else self.radii

@@ -513,14 +513,12 @@ def test_unknown_section_or_key_is_a_config_error(tmp_path, capsys, ini, error):
     assert not (tmp_path / "out" / "convexity_report.json").exists()
 
 
-def test_gamma_and_m_flags_reach_the_report(tmp_path, capsys):
-    code, _ = _kernel_check_errors(tmp_path, capsys, INI, "--gamma", "0.25", "--m", "2")
-    assert code == 0
-    body = json.loads((tmp_path / "out" / "convexity_report.json").read_text())
-    assert (body["gamma"], body["m"]) == (0.25, 2)
-    # a flag's value is checked like the INI's
-    code, errors = _kernel_check_errors(tmp_path, capsys, INI, "--gamma", "1.5")
-    assert code == 1 and len(errors) == 1 and errors[0].startswith("config error: kernel: ")
+def test_a_setting_flag_is_a_usage_error(tmp_path, capsys):
+    # every setting but the output directory comes from the INI: the flags
+    # that once set gamma, m, R, h, seed, n_samples and the profile are gone
+    code, errors = _kernel_check_errors(tmp_path, capsys, INI, "--gamma", "0.25")
+    assert code == 1 and errors == ["config error: unrecognized arguments: --gamma 0.25"], errors
+    assert not (tmp_path / "out" / "convexity_report.json").exists()
 
 
 def test_reports_refuse_nan_and_infinity(tmp_path):
@@ -593,8 +591,10 @@ def test_check_operator_takes_the_reference_tail_from_the_table(tmp_path, monkey
 
 
 def test_table_npz_of_another_gamma_is_rebuilt(tmp_path):
-    ini, out = _solved(tmp_path)
-    scan = ["energy-scan", "--config", str(ini), "--out", str(out), "--gamma", "0.25"]
+    _, out = _solved(tmp_path)
+    ini = tmp_path / "other.ini"
+    ini.write_text(INI.replace("gamma = 0.5", "gamma = 0.25"))
+    scan = ["energy-scan", "--config", str(ini), "--out", str(out)]
     assert cli.main(scan) == 0
     assert _table_source(out, "energy-scan") == "built"
     first = (out / "scan.csv").read_bytes()
@@ -674,14 +674,15 @@ def test_node_columns_of_another_key_are_not_loaded(tmp_path, small_grid, change
 
 @pytest.mark.parametrize("kern, grid, digest", [
     (K.tabulated_kernel(np.geomspace(1e-2, 1e2, 9), np.geomspace(1e-2, 1e2, 9) ** -3, 0.5, 1),
-     (4, 0.5, 1), "820b6a5600fcf626445eda8b5728ffd376a4a8d632714b805a6d8f1599067e55"),
+     (4, 0.5, 1), "140850cc9e77d2c8bc9bb1fb729512babab1281660aab5e5fadd2af8c47b6428"),
     (K.fractional_kernel(0.5, 2, K.standard_c_norm(0.5, 2)),
-     (3, 0.5, 2), "d60fea24abe250e17328b1ba10e0a740a4dad0498891ece9928d9a386697ee49")],
+     (3, 0.5, 2), "2820a3bb21183c5989c33145cec1142f48b5f295bffb29b73112353244732215")],
     ids=["tabulated", "fractional-m2"])
 def test_node_file_key_is_pinned(kern, grid, digest):
     # a table.npz written before holds this key; a changed key rebuilds it.
     # Re-pinned when the kernel lost its lambda and Lambda fields, which the
-    # key listed: a file written with them is rebuilt, not misread
+    # key listed, and when the version rose to 2 for the counterexample's
+    # column, split at its kink: a file written before is rebuilt, not misread
     key = en._node_key(en.build_grid(*grid), kern, dr.gauss_jacobi_rule(32, kern.m))
     assert hashlib.sha256(key.encode()).hexdigest() == digest
 

@@ -52,7 +52,7 @@ def four_term_sum(s, t, sig, tau, power=3.0):
 def test_negative_coordinates_rejected():
     for p, q in (((-1.0, 0.5), (3.0, 1.0)), ((3.0, 1.0), (2.0, -0.5))):
         with pytest.raises(DomainError):
-            kernel_difference(K1, p, q, RULE1)
+            kernel_difference(K1, p, q)
         with pytest.raises(DomainError):
             f2_arguments(p, q)
         with pytest.raises(DomainError):
@@ -125,11 +125,11 @@ def test_j_kernel_interior_example():
 
 def test_j_kernel_refuses_diagonal_and_negative():
     with pytest.raises(SingularityError):
-        kernel_difference(K1, (2, 1), (2, 1), RULE1)
+        kernel_difference(K1, (2, 1), (2, 1))
     with pytest.raises(SingularityError):
         j_kernel_appell(0.5, 2, (2, 1), (2, 1))
     with pytest.raises(DomainError):
-        kernel_difference(K1, (2, -1), (3, 1), RULE1)
+        kernel_difference(K1, (2, -1), (3, 1))
 
 
 # near-diagonal pairs where the expanded r^2 = s^2 + ... - 2 s sig th cancels
@@ -408,24 +408,24 @@ def test_kbar_symmetry_and_star_identities():
 def test_kernel_difference_example():
     expected = (four_term_sum(2, 1, 3, 1) - four_term_sum(2, 1, 1, 3)) / 4.0
     assert expected == pytest.approx(0.242701, abs=2e-6)
-    assert kernel_difference(K1, (2, 1), (3, 1), RULE1) == pytest.approx(expected, rel=1e-12)
+    assert kernel_difference(K1, (2, 1), (3, 1)) == pytest.approx(expected, rel=1e-12)
     assert expected > 0
 
 
 def test_kernel_difference_on_cone_is_zero():
-    assert kernel_difference(K1, (2, 1), (2.5, 2.5), RULE1) == 0.0
+    assert kernel_difference(K1, (2, 1), (2.5, 2.5)) == 0.0
 
 
 def test_kernel_difference_rejects_inner():
     with pytest.raises(DomainError):
-        kernel_difference(K1, (1, 2), (3, 1), RULE1)
+        kernel_difference(K1, (1, 2), (3, 1))
     with pytest.raises(DomainError):
-        kernel_difference(K1, (2, 1), (1, 3), RULE1)
+        kernel_difference(K1, (2, 1), (1, 3))
 
 
 def test_kernel_difference_far_field_decay():
-    near = kernel_difference(K1, (2, 1), (3, 1), RULE1)
-    far = kernel_difference(K1, (2, 1), (30, 1), RULE1)
+    near = kernel_difference(K1, (2, 1), (3, 1))
+    far = kernel_difference(K1, (2, 1), (30, 1))
     assert 0 < far < near
 
 
@@ -668,6 +668,52 @@ def test_m2_zero_order_column_is_converged(gamma):
     z = zero_order_integral(kernel, g.s, g.t, g.R_out)
     ref = zero_order_integral(kernel, g.s, g.t, g.R_out, n_phi=320, n_rho=48)
     assert np.max(np.abs(z - ref) / ref) <= 1e-9
+
+
+def _wedge_rays(kernel_at, s, t, R_out, tol):
+    """Independent oracle: int K(|x - z|) dz over {|z_1| < |z_2|, |z| < R_out}
+    in R^2, x = (s, t), along exact rays from x by adaptive quadrature.  On
+    the ray at th, z_2^2 - z_1^2 has the roots rho = (s - t) / (sin - cos) and
+    (s + t) / -(sin + cos) where positive; the ray is inside between them (or
+    past the one root) and inside the disk, and rho integrates K(rho) rho
+    split at 1, the kink of the counterexample.  th is split at the
+    directions to the origin, to the rim points (+-R_out, +-R_out)/sqrt(2)
+    and along the cone, where the limits change formula."""
+    def radial(th):
+        c, sn = math.cos(th), math.sin(th)
+        roots = sorted(num / den for num, den in ((s - t, sn - c), (s + t, -(sn + c)))
+                       if den > 0.0)
+        pe = s * c + t * sn
+        lo, hi = (roots + [math.inf, math.inf])[:2]
+        hi = min(hi, math.sqrt(pe * pe + R_out ** 2 - s * s - t * t) - pe)
+        if not lo < hi:
+            return 0.0
+        return integrate.quad(lambda r: kernel_at(r) * r, lo, hi, epsabs=0.0, epsrel=tol,
+                              points=[1.0] if lo < 1.0 < hi else None, limit=200)[0]
+
+    c = R_out / math.sqrt(2.0)
+    brk = [math.atan2(-t, -s)] + [math.atan2(z2 - t, z1 - s) for z1 in (c, -c) for z2 in (c, -c)]
+    th = brk[0] + np.sort(np.mod(np.array(brk + [k * math.pi / 4.0 for k in (1, 3, 5, 7)])
+                                 - brk[0], 2.0 * math.pi))
+    th = np.append(th, brk[0] + 2.0 * math.pi)
+    return sum(integrate.quad(radial, a, b, epsabs=0.0, epsrel=tol, limit=200)[0]
+               for a, b in zip(th[:-1], th[1:]))
+
+
+def test_m1_counterexample_column_matches_exact_rays():
+    # the polar column splits each ray's log(rho) rule at K's kink r = 1, the
+    # circle rho = 1 around the reflected corner; one rule across it was
+    # 4.5e-4, 2.4e-3 and 2.9e-3 off.  What is left at the corner node comes
+    # from the kinks of the other images, which no split follows yet
+    def kernel_at(r):
+        return r ** -3.0 if r < 1.0 else 1.0 / (10.0 * r ** 3 - 9.0)
+
+    nodes = np.array([(0.75, 0.25), (2.25, 1.75), (3.75, 3.25)])
+    ref = np.array([_wedge_rays(kernel_at, s, t, 6.0, 1e-12) for s, t in nodes])
+    assert ref == pytest.approx([3.649739231313846, 3.258531636452571, 3.195736152347398],
+                                rel=1e-12)
+    z = zero_order_integral(counterexample_kernel(0.5, 1), nodes[:, 0], nodes[:, 1], 6.0)
+    assert np.all(np.abs(z - ref) / ref <= [3e-4, 5e-5, 5e-5])
 
 
 def test_m1_power_zero_order_column_makes_no_j_call(small_grid, monkeypatch):
