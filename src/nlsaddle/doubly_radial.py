@@ -532,7 +532,9 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     closed.  K's `kink` is the circle rho = kink around c in J's nearest
     image at m=1, where each ray's log(rho) rule splits; the other images'
     are not split at (the m=1 counterexample's column is 3.3e-5 off exact
-    rays at its corner node, 1e-5 next to the cone; 2.9e-3 unsplit).
+    rays at its corner node, 1e-5 next to the cone; 2.9e-3 unsplit).  At
+    m >= 2 J averages K over both spheres, so no circle around c carries
+    the kink, and the rule is not split.
 
     The polar form integrates J(s,t,b,a) a^(m-1) b^(m-1) over the truncated
     outer octant O_R = {0 <= b <= a, a^2 + b^2 <= R_out^2} in polar
@@ -548,7 +550,7 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
     (phi = -pi/4 + atan(sinh u), dphi = sech u du), graded toward the foot
     of the normal from c, where the ray integrals of nodes next to the cone
     peak (Johnston & Elliott, IJNME 62, 2005); log(rho) takes n_rho nodes,
-    in two panels split at K's kink if it has one.
+    in two panels split at K's kink if it has one and m=1.
     For the fractional kernel at m=2 `j_values` is exact and reads no rule
     node, so the column's error is that of the phi and rho rules alone
     (5e-15 against four times the nodes at R=4, h=1/2, gamma = 1/2; 5e-12
@@ -582,9 +584,9 @@ def zero_order_integral(kernel: RadialKernel, s, t, R_out: float,
         rho_out = np.sqrt(pe ** 2 + (R_out ** 2 - S ** 2 - T ** 2)) - pe
         rho_out[:, :order] = S / -sinp[:, :order]
         span = 0.5 * np.log(rho_out / rho_in)  # half of each ray's log(rho) interval
-        # log(rho) = log(rho_in) + span y, y in [0, 2]: one panel, or two of
-        # n_rho // 2 nodes split at the kink (at y = 1 on rays that miss it)
-        if kernel.kink is None:
+        # log(rho) = log(rho_in) + span y, y in [0, 2]: one panel, or at m=1
+        # two of n_rho // 2 nodes split at the kink (at y = 1 on rays that miss it)
+        if m > 1 or kernel.kink is None:
             y, wy = _panels([0.0, 2.0], n_rho)
         else:
             at = np.log(kernel.kink / rho_in) / span
@@ -680,8 +682,9 @@ def zero_order_coefficient(kernel: RadialKernel, p, R_out: float,
     `zero_order_integral` over the octant truncated at R_out (exact rays
     for the fractional kernel at m=1, where rule and n_rho are unused;
     otherwise the polar J form, J on `rule`, on two graded angular panels
-    of n_phi // 5 nodes and n_rho nodes in log rho, split at K's kink), plus
-    half the analytic exterior tail.  Comparable to |s - t|^(-2 gamma).
+    of n_phi // 5 nodes and n_rho nodes in log rho, split at K's kink at
+    m=1), plus half the analytic exterior tail.  Comparable to
+    |s - t|^(-2 gamma).
     """
     s, t = p
     z = (zero_order_integral(kernel, s, t, R_out, rule, n_phi, n_rho)

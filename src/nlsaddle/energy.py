@@ -70,7 +70,7 @@ _GATHER_ARRAYS = 4
 # the per-node columns of a KernelTable that `save_node_columns` keeps, and
 # the version of that file's key (raise it when a column's values or meaning change)
 NODE_COLUMNS = ("zcol", "ztail", "cs", "ct")
-_NODE_FILE_VERSION = 2
+_NODE_FILE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -436,24 +436,6 @@ def _self_images(i: np.ndarray, j: np.ndarray):
     return a, b, np.repeat([1.0, -1.0], 4)[:, None]
 
 
-def _radii_read(grid: Grid, rule: QuadratureRule) -> tuple[float, float]:
-    """The least and the greatest r at which `_self_cell_coefficients` reads
-    K, as the same floats; the other layers read between them on every grid
-    measured (m = 1 to 3), and so does J(x, (x + z)*) at m >= 2."""
-    zs, zt, _ = _self_cell_rule(grid.h)
-    if grid.m == 1:  # the lattice offsets 0 and ((2i + 1) h, (2j + 1) h) of the farthest node
-        far = grid.radius.argmax()
-        A, B = (grid.h * np.array([0, 2 * c[far] + 1])[:, None, None] for c in (grid.ii, grid.jj))
-        r = np.sqrt((A + zs) ** 2 + (B + zt) ** 2)
-    else:  # `_inner_rule`'s r^2 of J(x, x + z) at the largest and the least rule node
-        S, T = grid.s[:, None, None], grid.t[:, None, None]
-        aa, bb = S + zs, T + zt
-        d, u, v = (S - aa) ** 2 + (T - bb) ** 2, 2.0 * S * aa, 2.0 * T * bb
-        r = np.sqrt([(1.0 - th) * np.minimum(u, v) + d + (1.0 - th) * np.maximum(u, v)
-                     for th in (rule.nodes.max(), rule.nodes.min())])
-    return float(r.min()), float(r.max())
-
-
 def _one_sided_neighbors(grid: Grid):
     """Per node, a neighbor strictly inside the octant per axis (-1 if none)."""
     i, j = grid.ii, grid.jj
@@ -554,20 +536,23 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
                        nodes: dict | None = None) -> KernelTable:
     """Cache kbar, kbar-star and their difference over all node pairs.
 
-    First the per-node layers (zero-order column, tail, self-cell, neighbors),
-    then the pairs: at m=1 the `LatticeConvolution` of the one kernel value
-    per lattice offset, in O(n) memory, with the dense D and P left to their
-    first read; at m >= 2 the dense D and P, `j_values` over row blocks.
-    `rule` serves J, which the m=1 pairs and self-cell never call.  `nodes`
-    maps each name of NODE_COLUMNS to that column of a table built before
-    for the same grid, kernel and rule (`load_node_columns` checks this);
-    they are taken as given, and only the neighbors and the pairs are
-    computed.  Scratch comes in blocks of `doubly_radial._BLOCK_VALUES`, so
-    the build peaks at the dense tables (none at m=1) plus a few blocks.
+    First the per-node layers (self-cell, zero-order column, tail,
+    neighbors), then the pairs: at m=1 the `LatticeConvolution` of the one
+    kernel value per lattice offset, in O(n) memory, with the dense D and P
+    left to their first read; at m >= 2 the dense D and P, `j_values` over
+    row blocks.  `rule` serves J, which the m=1 pairs and self-cell never
+    call.  The self-cell runs first: its rule reaches the least and the
+    greatest r the build reads, so a tabulated K short of a read radius is
+    refused there, before any other layer.  `nodes` maps each name of
+    NODE_COLUMNS to that column of a table built before for the same grid,
+    kernel and rule (`load_node_columns` checks this); they are taken as
+    given, and only the neighbors and the pairs are computed.  Scratch
+    comes in blocks of `doubly_radial._BLOCK_VALUES`, so at every m the
+    build peaks at the dense tables (none at m=1) plus a few blocks.
     Refuses a kernel of another m than the grid's, kernels that fail the
     sqrt-convexity check (a tabulated one sampled only over its table)
-    unless assume_positive=True, a kernel table missing the `_radii_read`
-    before the node columns are computed, and, when allocated (at m >= 2
+    unless assume_positive=True, any read of a tabulated K outside its
+    table (`kernels._h`), and, when allocated (at m >= 2
     before anything else, at m=1 on the first read), dense tables that
     would exceed _TABLE_MEM_CAP_GB (use a larger h).
     """
@@ -583,13 +568,9 @@ def build_kernel_table(grid: Grid, kernel: RadialKernel,
                 "to build the table anyway")
     rule = _default_rule(kernel.m, rule)
     if nodes is None:
-        lo, hi = _radii_read(grid, rule)
-        if lo < kernel.radii[0] or hi > kernel.radii[1]:
-            raise DomainError(f"the kernel table covers r in {list(kernel.radii)}, and the "
-                              f"build reads K over [{lo}, {hi}]; extrapolation is refused")
+        cs, ct = _self_cell_coefficients(grid, kernel, rule)
         zcol = zero_order_integral(kernel, grid.s, grid.t, grid.R_out, rule)
         ztail = 0.5 * exterior_tail_coefficient(kernel, grid.s, grid.t, grid.R_out)
-        cs, ct = _self_cell_coefficients(grid, kernel, rule)
     else:
         zcol, ztail, cs, ct = (nodes[name] for name in NODE_COLUMNS)
     es, et = _one_sided_neighbors(grid)
@@ -630,13 +611,13 @@ def save_node_columns(table: KernelTable, path) -> None:
                  **{name: getattr(table, name) for name in NODE_COLUMNS})
 
 
-def load_node_columns(path, grid: Grid, kernel: RadialKernel,
-                      rule: QuadratureRule | None = None) -> dict | None:
-    """The `nodes` argument of `build_kernel_table` from a `save_node_columns`
-    file, or None when the file is missing or unreadable, holds anything but
-    n_nodes float64 values per column, or was written for another key: then
-    the caller builds the columns.  Nothing is unpickled."""
-    key = _node_key(grid, kernel, _default_rule(kernel.m, rule))
+def load_node_columns(path, grid: Grid, kernel: RadialKernel) -> dict | None:
+    """The `nodes` argument of `build_kernel_table`, on J's default rule, from
+    a `save_node_columns` file, or None when the file is missing or
+    unreadable, holds anything but n_nodes float64 values per column, or was
+    written for another key (a table on another rule among them): then the
+    caller builds the columns.  Nothing is unpickled."""
+    key = _node_key(grid, kernel, _default_rule(kernel.m, None))
     try:
         with open(path, "rb") as fh:
             data = np.load(fh, allow_pickle=False)

@@ -139,8 +139,8 @@ def _h(kernel: RadialKernel, tau: np.ndarray) -> np.ndarray:
     r = np.sqrt(tau)
     rt, kt = kernel.table
     if np.any(r < rt[0]) or np.any(r > rt[-1]):
-        raise DomainError(f"tabulated kernel queried at r outside [{rt[0]}, {rt[-1]}]; "
-                          "extrapolation is refused")
+        raise DomainError(f"tabulated kernel queried at r in [{r.min()}, {r.max()}], outside "
+                          f"its table [{rt[0]}, {rt[-1]}]; extrapolation is refused")
     return kernel.c_norm * np.exp(np.interp(np.log(r), np.log(rt), np.log(kt)))
 
 

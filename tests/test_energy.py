@@ -367,56 +367,65 @@ def test_m1_tabulated_power_law_builds_the_fractional_table():
     build_kernel_table(g, tabulated_kernel(r, r ** -3, 0.5, 1))
 
 
+def _read_range(run) -> tuple[float, float]:
+    """The least and the greatest r at which run() reads K through `_h`."""
+    reads, h_of = [], kernels._h
+
+    def h(kern, tau):
+        reads.append((np.min(tau), np.max(tau)))
+        return h_of(kern, tau)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (kernels, doubly_radial, energy):
+            mp.setattr(module, "_h", h)
+        run()
+    tau = np.array(reads)
+    return math.sqrt(tau[:, 0].min()), math.sqrt(tau[:, 1].max())
+
+
 @pytest.mark.parametrize("R, r_lo, r_hi", [(7.0, 0.1, 100.0), (12.0, 1e-3, 20.0)],
                          ids=["self-cell-below-the-table", "pairs-past-the-table"])
-def test_table_missing_a_read_radius_is_refused_before_any_layer(R, r_lo, r_hi, monkeypatch):
-    # at h = 0.5 the self-cell rule reads K down to 0.0047 h, and the m=1
-    # pairs out to 2 max|x| (35.9 at R = 12); the refusal names the table's
-    # range and the build's, and a table over the build's range builds
+def test_table_missing_a_read_radius_is_refused_in_the_first_layer(R, r_lo, r_hi, monkeypatch):
+    # at h = 0.5 the self-cell rule reads K down to 0.0047 h, and out past
+    # 2 max|x| (the m=1 pairs' reach, 35.9 at R = 12): the build's extremes,
+    # so `_h` refuses a short table there, naming the radii asked for and
+    # the table's, before any other layer runs; a table over exactly the
+    # self-cell's reads builds
     grid = build_grid(R, 0.5, 1)
-    r = np.geomspace(r_lo, r_hi, 400)
+    wide = np.geomspace(1e-6, 1e3, 400)
+    lo, hi = _read_range(lambda: energy._self_cell_coefficients(
+        grid, tabulated_kernel(wide, wide ** -3, 0.5, 1), gauss_jacobi_rule(32, 1)))
+    assert lo < r_lo or hi > r_hi
+    r = np.geomspace(lo, hi, 400)
 
     def layer(*args, **kwargs):
         raise AssertionError("a layer ran")
 
-    for name in ("zero_order_integral", "exterior_tail_coefficient",
-                 "_self_cell_coefficients", "_lattice_convolution"):
-        monkeypatch.setattr(energy, name, layer)
-    with pytest.raises(DomainError, match=re.escape(f"covers r in {[r_lo, r_hi]}")) as err:
-        build_kernel_table(grid, tabulated_kernel(r, r ** -3, 0.5, 1))
-    monkeypatch.undo()
-    lo, hi = map(float, re.search(r"reads K over \[(\S+), (\S+)\]", str(err.value)).groups())
-    assert lo < r_lo or hi > r_hi
-    r = np.geomspace(lo, hi, 400)
+    with monkeypatch.context() as mp:
+        for name in ("zero_order_integral", "exterior_tail_coefficient", "_lattice_convolution"):
+            mp.setattr(energy, name, layer)
+        for short in (np.geomspace(r_lo, r_hi, 400), r[1:], r[:-1]):
+            with pytest.raises(DomainError, match="extrapolation is refused") as err:
+                build_kernel_table(grid, tabulated_kernel(short, short ** -3, 0.5, 1))
+            asked = re.search(r"queried at r in \[(\S+), (\S+)\], outside its table "
+                              + re.escape(f"[{short[0]}, {short[-1]}]"), str(err.value))
+            a, b = map(float, asked.groups())
+            assert a < short[0] or b > short[-1]
     build_kernel_table(grid, tabulated_kernel(r, r ** -3, 0.5, 1))
-    with pytest.raises(DomainError, match="reads K over"):
-        build_kernel_table(grid, tabulated_kernel(r[1:], r[1:] ** -3, 0.5, 1))
-    with pytest.raises(DomainError, match="reads K over"):
-        build_kernel_table(grid, tabulated_kernel(r[:-1], r[:-1] ** -3, 0.5, 1))
 
 
 @pytest.mark.parametrize("m, R, order", [(1, 7.0, 32), (1, 12.0, 32), (2, 3.0, 32),
                                          (2, 4.0, 32), (3, 3.0, 16)])
-def test_radii_read_bound_every_kernel_read_of_a_build(m, R, order, monkeypatch):
-    # every layer of the build, and the dense D, reads K only inside
-    # `_radii_read`, which the refusal of a short table relies on; the table
-    # here is twice as wide at both ends, so a read past the bound is recorded
-    # rather than refused
+def test_self_cell_reach_bounds_every_kernel_read_of_a_build(m, R, order):
+    # the self-cell layer reads K at the least and the greatest r of the
+    # whole build, the dense D included, which the refusal of a short table
+    # in the first layer relies on; the table is wide enough for every read
     grid, rule = build_grid(R, 0.5, m), gauss_jacobi_rule(order, m)
-    lo, hi = energy._radii_read(grid, rule)
-    r = np.geomspace(0.5 * lo, 2.0 * hi, 400)
+    r = np.geomspace(1e-6, 1e3, 400)
     kernel = tabulated_kernel(r, r ** (-2 * m - 1), 0.5, m)
-    reads, h_of = [], kernels._h
-
-    def h(kern, tau):
-        reads.append((float(np.min(tau)), float(np.max(tau))))
-        return h_of(kern, tau)
-
-    for module in (kernels, doubly_radial, energy):
-        monkeypatch.setattr(module, "_h", h)
-    build_kernel_table(grid, kernel, rule, assume_positive=True).D
-    tau = np.array(reads)
-    assert lo <= math.sqrt(tau[:, 0].min()) and math.sqrt(tau[:, 1].max()) <= hi
+    reach = _read_range(lambda: energy._self_cell_coefficients(grid, kernel, rule))
+    assert _read_range(lambda: build_kernel_table(grid, kernel, rule, assume_positive=True).D) \
+        == reach
 
 
 def test_table_covering_every_read_radius_builds():
@@ -764,3 +773,22 @@ def test_m1_layer_scratch_is_bounded_when_a_column_exceeds_a_block(monkeypatch):
             tracemalloc.stop()
     assert table.pairs is stand_in
     assert max(peaks) <= 16 * doubly_radial._BLOCK_VALUES * 8, peaks
+
+
+def test_m2_build_scratch_does_not_grow_with_the_grid(monkeypatch):
+    # past the dense (2, n, n) block, stood in for by n values (row stride
+    # 0), the m=2 build holds a few blocks of scratch whatever n: 7.5 blocks
+    # at R = 8 (n = 217) and 8.1 at R = 16 (n = 887)
+    peaks = []
+    for R in (8.0, 16.0):
+        g = build_grid(R, 0.5, 2)
+        n = g.n_nodes
+        stand_in = np.lib.stride_tricks.as_strided(np.empty(n), (2, n, n), (0, 0, 8))
+        monkeypatch.setattr(energy, "_pair_table_block", lambda n: stand_in)
+        tracemalloc.start()
+        try:
+            build_kernel_table(g, fractional_kernel(0.5, 2))
+            peaks.append(tracemalloc.get_traced_memory()[1] / (doubly_radial._BLOCK_VALUES * 8))
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 2 and max(peaks) < 16, peaks
